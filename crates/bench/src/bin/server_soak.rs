@@ -93,13 +93,25 @@ fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
     last
 }
 
+/// Send one request frame as a single write of its line and `\n`.
 fn send_frame(writer: &mut TcpStream, id: &str, req: Request) {
     let frame = RequestFrame {
         v: WIRE_VERSION,
         id: id.into(),
         req,
     };
-    writeln!(writer, "{}", encode_request(&frame)).expect("daemon socket writable");
+    let line = encode_request(&frame) + "\n";
+    writer
+        .write_all(line.as_bytes())
+        .expect("daemon socket writable");
+}
+
+/// Connect to the daemon with Nagle's algorithm off, so a request is
+/// never held back behind the daemon's delayed ACK.
+fn connect(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect to daemon");
+    stream.set_nodelay(true).expect("disable Nagle");
+    stream
 }
 
 /// What one client connection observed.
@@ -118,7 +130,7 @@ fn client(
     victim: Option<StudyRequest>,
     ready: Arc<Barrier>,
 ) -> ClientOutcome {
-    let mut writer = TcpStream::connect(addr).expect("connect to daemon");
+    let mut writer = connect(addr);
     let mut reader = BufReader::new(writer.try_clone().expect("clone socket"));
     let recv = |reader: &mut BufReader<TcpStream>| -> ResponseFrame {
         let mut line = String::new();
@@ -238,7 +250,7 @@ fn main() -> ExitCode {
     let ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Clean shutdown over its own connection, then drain the accept loop.
-    let mut shutdown = TcpStream::connect(addr).expect("connect for shutdown");
+    let mut shutdown = connect(addr);
     send_frame(&mut shutdown, "bye", Request::Shutdown);
     let mut reader = BufReader::new(shutdown.try_clone().expect("clone socket"));
     let mut line = String::new();

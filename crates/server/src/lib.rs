@@ -19,6 +19,12 @@
 //!
 //! * One request per line (`\n`-terminated), one response per line.
 //!   Blank lines are ignored.
+//! * Every response frame leaves the daemon in one `write_all` of its
+//!   line and `\n`, and [`Server::serve_tcp`] sets `TCP_NODELAY` on every
+//!   accepted stream. A frame written while an earlier one is still
+//!   unacknowledged therefore goes out at once instead of waiting for the
+//!   client's delayed ACK. Clients should likewise turn Nagle's algorithm
+//!   off and write each request line once.
 //! * Every response echoes the request's `id`; frames belonging to
 //!   different studies interleave freely on the wire, so a client
 //!   multiplexes concurrent studies over one connection by `id`.
@@ -63,7 +69,11 @@
 //! connections, and a study that must wait is reported to its client
 //! with a `Queued` frame (carrying how many studies are ahead) instead
 //! of blocking the connection's read loop — so `Ping` and `Cancel`
-//! stay responsive while studies queue. Prepared sites come from the
+//! stay responsive while studies queue. A study frees its slot *before*
+//! it writes its terminal frame (`Done`, `Cancelled`, or the `Internal`
+//! error of a panicked worker), so a client that sends its next study
+//! the moment it reads that frame finds the slot free: `Queued` always
+//! means real queue pressure. Prepared sites come from the
 //! shared [`PreparedCache`] keyed by the full scenario config, so
 //! concurrent studies over the same sites share one
 //! `Arc<PreparedScenario>` and never re-prepare. Search results depend
@@ -350,6 +360,11 @@ impl Server {
                 let shutdown = &shutdown;
                 s.spawn(move || {
                     let _permit = permit;
+                    // Frames go out whole (see `send`), so Nagle's algorithm
+                    // could only hold a frame back until the client's delayed
+                    // ACK. Best effort: a socket that refuses the option still
+                    // serves correctly, just with that stall.
+                    let _ = stream.set_nodelay(true);
                     let Ok(reader) = stream.try_clone() else {
                         return;
                     };
@@ -401,18 +416,24 @@ impl Server {
                     .emit();
                 send(writer, &id, Response::Queued(StudyQueued { ahead }));
             });
-            let _permit = permit;
             let _span = telemetry::span(Stage::ServerStudy);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 self.run_study(&id, &study, &scenario, writer, &cancel, registry)
             }));
             if outcome.is_err() {
                 retire(registry, &id, &cancel);
-                send_error(
+            }
+            // Free the slot before the terminal frame: a client that sends
+            // its next study as soon as it reads this one's end must find
+            // the slot free, so `Queued` only ever means real queue pressure.
+            drop(permit);
+            match outcome {
+                Ok(terminal) => send(writer, &id, terminal),
+                Err(_) => send_error(
                     writer,
                     &id,
                     WireError::new(ErrorCode::Internal, "study worker panicked"),
-                );
+                ),
             }
             self.studies_done.fetch_add(1, Ordering::Relaxed);
         });
@@ -420,7 +441,9 @@ impl Server {
 
     /// The study body: cache-shared preparation, `Accepted`, the NSGA-II
     /// run (streaming `Front` frames when asked, stopping at a generation
-    /// boundary when cancelled), then the terminal `Done` or `Cancelled`.
+    /// boundary when cancelled). Retires the study's registry entry and
+    /// returns its terminal `Done` or `Cancelled` frame for the caller to
+    /// send once the admission slot is free.
     fn run_study<W: Write + Send>(
         &self,
         id: &str,
@@ -429,13 +452,12 @@ impl Server {
         writer: &Mutex<W>,
         cancel: &AtomicBool,
         registry: &CancelRegistry,
-    ) {
+    ) -> Response {
         let t0 = Instant::now();
         // Cancelled while waiting in the admission queue: answer without
         // preparing or running anything.
         if cancel.load(Ordering::SeqCst) && retire(registry, id, cancel) {
-            self.finish_cancelled(id, 0, 0, t0, writer);
-            return;
+            return self.finish_cancelled(id, 0, 0, t0);
         }
         let (fleet, stats) = scenario.prepare_shared(&self.cache);
         let plan_space = fleet.members.iter().fold(1u64, |acc, m| {
@@ -517,8 +539,7 @@ impl Server {
         // it did not (it answered `UnknownStudy` and this study answers
         // `Done`). Never both.
         if retire(registry, id, cancel) {
-            self.finish_cancelled(id, generations, result.sampled_trials as u64, t0, writer);
-            return;
+            return self.finish_cancelled(id, generations, result.sampled_trials as u64, t0);
         }
 
         telemetry::Event::new("study_done")
@@ -529,31 +550,20 @@ impl Server {
             .u64("front", last_front.len() as u64)
             .f64("wall_ms", t0.elapsed().as_secs_f64() * 1e3)
             .emit();
-        send(
-            writer,
-            id,
-            Response::Done(StudyDone {
-                generations,
-                sampled_trials: result.sampled_trials as u64,
-                unique_evaluations: result.unique_evaluations as u64,
-                cache_hits: result.cache_hits as u64,
-                cache_misses: result.cache_misses as u64,
-                wall_ms: t0.elapsed().as_millis() as u64,
-                front: last_front,
-            }),
-        );
+        Response::Done(StudyDone {
+            generations,
+            sampled_trials: result.sampled_trials as u64,
+            unique_evaluations: result.unique_evaluations as u64,
+            cache_hits: result.cache_hits as u64,
+            cache_misses: result.cache_misses as u64,
+            wall_ms: t0.elapsed().as_millis() as u64,
+            front: last_front,
+        })
     }
 
-    /// Emit the audit event and the terminal `Cancelled` frame for a
-    /// study that stopped early.
-    fn finish_cancelled<W: Write>(
-        &self,
-        id: &str,
-        generations: u32,
-        sampled: u64,
-        t0: Instant,
-        writer: &Mutex<W>,
-    ) {
+    /// Emit the audit event for a study that stopped early and build its
+    /// terminal `Cancelled` frame.
+    fn finish_cancelled(&self, id: &str, generations: u32, sampled: u64, t0: Instant) -> Response {
         self.studies_cancelled.fetch_add(1, Ordering::Relaxed);
         telemetry::Event::new("study_cancelled")
             .str("id", id)
@@ -561,15 +571,11 @@ impl Server {
             .u64("sampled", sampled)
             .f64("wall_ms", t0.elapsed().as_secs_f64() * 1e3)
             .emit();
-        send(
-            writer,
-            id,
-            Response::Cancelled(StudyCancelled {
-                generations,
-                sampled_trials: sampled,
-                wall_ms: t0.elapsed().as_millis() as u64,
-            }),
-        );
+        Response::Cancelled(StudyCancelled {
+            generations,
+            sampled_trials: sampled,
+            wall_ms: t0.elapsed().as_millis() as u64,
+        })
     }
 }
 
@@ -628,19 +634,22 @@ fn salvage_id(line: &str) -> String {
         .unwrap_or_default()
 }
 
+/// Write one response frame as a single `write_all` of the line and its
+/// `\n`, so a frame never leaves the daemon in pieces.
 fn send<W: Write>(writer: &Mutex<W>, id: &str, resp: Response) {
     let frame = ResponseFrame {
         v: WIRE_VERSION,
         id: id.to_string(),
         resp,
     };
-    let line = wire::encode_response(&frame);
+    let mut line = wire::encode_response(&frame);
+    line.push('\n');
     // A panicked writer-holder must not wedge every other study on the
     // connection: adopt the poisoned lock and keep answering.
     let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
     // Swallow write errors: a client that disconnected mid-stream must not
     // tear down other studies on this connection.
-    let _ = writeln!(w, "{line}");
+    let _ = w.write_all(line.as_bytes());
     let _ = w.flush();
 }
 

@@ -31,6 +31,17 @@ use microgrid_opt::core::wire::{
 };
 use microgrid_opt::prelude::*;
 
+/// Send one request frame as a single write of its line and `\n`.
+fn send(writer: &mut TcpStream, id: &str, req: Request) {
+    let frame = RequestFrame {
+        v: WIRE_VERSION,
+        id: id.into(),
+        req,
+    };
+    let line = encode_request(&frame) + "\n";
+    writer.write_all(line.as_bytes()).expect("send request");
+}
+
 fn main() {
     let fast = std::env::var("MGOPT_FAST")
         .map(|v| v == "1")
@@ -96,15 +107,13 @@ fn main() {
     const VICTIM: &str = "exploratory";
 
     let stream = TcpStream::connect(addr).expect("connect");
+    // Requests go out at once, each line in one write, rather than waiting
+    // for the daemon's delayed ACK under Nagle's algorithm.
+    stream.set_nodelay(true).expect("disable Nagle");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut writer = stream;
     for (id, study) in &requests {
-        let frame = RequestFrame {
-            v: WIRE_VERSION,
-            id: (*id).into(),
-            req: Request::Study(study.clone()),
-        };
-        writeln!(writer, "{}", encode_request(&frame)).expect("send study");
+        send(&mut writer, id, Request::Study(study.clone()));
     }
     println!("sent {} studies, multiplexed by id\n", requests.len());
 
@@ -140,12 +149,11 @@ fn main() {
                     f.front.len()
                 );
                 if frame.id == VICTIM && !sent_cancel {
-                    let cancel = RequestFrame {
-                        v: WIRE_VERSION,
-                        id: "cancel-exploratory".into(),
-                        req: Request::Cancel(VICTIM.into()),
-                    };
-                    writeln!(writer, "{}", encode_request(&cancel)).expect("send cancel");
+                    send(
+                        &mut writer,
+                        "cancel-exploratory",
+                        Request::Cancel(VICTIM.into()),
+                    );
                     println!("[{VICTIM}] >> cancel requested");
                     sent_cancel = true;
                 }
@@ -184,12 +192,7 @@ fn main() {
     }
 
     // -- Clean shutdown: Bye, then the accept loop exits. -----------------
-    let frame = RequestFrame {
-        v: WIRE_VERSION,
-        id: "bye".into(),
-        req: Request::Shutdown,
-    };
-    writeln!(writer, "{}", encode_request(&frame)).expect("send shutdown");
+    send(&mut writer, "bye", Request::Shutdown);
     let mut saw_bye = false;
     loop {
         line.clear();

@@ -129,6 +129,13 @@
 //! connection. `Cancel` is an additive variant, so `WIRE_VERSION` is
 //! unchanged — old frames still parse byte-identically.
 //!
+//! The transport contract: every response frame leaves the daemon in one
+//! write, and TCP streams run with `TCP_NODELAY`, so no frame waits for
+//! the client's delayed ACK. A study frees its admission slot before it
+//! writes its terminal frame, so a client that sends its next study on
+//! reading `Done` never gets `Queued` unless the cap is genuinely
+//! saturated (`tests/server_protocol.rs` pins all three).
+//!
 //! Every rejection maps to one of the wire protocol's error codes —
 //! `MalformedFrame` (invalid JSON, unknown/missing/duplicate fields, bad
 //! types, unknown variants), `UnsupportedVersion` (a `v` other than

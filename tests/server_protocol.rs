@@ -13,11 +13,16 @@
 //!   `Done`) with the completed prefix bit-identical, `UnknownStudy`
 //!   errors for bad targets, and disconnects cancelling in-flight work;
 //! * genuinely concurrent connections, over in-process pipes sharing one
-//!   daemon and over real TCP.
+//!   daemon and over real TCP;
+//! * the transport contract — every frame leaves in one write, TCP
+//!   streams answer pipelined requests without a delayed-ACK stall, and
+//!   a study frees its admission slot before its terminal frame, so a
+//!   closed-loop client at the cap never sees `Queued`.
 
 use std::io::{BufRead, BufReader, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Instant;
 
 use microgrid_opt::core::wire::{
     encode_request, ErrorCode, FleetSpec, PlanPoint, Request, RequestFrame, Response,
@@ -686,4 +691,155 @@ fn tcp_transport_end_to_end() {
     }
     assert!(saw_bye, "no Bye before close");
     join.join().unwrap().unwrap();
+}
+
+#[test]
+fn closed_loop_client_at_the_cap_never_sees_queued() {
+    // Cap 1 and one study outstanding at a time: each study is sent the
+    // moment the previous one's Done arrives. The slot is freed before
+    // Done is written, so nothing ever waits for admission.
+    let mut h = Harness::start(ServerConfig {
+        max_concurrent: 1,
+        ..ServerConfig::default()
+    });
+    for seed in 70..90u64 {
+        let id = format!("loop{seed}");
+        h.send(&frame(&id, Request::Study(tiny_study(seed))));
+        loop {
+            let f = h.recv();
+            assert_eq!(f.id, id);
+            match f.resp {
+                Response::Accepted(_) | Response::Front(_) => {}
+                Response::Done(_) => break,
+                Response::Queued(q) => {
+                    panic!("{id} queued behind {} with nothing else in flight", q.ahead)
+                }
+                other => panic!("unexpected frame for {id}: {other:?}"),
+            }
+        }
+    }
+    let server = Arc::clone(&h.server);
+    h.shutdown();
+    assert_eq!(server.queue_depth_peak(), 0, "a study waited for admission");
+}
+
+#[test]
+fn tcp_answers_pipelined_pings_without_a_delayed_ack_stall() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(Server::new(ServerConfig::default()));
+    let join = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || server.serve_tcp(listener))
+    };
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    // The client sends each round in one write with Nagle off, so any
+    // stall measured here is the daemon's.
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+    // Two Pings in one segment: the second Pong is written while the
+    // first is still unacknowledged, which Nagle's algorithm would hold
+    // back until the client's delayed ACK (about 40 ms on Linux).
+    let mut rounds_ms: Vec<f64> = (0..20)
+        .map(|round| {
+            let ids = [format!("a{round}"), format!("b{round}")];
+            let batch: String = ids
+                .iter()
+                .map(|id| encode_request(&frame(id, Request::Ping)) + "\n")
+                .collect();
+            let t0 = Instant::now();
+            stream.write_all(batch.as_bytes()).unwrap();
+            for id in &ids {
+                let mut line = String::new();
+                assert!(reader.read_line(&mut line).unwrap() > 0);
+                let f: ResponseFrame = serde_json::from_str(line.trim_end()).unwrap();
+                assert_eq!((f.id.as_str(), f.resp), (id.as_str(), Response::Pong));
+            }
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    rounds_ms.sort_by(f64::total_cmp);
+    let median = rounds_ms[rounds_ms.len() / 2];
+    assert!(
+        median < 10.0,
+        "median pipelined Ping round took {median:.2} ms: frames wait for delayed ACKs"
+    );
+
+    let shutdown = encode_request(&frame("q", Request::Shutdown)) + "\n";
+    stream.write_all(shutdown.as_bytes()).unwrap();
+    let mut line = String::new();
+    while reader.read_line(&mut line).unwrap() > 0 {
+        line.clear();
+    }
+    join.join().unwrap().unwrap();
+}
+
+/// A `Write` that keeps the bytes of every `write` call apart.
+#[derive(Clone, Default)]
+struct WriteLog(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn every_response_frame_is_one_write() {
+    let server = Server::new(ServerConfig {
+        max_frame_bytes: 1024,
+        ..ServerConfig::default()
+    });
+    let input: String = [
+        encode_request(&frame("p", Request::Ping)),
+        encode_request(&frame("s", Request::Study(tiny_study(61)))),
+        "x".repeat(4096),
+        encode_request(&frame("c", Request::Cancel("nope".into()))),
+        encode_request(&frame("q", Request::Shutdown)),
+    ]
+    .iter()
+    .map(|line| format!("{line}\n"))
+    .collect();
+    let log = WriteLog::default();
+    let outcome = server
+        .serve_connection(input.as_bytes(), log.clone())
+        .unwrap();
+    assert_eq!(outcome, ConnectionOutcome::Shutdown);
+
+    let mut seen = std::collections::BTreeSet::new();
+    for bytes in log.0.lock().unwrap().iter() {
+        let text = std::str::from_utf8(bytes).unwrap();
+        assert!(
+            text.ends_with('\n') && text.matches('\n').count() == 1,
+            "a write carried something other than one whole frame: {text:?}"
+        );
+        let f: ResponseFrame = serde_json::from_str(text.trim_end()).unwrap();
+        seen.insert(match &f.resp {
+            Response::Pong => "Pong",
+            Response::Accepted(_) => "Accepted",
+            Response::Front(_) => "Front",
+            Response::Done(_) => "Done",
+            Response::Bye => "Bye",
+            Response::Error(e) if e.code == ErrorCode::Oversized && f.id.is_empty() => "Oversized",
+            Response::Error(_) => "Error",
+            other => panic!("unexpected frame: {other:?}"),
+        });
+    }
+    for want in [
+        "Pong",
+        "Accepted",
+        "Front",
+        "Done",
+        "Bye",
+        "Oversized",
+        "Error",
+    ] {
+        assert!(seen.contains(want), "no {want} frame among {seen:?}");
+    }
 }
