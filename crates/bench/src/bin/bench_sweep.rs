@@ -30,17 +30,17 @@ struct SweepBench {
     speedup: f64,
     max_rel_error: f64,
     threads: usize,
-    /// Whether the default batched timing above ran the SIMD chunk walk
-    /// (the `MGOPT_SIMD` toggle at bench time).
+    /// Whether the default batched timing above ran the 4-lane walk
+    /// (`bench_guard` requires `true`).
     simd: bool,
-    /// Forced-SIMD batched sweep, median ms.
+    /// Batched sweep at lane width 4, median ms.
     simd_ms_median: f64,
-    /// Forced-scalar batched sweep, median ms.
+    /// Batched sweep at lane width 1, median ms.
     scalar_batch_ms_median: f64,
-    /// `scalar_batch_ms_median / simd_ms_median` — the lane kernel's gain
-    /// over the scalar chunk walk, like-for-like.
+    /// `scalar_batch_ms_median / simd_ms_median` — the 4-lane walk's gain
+    /// over the same walk at width 1, like-for-like.
     simd_speedup: f64,
-    /// Agreement between the forced walks. The lanes-are-candidates design
+    /// Agreement between the two widths. The lanes-are-candidates design
     /// makes this exactly `0.0`, not merely ≤1e-9; `bench_guard` rejects
     /// anything else.
     simd_max_rel_error: f64,
@@ -89,10 +89,10 @@ fn main() {
         batched_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
 
-    // SIMD vs scalar chunk walk, like-for-like: both timings use the
-    // batched engine with the backend forced, alternating A/B like the
-    // main loop. The walks are pinned bit-identical, so the agreement
-    // check demands exact equality.
+    // Lane width 4 vs 1, like-for-like: both timings use the batched
+    // engine with the width set, alternating A/B like the main loop. The
+    // widths are pinned bit-identical, so the agreement check demands
+    // exact equality.
     let simd_results = sweep_all_with_backend(&scenario, BatchBackend::Simd);
     let scalar_walk_results = sweep_all_with_backend(&scenario, BatchBackend::Scalar);
     let mut simd_max_rel_error = 0.0f64;
@@ -104,7 +104,7 @@ fn main() {
     }
     assert_eq!(
         simd_max_rel_error, 0.0,
-        "SIMD walk must be bit-identical to the scalar walk"
+        "4-lane walk must be bit-identical to the 1-lane walk"
     );
     let mut simd_ms = Vec::with_capacity(samples);
     let mut scalar_walk_ms = Vec::with_capacity(samples);
@@ -140,7 +140,7 @@ fn main() {
         // core detection used to mislabel entries on multi-core hosts
         // whenever detection failed.
         threads: rayon::current_num_threads(),
-        simd: mgopt_microgrid::simd_enabled(),
+        simd: BatchBackend::default() == BatchBackend::Simd,
         simd_ms_median: simd_med,
         scalar_batch_ms_median: scalar_walk_med,
         simd_speedup: scalar_walk_med / simd_med,
@@ -153,7 +153,7 @@ fn main() {
         bench.compositions, bench.steps_per_year, scalar_med, batched_med, bench.speedup
     );
     println!(
-        "simd walk {:.1} ms vs scalar walk {:.1} ms: {:.2}x, max rel err {:e}",
+        "4-lane walk {:.1} ms vs 1-lane walk {:.1} ms: {:.2}x, max rel err {:e}",
         simd_med, scalar_walk_med, bench.simd_speedup, simd_max_rel_error
     );
     for p in &bench.scaling {

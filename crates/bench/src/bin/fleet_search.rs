@@ -45,19 +45,19 @@ struct FleetSearchBench {
     speedup: f64,
     agreement: bool,
     threads: usize,
-    /// Whether the batched timings above ran the SIMD chunk walk (the
-    /// `MGOPT_SIMD` toggle at bench time).
+    /// Whether the batched timings above ran the 4-lane walk
+    /// (`bench_guard` requires `true`).
     simd: bool,
-    /// The batched search forced onto the SIMD walk, min ms.
+    /// The batched search with the fleet walk at lane width 4, min ms.
     simd_ms_min: f64,
-    /// The batched search forced onto the scalar walk, min ms.
+    /// The batched search with the fleet walk at lane width 1, min ms.
     scalar_walk_ms_min: f64,
     /// `scalar_walk_ms_min / simd_ms_min` on the search path. Search time
     /// includes NSGA-II bookkeeping, so this is lower than the raw kernel
     /// gain in `BENCH_sweep.json`.
     simd_speedup: f64,
-    /// `true` when the forced-SIMD and forced-scalar searches produced
-    /// bit-identical trial histories (same seeds + bit-identical engines).
+    /// `true` when the 4-lane and 1-lane searches produced bit-identical
+    /// trial histories (same seeds + bit-identical engines).
     simd_agreement: bool,
     /// Full batched search re-timed at each `MGOPT_THREADS` pool size.
     scaling: Vec<ThreadScaling>,
@@ -143,16 +143,16 @@ fn main() {
     let batched_min = min_ms(&batched_ms);
     let scalar_min = min_ms(&scalar_ms);
 
-    // SIMD vs scalar chunk walk on the search path: the same NSGA-II run
-    // with the fleet engine's backend forced either way. Bit-identical
-    // engines + identical seeds must reproduce the same trial history.
+    // Lane width 4 vs 1 on the search path: the same NSGA-II run with the
+    // fleet engine's walk at either width. Bit-identical engines +
+    // identical seeds must reproduce the same trial history.
     let simd_problem = FleetProblem::new(&fleet).with_backend(BatchBackend::Simd);
     let scalar_walk_problem = FleetProblem::new(&fleet).with_backend(BatchBackend::Scalar);
     let simd_agreement =
         optimizer.run(&simd_problem).history == optimizer.run(&scalar_walk_problem).history;
     assert!(
         simd_agreement,
-        "SIMD-backed search diverged from the scalar-walk search"
+        "4-lane search diverged from the 1-lane search"
     );
     let mut simd_ms = Vec::with_capacity(samples);
     let mut scalar_walk_ms = Vec::with_capacity(samples);
@@ -213,7 +213,7 @@ fn main() {
         speedup: scalar_min / batched_min,
         agreement,
         threads: rayon::current_num_threads(),
-        simd: mgopt_microgrid::simd_enabled(),
+        simd: BatchBackend::default() == BatchBackend::Simd,
         simd_ms_min: simd_min,
         scalar_walk_ms_min: scalar_walk_min,
         simd_speedup: scalar_walk_min / simd_min,
@@ -242,7 +242,7 @@ fn main() {
         bench.cache_hit_rate * 1e2
     );
     println!(
-        "simd-backed search {:.1} ms vs scalar-walk search {:.1} ms: {:.2}x, \
+        "4-lane search {:.1} ms vs 1-lane search {:.1} ms: {:.2}x, \
          histories identical: {}",
         simd_min, scalar_walk_min, bench.simd_speedup, simd_agreement
     );

@@ -40,17 +40,17 @@ struct FleetBench {
     max_rel_error: f64,
     peak_concurrent_import_mw: f64,
     threads: usize,
-    /// Whether the interleaved timings above ran the SIMD chunk walk (the
-    /// `MGOPT_SIMD` toggle at bench time).
+    /// Whether the interleaved timings above ran the 4-lane walk
+    /// (`bench_guard` requires `true`).
     simd: bool,
-    /// Forced-SIMD interleaved sweep (peak tracking off), min ms.
+    /// Fleet sweep at lane width 4 (peak tracking off), min ms.
     simd_ms_min: f64,
-    /// Forced-scalar interleaved sweep (peak tracking off), min ms.
+    /// Fleet sweep at lane width 1 (peak tracking off), min ms.
     scalar_walk_ms_min: f64,
-    /// `scalar_walk_ms_min / simd_ms_min` — the lane kernel's gain on the
-    /// fleet walk, like-for-like.
+    /// `scalar_walk_ms_min / simd_ms_min` — the 4-lane walk's gain over
+    /// the same walk at width 1 on the fleet engine, like-for-like.
     simd_speedup: f64,
-    /// Agreement between the forced walks over per-site metrics. Exactly
+    /// Agreement between the two widths over per-site metrics. Exactly
     /// `0.0` by design (lanes are candidates); `bench_guard` rejects
     /// anything else.
     simd_max_rel_error: f64,
@@ -138,9 +138,9 @@ fn main() {
         }
     }
 
-    // SIMD vs scalar chunk walk on the interleaved engine, like-for-like
-    // (peak tracking off in both). Bit-identity lets the agreement check
-    // demand exact equality over per-site metrics.
+    // Lane width 4 vs 1 on the fleet engine, like-for-like (peak tracking
+    // off in both). Bit-identity lets the agreement check demand exact
+    // equality over per-site metrics.
     let simd_results = fleet
         .evaluator()
         .with_peak_tracking(false)
@@ -162,7 +162,7 @@ fn main() {
     }
     assert_eq!(
         simd_max_rel_error, 0.0,
-        "SIMD fleet walk must be bit-identical to the scalar walk"
+        "4-lane fleet walk must be bit-identical to the 1-lane walk"
     );
     let mut simd_ms = Vec::with_capacity(samples);
     let mut scalar_walk_ms = Vec::with_capacity(samples);
@@ -209,7 +209,7 @@ fn main() {
         max_rel_error,
         peak_concurrent_import_mw: peak_mw,
         threads: rayon::current_num_threads(),
-        simd: mgopt_microgrid::simd_enabled(),
+        simd: BatchBackend::default() == BatchBackend::Simd,
         simd_ms_min: simd_min,
         scalar_walk_ms_min: scalar_walk_min,
         simd_speedup: scalar_walk_min / simd_min,
@@ -237,7 +237,7 @@ fn main() {
         peak_mw
     );
     println!(
-        "simd walk {:.1} ms vs scalar walk {:.1} ms: {:.2}x, max rel err {:e}",
+        "4-lane walk {:.1} ms vs 1-lane walk {:.1} ms: {:.2}x, max rel err {:e}",
         simd_min, scalar_walk_min, bench.simd_speedup, simd_max_rel_error
     );
     for p in &bench.scaling {

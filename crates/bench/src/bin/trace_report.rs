@@ -143,7 +143,7 @@ impl EngineAgg {
         let vectorized = self.simd_rows + self.simd_remainder_rows;
         if vectorized > 0 {
             println!(
-                "  {:<12} {:>6.1}% of rows in full lanes ({} lane rows, {} scalar-remainder rows)",
+                "  {:<12} {:>6.1}% of lane slots hold real rows ({} real rows, {} padded rows)",
                 "  lane util", // indented sublabel under the engine row
                 self.simd_rows as f64 / vectorized as f64 * 1e2,
                 self.simd_rows,

@@ -21,7 +21,6 @@
 //! | `MGOPT_FAST=1` | Reduced 27-point composition space (smoke tests). |
 //! | `MGOPT_DENSE="<mw>,<mwh>"` | Denser-than-paper grid: solar step in MW, battery step in MWh (e.g. `"2,5"`). Malformed values abort with a usage message. |
 //! | `MGOPT_TRACE=<path>` | Structured JSONL telemetry trace (spans, counters, per-generation search events) written to `path`; summarize with the `trace_report` bin. Disabled costs one relaxed atomic load per instrumented call. |
-//! | `MGOPT_SIMD=0` | Route batch/fleet cohorts through the scalar chunk walk instead of the 4-lane SIMD kernel (the default, `1`, keeps SIMD on). The walks are bit-identical — lanes hold different candidates, never different timesteps — so this only changes speed. Resolved once per process. |
 //! | `MGOPT_THREADS="1,2,4"` | Thread counts for the benchmark bins' scaling sweep (comma-separated positive integers; default `1,2,4`). Each count is clamped to available cores — the artifact records both requested and effective counts. Malformed values abort with a usage message. |
 //! | `MGOPT_SERVER_ADDR=<host:port>` | `mgopt_serve` binds this TCP address instead of serving stdin/stdout (port `0` picks a free port, printed on stderr). |
 //! | `MGOPT_ACCEPTORS=<n>` | Daemon: max concurrently served TCP connections (default 8); further connections wait in the accept queue. |

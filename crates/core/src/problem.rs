@@ -8,9 +8,9 @@
 //! over the site data.
 //!
 //! [`FleetProblem`] is the multi-site analogue: the genome assigns one
-//! composition *index* per fleet member, cohorts route through a single
-//! interleaved [`FleetEvaluator`] pass, and an optional cap on the fleet's
-//! peak concurrent grid import becomes a first-class constraint handled by
+//! composition *index* per fleet member, cohorts route through one
+//! [`FleetEvaluator`] pass, and an optional cap on the fleet's peak
+//! concurrent grid import becomes a first-class constraint handled by
 //! NSGA-II's constraint-dominance.
 
 use mgopt_microgrid::{
@@ -172,10 +172,11 @@ impl MultiFidelityProblem for CompositionProblem<'_> {
 /// via constraint-dominance, so every feasible plan outranks every
 /// cap-breaking one.
 ///
-/// Cohorts evaluate in a **single interleaved pass** per generation
-/// through [`FleetEvaluator::evaluate_plans`]; peak tracking is only
-/// enabled when a cap is set, so unconstrained searches do exactly the
-/// work of independent per-site batch sweeps.
+/// Cohorts evaluate in **one fleet pass** per generation through
+/// [`FleetEvaluator::evaluate_plans`], which runs the batch chunk walk
+/// per site; peak tracking is only enabled when a cap is set, so
+/// unconstrained searches do exactly the work of independent per-site
+/// batch sweeps.
 pub struct FleetProblem<'a> {
     fleet: &'a PreparedFleet,
     dims: Vec<usize>,
@@ -211,14 +212,13 @@ impl<'a> FleetProblem<'a> {
             fleet,
             dims,
             peak_cap_kw: None,
-            backend: BatchBackend::Auto,
+            backend: BatchBackend::default(),
         }
     }
 
-    /// Force a chunk-walk backend on the underlying fleet engine (default:
-    /// follow the `MGOPT_SIMD` toggle). The walks are pinned bit-identical,
-    /// so search trajectories do not depend on the choice; benches use this
-    /// for like-for-like A/B timing.
+    /// Set the fleet engine's lane width (default: 4 lanes). Both widths
+    /// are pinned bit-identical, so search trajectories do not depend on
+    /// the choice; benches use this for like-for-like A/B timing.
     pub fn with_backend(mut self, backend: BatchBackend) -> Self {
         self.backend = backend;
         self
@@ -269,8 +269,8 @@ impl<'a> FleetProblem<'a> {
             .collect()
     }
 
-    /// The interleaved engine over the fleet's prepared inputs — peak
-    /// tracking only when the cap needs it.
+    /// The fleet engine over the fleet's prepared inputs — peak tracking
+    /// only when the cap needs it.
     pub fn evaluator(&self) -> FleetEvaluator<'_> {
         self.fleet
             .evaluator()

@@ -17,12 +17,12 @@ use crate::scenario::PreparedScenario;
 ///
 /// Results are returned in the space's flat index order.
 pub fn sweep_all(scenario: &PreparedScenario) -> Vec<AnnualResult> {
-    sweep_all_with_backend(scenario, BatchBackend::Auto)
+    sweep_all_with_backend(scenario, BatchBackend::default())
 }
 
-/// [`sweep_all`] with the chunk-walk backend forced — the benchmark bins'
-/// like-for-like SIMD-vs-scalar A/B (the walks are bit-identical, so
-/// forcing only changes speed).
+/// [`sweep_all`] at an explicit lane width — the benchmark bins'
+/// like-for-like 4-lane vs 1-lane A/B (the widths are bit-identical, so
+/// the choice only changes speed).
 pub fn sweep_all_with_backend(
     scenario: &PreparedScenario,
     backend: BatchBackend,

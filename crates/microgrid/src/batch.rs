@@ -10,24 +10,27 @@
 //! This module simulates a **batch** of compositions in a single time-major
 //! pass: the outer loop walks timesteps, the inner loop walks candidates,
 //! so each site sample is loaded once per step instead of once per step
-//! *per candidate*. Candidate state lives in flat vectors, batteries
-//! dispatch through the monomorphized [`StorageKernel`] enum (no virtual
-//! calls, no per-candidate allocation), and consecutive candidates sharing
-//! a `(wind, solar)` pair — all 9 battery variants of a grid point, in
-//! sweep order — share one generation/net-load computation per step.
-//! Batches are split into chunks evaluated in parallel; chunk results are
-//! reassembled in input order, so output is deterministic.
+//! *per candidate*. Batches are split into chunks evaluated in parallel;
+//! chunk results are reassembled in input order, so output is
+//! deterministic.
+//!
+//! Each chunk runs the one chunk walk, `Walk`, which the fleet engine
+//! ([`crate::fleet`]) shares: candidates advance in lane groups of the
+//! [`simd`](crate::simd) module's lane types, the width chosen by
+//! [`BatchBackend`], and a short last group is padded with copies of the
+//! chunk's last candidate.
 //!
 //! ## Agreement guarantee
 //!
 //! The battery/dispatch recursion — everything that feeds back into state —
-//! runs the *same arithmetic* as the scalar path (it calls the same
-//! [`ClcBattery`] code), so simulated physics are bit-identical. Only the
+//! runs the *same arithmetic* as the scalar path's [`ClcBattery`], so
+//! simulated physics (and hourly SoC traces) are bit-identical. Only the
 //! pure accumulators are reorganized (raw sums scaled once at the end
 //! instead of per step), which perturbs reported metrics by at most a few
 //! ulps. `tests/engine_agreement.rs` pins scalar, cosim and batch to a
 //! relative 1e-9 on every [`AnnualMetrics`] field, for full years and
-//! partial [`simulate_period`](crate::simulate_period) windows.
+//! partial [`simulate_period`](crate::simulate_period) windows, and pins
+//! both lane widths bit-identical to each other.
 //!
 //! ## Evaluator abstraction
 //!
@@ -36,6 +39,8 @@
 //! engine of choice; [`ScalarEvaluator`] wraps the reference path for
 //! cross-checks and one-off evaluations.
 
+use std::ops::Range;
+
 use mgopt_storage::{ClcBattery, ClcParams, Storage};
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
 use mgopt_units::{Power, SimDuration, TimeSeries};
@@ -43,16 +48,15 @@ use rayon::prelude::*;
 
 use crate::composition::Composition;
 use crate::metrics::{AnnualMetrics, AnnualResult};
-use crate::simd::{split_residual, BatchBackend, F64x4, LaneGroup, LaneParams, LanePolicy, LANES};
+use crate::simd::{split_residual, BatchBackend, LaneGroup, LaneParams, LanePolicy, Lanes, LANES};
 use crate::simulate::SimConfig;
 use crate::site::SiteData;
 
-/// Candidates per parallel chunk. A multiple of the SIMD lane width
-/// ([`LANES`] = 4) lets every chunk but the last of a batch divide
-/// evenly into lane groups, so the scalar remainder loop only fires on
-/// the final chunk of a sweep; 64 keeps the old scheduling granularity /
-/// state-locality sweet spot (±1 candidate). Shared with the fleet
-/// engine ([`crate::fleet`]).
+/// Candidates per parallel chunk. A multiple of the 4-lane width
+/// ([`LANES`]) lets every chunk but the last of a batch divide evenly
+/// into lane groups, so only a batch's final chunk pads its last group;
+/// 64 keeps the scheduling granularity / state-locality sweet spot.
+/// Shared with the fleet engine ([`crate::fleet`]).
 pub(crate) const CHUNK: usize = 64;
 
 /// Monomorphized storage dispatch: an enum over the storage models a
@@ -112,9 +116,9 @@ impl StorageKernel {
 ///
 /// The scalar path multiplies by `dt_h` and divides by 1e3 on every step;
 /// those are pure output transforms (nothing feeds back into simulation
-/// state), so the batch engine applies them once in [`BatchAcc::finish`].
-/// Shared with the fleet engine ([`crate::fleet`]) so per-site fleet
-/// metrics are bit-identical to single-site batch runs.
+/// state), so the walk sums raw values lane-wide
+/// ([`LaneAcc`](crate::simd::LaneAcc)) and [`BatchAcc::finish`] applies
+/// them once per candidate.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchAcc {
     pub(crate) production: f64,
@@ -131,39 +135,6 @@ pub(crate) struct BatchAcc {
 }
 
 impl BatchAcc {
-    /// Record one step. All arguments are kW-scale except `ci` (g/kWh) and
-    /// `price` ($/MWh); `demand` is the step's load.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
-        &mut self,
-        gen: f64,
-        demand: f64,
-        import: f64,
-        export: f64,
-        p_storage: f64,
-        unmet: f64,
-        ci: f64,
-        price: f64,
-    ) {
-        self.production += gen;
-        self.import += import;
-        self.export += export;
-        self.direct += gen.min(demand).max(0.0);
-        if p_storage > 0.0 {
-            self.charge += p_storage;
-        } else {
-            self.discharge += -p_storage;
-        }
-        self.unmet += unmet;
-        self.op_weighted += import * ci;
-        self.cost_import += import * price;
-        self.cost_export += export * price;
-        if import <= 1e-9 {
-            self.self_sufficient_steps += 1;
-        }
-    }
-
     /// Scale the raw sums into [`AnnualMetrics`] (mirrors the scalar
     /// `Accumulators::finish` formulas).
     #[allow(clippy::too_many_arguments)]
@@ -220,18 +191,6 @@ pub fn simulate_batch(
     simulate_batch_period(data, load_kw, comps, cfg, data.len())
 }
 
-/// [`simulate_batch`] with an explicit chunk-walk backend (the default
-/// follows the `MGOPT_SIMD` toggle).
-pub fn simulate_batch_with_backend(
-    data: &SiteData,
-    load_kw: &TimeSeries,
-    comps: &[Composition],
-    cfg: &SimConfig,
-    backend: BatchBackend,
-) -> Vec<AnnualResult> {
-    simulate_batch_period_with_backend(data, load_kw, comps, cfg, data.len(), backend)
-}
-
 /// Simulate only the first `n_steps` for every composition in the batch —
 /// the low-fidelity cohort evaluation used by pruning searches.
 ///
@@ -245,15 +204,12 @@ pub fn simulate_batch_period(
     cfg: &SimConfig,
     n_steps: usize,
 ) -> Vec<AnnualResult> {
-    simulate_batch_period_with_backend(data, load_kw, comps, cfg, n_steps, BatchBackend::Auto)
+    simulate_batch_period_with_backend(data, load_kw, comps, cfg, n_steps, BatchBackend::default())
 }
 
-/// [`simulate_batch_period`] with an explicit chunk-walk backend.
-///
-/// The lane-wide walk is used when the backend selects it, SoC traces
-/// are off (the lane walk does not record them) and the step is
-/// non-zero; otherwise the scalar walk runs. Both walks are pinned
-/// bit-identical by `tests/engine_agreement.rs`.
+/// [`simulate_batch_period`] at an explicit lane width. Both widths run
+/// the same walk and are pinned bit-identical by
+/// `tests/engine_agreement.rs`.
 ///
 /// # Panics
 /// Same contract as [`simulate_batch_period`].
@@ -275,7 +231,6 @@ pub fn simulate_batch_period_with_backend(
     let n = n_steps.min(data.len());
     // Demand is identical for every candidate: accumulate it once.
     let demand_kwh: f64 = load_kw.values()[..n].iter().sum::<f64>() * data.step().hours();
-    let use_simd = backend.use_simd() && !cfg.record_soc && !data.step().is_zero();
 
     // Stage-total snapshots attribute this call's prepare/kernel time in
     // the emitted event (search layers call engines sequentially, so the
@@ -294,12 +249,9 @@ pub fn simulate_batch_period_with_backend(
     let chunks: Vec<&[Composition]> = comps.chunks(CHUNK).collect();
     let nested: Vec<Vec<AnnualResult>> = chunks
         .into_par_iter()
-        .map(|chunk| {
-            if use_simd {
-                run_chunk_simd(data, load_kw, chunk, cfg, n, demand_kwh)
-            } else {
-                run_chunk(data, load_kw, chunk, cfg, n, demand_kwh)
-            }
+        .map(|chunk| match backend {
+            BatchBackend::Scalar => run_chunk::<1>(data, load_kw, chunk, cfg, n, demand_kwh),
+            BatchBackend::Simd => run_chunk::<LANES>(data, load_kw, chunk, cfg, n, demand_kwh),
         })
         .collect();
     let out: Vec<AnnualResult> = nested.into_iter().flatten().collect();
@@ -310,7 +262,7 @@ pub fn simulate_batch_period_with_backend(
             .u64("steps", n as u64)
             .u64("chunks", comps.len().div_ceil(CHUNK) as u64)
             .u64("rows", (comps.len() * n) as u64)
-            .bool("simd", use_simd)
+            .bool("simd", backend == BatchBackend::Simd)
             .u64(
                 "simd_rows",
                 telemetry::counter_value(Counter::SimdRows) - simd0,
@@ -330,8 +282,8 @@ pub fn simulate_batch_period_with_backend(
     out
 }
 
-/// Evaluate one chunk of candidates over `0..n` time-major.
-fn run_chunk(
+/// Evaluate one chunk of candidates over `0..n`, `L` per lane group.
+fn run_chunk<const L: usize>(
     data: &SiteData,
     load_kw: &TimeSeries,
     comps: &[Composition],
@@ -339,230 +291,187 @@ fn run_chunk(
     n: usize,
     demand_kwh: f64,
 ) -> Vec<AnnualResult> {
-    let m = comps.len();
-    let dt = data.step();
-    let dt_h = dt.hours();
-    let steps_per_hour = (3_600 / dt.secs()).max(1) as usize;
-
     let prepare_span = telemetry::span(Stage::BatchPrepare);
+    let mut walk = Walk::<L>::new(data, load_kw, comps, cfg);
+    drop(prepare_span);
 
-    let pv = data.pv_unit_kw.values();
-    let wind = data.wind_unit_kw.values();
-    let load = load_kw.values();
-    let ci = data.ci_g_per_kwh.values();
-    let price = data.price_usd_per_mwh.values();
+    let kernel_span = telemetry::span(Stage::BatchKernel);
+    walk.advance(0..n, Imports::Drop);
+    drop(kernel_span);
 
-    // Flat per-candidate state (structure of arrays).
-    let solar_kw: Vec<f64> = comps.iter().map(|c| c.solar_kw).collect();
-    let wind_n: Vec<f64> = comps.iter().map(|c| c.wind_turbines as f64).collect();
-    let mut kernels: Vec<StorageKernel> = comps
-        .iter()
-        .map(|c| StorageKernel::for_composition(c, &cfg.battery))
-        .collect();
-    let mut accs: Vec<BatchAcc> = vec![BatchAcc::default(); m];
-    let mut soc_traces: Vec<Vec<f64>> = if cfg.record_soc {
-        // (Cloning a Vec drops its capacity, so build each one explicitly.)
-        (0..m)
-            .map(|_| Vec::with_capacity(n / steps_per_hour + 1))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    telemetry::add(Counter::BatchChunks, 1);
+    telemetry::add(Counter::BatchRows, (comps.len() * n) as u64);
+    walk.finish(demand_kwh)
+}
 
-    // Candidates with the same (wind, solar) pair share generation; in
-    // sweep order these are the battery-dimension runs of the grid.
-    // Membership is bitwise so group members' per-candidate generation
-    // expression reproduces the shared value exactly — what pins this
-    // walk bit-identical to the lane-wide walk, which computes
-    // generation per lane.
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    for k in 1..=m {
-        if k == m
-            || solar_kw[k].to_bits() != solar_kw[start].to_bits()
-            || wind_n[k].to_bits() != wind_n[start].to_bits()
-        {
-            groups.push((start, k));
-            start = k;
+/// What [`Walk::advance`] does with each step's per-lane grid import.
+///
+/// The buffers hold one row of [`Walk::slots`] values per step of the
+/// advanced range: the fleet engine's step-aligned concurrent imports.
+pub(crate) enum Imports<'b> {
+    /// Discard them (the batch engine; a fleet without peak tracking).
+    Drop,
+    /// Overwrite the buffer (a fleet's first site: no reset pass).
+    Set(&'b mut [f64]),
+    /// Add into the buffer (every later site).
+    Add(&'b mut [f64]),
+}
+
+/// The chunk walk both engines run: one site's chunk of candidates,
+/// `L` candidates per [`LaneGroup`], stepped time-major.
+///
+/// The last lane group is padded with copies of the chunk's last
+/// candidate. A padded lane runs exactly that candidate's arithmetic, so
+/// it takes the same envelope branch and never forces the other one in
+/// [`LaneKernel::step`](crate::simd::LaneKernel::step);
+/// [`Walk::finish`] drops its results.
+pub(crate) struct Walk<'a, const L: usize> {
+    comps: &'a [Composition],
+    cfg: &'a SimConfig,
+    pv: &'a [f64],
+    wind: &'a [f64],
+    load: &'a [f64],
+    ci: &'a [f64],
+    price: &'a [f64],
+    dt_h: f64,
+    steps_per_hour: usize,
+    groups: Vec<LaneGroup<L>>,
+    params: LaneParams<L>,
+    policy: LanePolicy<L>,
+    islanded: bool,
+    /// Hourly SoC per candidate, empty unless `cfg.record_soc`.
+    soc_traces: Vec<Vec<f64>>,
+    /// Steps advanced so far.
+    steps: usize,
+}
+
+impl<'a, const L: usize> Walk<'a, L> {
+    /// Lane state for `comps` (at least one) at one prepared site, before
+    /// its first step.
+    pub(crate) fn new(
+        data: &'a SiteData,
+        load_kw: &'a TimeSeries,
+        comps: &'a [Composition],
+        cfg: &'a SimConfig,
+    ) -> Self {
+        let last = *comps.last().expect("a chunk holds at least one candidate");
+        let groups = comps
+            .chunks(L)
+            .map(|group| {
+                let mut lanes = [last; L];
+                lanes[..group.len()].copy_from_slice(group);
+                LaneGroup::new(&lanes, &cfg.battery)
+            })
+            .collect();
+        let dt = data.step();
+        Walk {
+            comps,
+            cfg,
+            pv: data.pv_unit_kw.values(),
+            wind: data.wind_unit_kw.values(),
+            load: load_kw.values(),
+            ci: data.ci_g_per_kwh.values(),
+            price: data.price_usd_per_mwh.values(),
+            dt_h: dt.hours(),
+            steps_per_hour: (3_600 / dt.secs()).max(1) as usize,
+            groups,
+            params: LaneParams::new(&cfg.battery, dt.hours()),
+            policy: LanePolicy::new(cfg.policy),
+            islanded: cfg.policy.is_islanded(),
+            soc_traces: if cfg.record_soc {
+                vec![Vec::new(); comps.len()]
+            } else {
+                Vec::new()
+            },
+            steps: 0,
         }
     }
 
-    let policy = cfg.policy;
-    let islanded = policy.is_islanded();
+    /// Lane slots per step: candidates plus padding.
+    pub(crate) fn slots(&self) -> usize {
+        self.groups.len() * L
+    }
 
-    drop(prepare_span);
-    let kernel_span = telemetry::span(Stage::BatchKernel);
+    /// Walk the steps `steps`, handing each step's per-lane import to
+    /// `imports`.
+    pub(crate) fn advance(&mut self, steps: Range<usize>, imports: Imports<'_>) {
+        let slots = self.slots();
+        match imports {
+            Imports::Drop => self.walk(steps, |_, _, _| {}),
+            Imports::Set(buf) => self.walk(steps, |row, g, import| {
+                buf[row * slots + g * L..][..L].copy_from_slice(&import.0);
+            }),
+            Imports::Add(buf) => self.walk(steps, |row, g, import| {
+                let dst = &mut buf[row * slots + g * L..][..L];
+                for (d, v) in dst.iter_mut().zip(import.0) {
+                    *d += v;
+                }
+            }),
+        }
+    }
 
-    for i in 0..n {
-        let (pv_i, wind_i, load_i, ci_i, price_i) = (pv[i], wind[i], load[i], ci[i], price[i]);
-        let record_hour = cfg.record_soc && i % steps_per_hour == 0;
-        for &(g0, g1) in &groups {
-            let gen = solar_kw[g0] * pv_i + wind_n[g0] * wind_i;
-            let p_delta = gen - load_i;
-            for k in g0..g1 {
-                let request =
-                    policy.storage_request(Power::from_kw(p_delta), kernels[k].soc(), ci_i);
-                let p_storage = kernels[k].update_kw(request, dt);
+    /// The walk proper; `emit(row, group, import)` receives every lane
+    /// group's import at every step (`row` counts from the range start).
+    fn walk(&mut self, steps: Range<usize>, mut emit: impl FnMut(usize, usize, Lanes<L>)) {
+        let (params, policy, islanded) = (self.params, self.policy, self.islanded);
+        self.steps += steps.len();
+        for (row, i) in steps.enumerate() {
+            let ci_i = self.ci[i];
+            let pv = Lanes::splat(self.pv[i]);
+            let wind = Lanes::splat(self.wind[i]);
+            let load = Lanes::splat(self.load[i]);
+            let ci = Lanes::splat(ci_i);
+            let price = Lanes::splat(self.price[i]);
+            for (g, group) in self.groups.iter_mut().enumerate() {
+                // Per-lane generation: the same mul/mul/add as the scalar
+                // engine (no fused multiply-add — rounding must match).
+                let gen = group.solar * pv + group.wind * wind;
+                let p_delta = gen - load;
+                let request = policy.request(p_delta, group.kernel.soc(), ci_i);
+                let p_storage = group.kernel.step(request, &params);
                 let residual = p_delta - p_storage;
-                let (import, export, unmet) = if islanded && residual < 0.0 {
-                    (0.0, 0.0, -residual)
-                } else if residual < 0.0 {
-                    (-residual, 0.0, 0.0)
-                } else {
-                    (0.0, residual, 0.0)
-                };
-                accs[k].record(gen, load_i, import, export, p_storage, unmet, ci_i, price_i);
-                if record_hour {
-                    soc_traces[k].push(kernels[k].soc());
+                let (import, export, unmet) = split_residual(residual, islanded);
+                group
+                    .acc
+                    .record(gen, load, import, export, p_storage, unmet, ci, price);
+                emit(row, g, import);
+            }
+            if !self.soc_traces.is_empty() && i % self.steps_per_hour == 0 {
+                for (k, trace) in self.soc_traces.iter_mut().enumerate() {
+                    trace.push(self.groups[k / L].kernel.soc().lane(k % L));
                 }
             }
         }
     }
 
-    drop(kernel_span);
-    telemetry::add(Counter::BatchChunks, 1);
-    telemetry::add(Counter::BatchRows, (m * n) as u64);
-
-    let cycles: Vec<f64> = kernels.iter().map(|k| k.equivalent_full_cycles()).collect();
-    finish_chunk(comps, cfg, &accs, &cycles, soc_traces, n, dt_h, demand_kwh)
-}
-
-/// Evaluate one chunk of candidates over `0..n` with the lane-wide SIMD
-/// kernel: full lane groups walk four candidates at once, the tail (< 4
-/// candidates — only the batch's final chunk, since [`CHUNK`] is a lane
-/// multiple) runs the scalar kernel. Bit-identical to [`run_chunk`]:
-/// lanes are candidates, so per-candidate arithmetic order is unchanged.
-fn run_chunk_simd(
-    data: &SiteData,
-    load_kw: &TimeSeries,
-    comps: &[Composition],
-    cfg: &SimConfig,
-    n: usize,
-    demand_kwh: f64,
-) -> Vec<AnnualResult> {
-    let m = comps.len();
-    let dt = data.step();
-    let dt_h = dt.hours();
-
-    let prepare_span = telemetry::span(Stage::BatchPrepare);
-
-    let pv = data.pv_unit_kw.values();
-    let wind = data.wind_unit_kw.values();
-    let load = load_kw.values();
-    let ci = data.ci_g_per_kwh.values();
-    let price = data.price_usd_per_mwh.values();
-
-    let r0 = (m / LANES) * LANES;
-    let mut lanes: Vec<LaneGroup> = comps[..r0]
-        .chunks_exact(LANES)
-        .map(|quad| LaneGroup::new(quad, &cfg.battery))
-        .collect();
-    let lane_params = LaneParams::new(&cfg.battery, dt_h);
-    let lane_policy = LanePolicy::new(cfg.policy);
-
-    // Scalar remainder state for the tail candidates.
-    let rem = &comps[r0..];
-    let mut rem_kernels: Vec<StorageKernel> = rem
-        .iter()
-        .map(|c| StorageKernel::for_composition(c, &cfg.battery))
-        .collect();
-    let mut rem_accs: Vec<BatchAcc> = vec![BatchAcc::default(); rem.len()];
-
-    let policy = cfg.policy;
-    let islanded = policy.is_islanded();
-
-    drop(prepare_span);
-    let kernel_span = telemetry::span(Stage::BatchKernel);
-
-    for i in 0..n {
-        let (pv_i, wind_i, load_i, ci_i, price_i) = (pv[i], wind[i], load[i], ci[i], price[i]);
-        let pv_v = F64x4::splat(pv_i);
-        let wind_v = F64x4::splat(wind_i);
-        let load_v = F64x4::splat(load_i);
-        let ci_v = F64x4::splat(ci_i);
-        let price_v = F64x4::splat(price_i);
-        for g in &mut lanes {
-            // Per-lane generation: the same mul/mul/add as the scalar
-            // walk (no mul_add — rounding must match).
-            let gen = g.solar * pv_v + g.wind * wind_v;
-            let p_delta = gen - load_v;
-            let request = lane_policy.request(p_delta, g.kernel.soc(), ci_i);
-            let p_storage = g.kernel.step(request, &lane_params);
-            let residual = p_delta - p_storage;
-            let (import, export, unmet) = split_residual(residual, islanded);
-            g.acc
-                .record(gen, load_v, import, export, p_storage, unmet, ci_v, price_v);
+    /// Scale the raw accumulators into one result per candidate, in
+    /// chunk order (padded lanes dropped); `demand_kwh` is the site's
+    /// demand over the steps walked.
+    pub(crate) fn finish(self, demand_kwh: f64) -> Vec<AnnualResult> {
+        let (m, n) = (self.comps.len(), self.steps);
+        if L > 1 {
+            telemetry::add(Counter::SimdRows, (m * n) as u64);
+            telemetry::add(Counter::SimdRemainderRows, ((self.slots() - m) * n) as u64);
         }
-        for (k, comp) in rem.iter().enumerate() {
-            let gen = comp.solar_kw * pv_i + comp.wind_turbines as f64 * wind_i;
-            let p_delta = gen - load_i;
-            let request =
-                policy.storage_request(Power::from_kw(p_delta), rem_kernels[k].soc(), ci_i);
-            let p_storage = rem_kernels[k].update_kw(request, dt);
-            let residual = p_delta - p_storage;
-            let (import, export, unmet) = if islanded && residual < 0.0 {
-                (0.0, 0.0, -residual)
-            } else if residual < 0.0 {
-                (-residual, 0.0, 0.0)
-            } else {
-                (0.0, residual, 0.0)
-            };
-            rem_accs[k].record(gen, load_i, import, export, p_storage, unmet, ci_i, price_i);
-        }
+        let days = n as f64 * self.dt_h / 24.0;
+        let mut traces = self.soc_traces.into_iter();
+        self.comps
+            .iter()
+            .enumerate()
+            .map(|(k, comp)| {
+                let (group, lane) = (&self.groups[k / L], k % L);
+                let cycles = group.kernel.equivalent_full_cycles(lane);
+                AnnualResult {
+                    composition: *comp,
+                    metrics: group
+                        .acc
+                        .extract(lane)
+                        .finish(comp, self.cfg, cycles, n, days, demand_kwh, self.dt_h),
+                    soc_trace_hourly: traces.next().unwrap_or_default(),
+                }
+            })
+            .collect()
     }
-
-    drop(kernel_span);
-    telemetry::add(Counter::BatchChunks, 1);
-    telemetry::add(Counter::BatchRows, (m * n) as u64);
-    telemetry::add(Counter::SimdRows, (r0 * n) as u64);
-    telemetry::add(Counter::SimdRemainderRows, ((m - r0) * n) as u64);
-
-    let accs: Vec<BatchAcc> = (0..m)
-        .map(|k| {
-            if k < r0 {
-                lanes[k / LANES].acc.extract(k % LANES)
-            } else {
-                rem_accs[k - r0].clone()
-            }
-        })
-        .collect();
-    let cycles: Vec<f64> = (0..m)
-        .map(|k| {
-            if k < r0 {
-                lanes[k / LANES].kernel.equivalent_full_cycles(k % LANES)
-            } else {
-                rem_kernels[k - r0].equivalent_full_cycles()
-            }
-        })
-        .collect();
-    finish_chunk(comps, cfg, &accs, &cycles, Vec::new(), n, dt_h, demand_kwh)
-}
-
-/// Scale one chunk's raw accumulators into results — shared by the
-/// scalar and lane-wide walks so both feed the exact same formulas.
-#[allow(clippy::too_many_arguments)]
-fn finish_chunk(
-    comps: &[Composition],
-    cfg: &SimConfig,
-    accs: &[BatchAcc],
-    cycles: &[f64],
-    mut soc_traces: Vec<Vec<f64>>,
-    n: usize,
-    dt_h: f64,
-    demand_kwh: f64,
-) -> Vec<AnnualResult> {
-    let days = n as f64 * dt_h / 24.0;
-    (0..comps.len())
-        .map(|k| AnnualResult {
-            composition: comps[k],
-            metrics: accs[k].finish(&comps[k], cfg, cycles[k], n, days, demand_kwh, dt_h),
-            soc_trace_hourly: if cfg.record_soc {
-                std::mem::take(&mut soc_traces[k])
-            } else {
-                Vec::new()
-            },
-        })
-        .collect()
 }
 
 /// The capability search layers program against: scoring compositions at a
@@ -623,18 +532,17 @@ pub struct BatchEvaluator<'a> {
 }
 
 impl<'a> BatchEvaluator<'a> {
-    /// Create an evaluator over prepared inputs (the chunk walk follows
-    /// the `MGOPT_SIMD` toggle).
+    /// Create an evaluator over prepared inputs (4-lane walk).
     pub fn new(data: &'a SiteData, load: &'a TimeSeries, cfg: &'a SimConfig) -> Self {
         Self {
             data,
             load,
             cfg,
-            backend: BatchBackend::Auto,
+            backend: BatchBackend::default(),
         }
     }
 
-    /// Force a chunk-walk backend (A/B benches, agreement tests).
+    /// Set the walk's lane width (A/B benches, agreement tests).
     pub fn with_backend(mut self, backend: BatchBackend) -> Self {
         self.backend = backend;
         self
@@ -649,7 +557,7 @@ impl Evaluator for BatchEvaluator<'_> {
     }
 
     fn evaluate_batch(&self, comps: &[Composition]) -> Vec<AnnualResult> {
-        simulate_batch_with_backend(self.data, self.load, comps, self.cfg, self.backend)
+        self.evaluate_batch_period(comps, self.data.len())
     }
 
     fn evaluate_batch_period(&self, comps: &[Composition], n_steps: usize) -> Vec<AnnualResult> {
@@ -853,8 +761,8 @@ mod tests {
                 policy,
                 ..SimConfig::default()
             };
-            // Batch sizes exercising full lanes, the remainder loop and
-            // multiple chunks; null-battery lanes included.
+            // A batch exercising full lane groups, a padded last group
+            // and multiple chunks; null-battery lanes included.
             let comps: Vec<Composition> = (0..67)
                 .map(|i| {
                     Composition::new(
@@ -883,19 +791,51 @@ mod tests {
     }
 
     #[test]
-    fn soc_recording_falls_back_to_the_scalar_walk() {
-        // The lane walk records no SoC traces; forcing it with
-        // record_soc on must still produce the scalar traces.
+    fn lane_walk_soc_traces_equal_simulate_year_bitwise_at_padded_sizes() {
         let (data, load) = setup();
-        let cfg = SimConfig {
-            record_soc: true,
-            ..SimConfig::default()
-        };
-        let comp = Composition::new(2, 4_000.0, 15_000.0);
-        let forced = BatchEvaluator::new(&data, &load, &cfg)
-            .with_backend(BatchBackend::Simd)
-            .evaluate(&comp);
-        assert_eq!(forced.soc_trace_hourly.len(), 8_760);
+        for policy in [
+            DispatchPolicy::SelfConsumption,
+            DispatchPolicy::Islanded,
+            DispatchPolicy::CarbonAwareGridCharge {
+                ci_threshold_g_per_kwh: 330.0,
+                target_soc: 0.9,
+            },
+            DispatchPolicy::BatterySparing {
+                deficit_threshold_kw: 200.0,
+            },
+        ] {
+            let cfg = SimConfig {
+                policy,
+                record_soc: true,
+                ..SimConfig::default()
+            };
+            // 5 and 67 leave a padded last lane group (67 in the second
+            // chunk); null-battery candidates included.
+            for size in [5usize, 67] {
+                let comps: Vec<Composition> = (0..size)
+                    .map(|i| {
+                        Composition::new(
+                            (i % 5) as u32,
+                            (i % 3) as f64 * 10_000.0,
+                            (i % 4) as f64 * 7_500.0,
+                        )
+                    })
+                    .collect();
+                let batch = BatchEvaluator::new(&data, &load, &cfg)
+                    .with_backend(BatchBackend::Simd)
+                    .evaluate_batch(&comps);
+                for (comp, r) in comps.iter().zip(&batch) {
+                    let want = simulate_year(&data, &load, comp, &cfg).soc_trace_hourly;
+                    let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&r.soc_trace_hourly),
+                        bits(&want),
+                        "{} size={size} {comp}",
+                        policy.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,45 +8,44 @@
 //! that setting first-class.
 //!
 //! A **fleet plan** assigns one [`Composition`] to every site of a
-//! [`FleetEvaluator`]. [`FleetEvaluator::evaluate_plans`] walks all sites
-//! in a **single interleaved time-major pass**: the outer loop advances
-//! the shared clock, the inner loops walk plans and sites, so every site
-//! sample is loaded once per step for the whole cohort of plans — the same
-//! columnar discipline as [`simulate_batch`](crate::simulate_batch), with
-//! which this engine shares its chunking, [`StorageKernel`] dispatch and
-//! raw accumulators.
+//! [`FleetEvaluator`]. [`FleetEvaluator::evaluate_plans`] splits a cohort
+//! of plans into the batch engine's chunks and runs, per chunk, one chunk
+//! walk per site: the walk [`simulate_batch`](crate::simulate_batch) runs,
+//! with its lane groups, physics and raw accumulators. Sites are
+//! physically independent, so their walks advance site by site in blocks
+//! of steps.
 //!
-//! The interleaved walk is not just a performance trick: fleet peak
-//! *concurrent* grid import (what a shared interconnect or a fleet-level
-//! 24/7 CFE account sees) needs all sites' imports at the *same step*,
-//! which independent per-site passes cannot provide without materializing
-//! full import traces.
+//! Only the fleet *metrics* couple the sites: peak *concurrent* grid
+//! import (what a shared interconnect or a fleet-level 24/7 CFE account
+//! sees) needs all sites' imports at the *same step*. Each site's walk
+//! writes its per-step imports into one block buffer, and the peak is
+//! folded once per block, so no full import trace is ever materialized.
 //!
 //! ## Agreement guarantee
 //!
 //! Per-site results are **bit-identical** to running the single-site batch
-//! engine on each site independently: the per-candidate recursion executes
-//! the same arithmetic in the same order, only interleaved across sites.
+//! engine on each site independently: every site runs the batch walk on
+//! its own candidates, block boundaries only pause it.
 //! `tests/fleet_agreement.rs` pins this exactly, and pins fleet totals to
 //! the cosim [`Environment`](mgopt_cosim) oracle at ≤1e-9 relative.
 
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
-use mgopt_units::{Power, TimeSeries};
+use mgopt_units::TimeSeries;
 use rayon::prelude::*;
 
-use crate::batch::{BatchAcc, StorageKernel, CHUNK};
-use crate::simd::{split_residual, BatchBackend, F64x4, LaneGroup, LaneParams, LanePolicy, LANES};
-
-/// Steps per interleave block: sites advance in lockstep at block
-/// granularity (their physics never couple — only the concurrent-import
-/// metric does, which the block buffer keeps step-aligned). Large enough
-/// to amortize the per-site loop setup, small enough that the buffer
-/// (`BLOCK × CHUNK × 8` bytes ≈ 64 KiB) stays cache-resident.
-const BLOCK: usize = 128;
+use crate::batch::{Imports, Walk, CHUNK};
 use crate::composition::Composition;
 use crate::metrics::AnnualResult;
+use crate::simd::{BatchBackend, LANES};
 use crate::simulate::SimConfig;
 use crate::site::SiteData;
+
+/// Steps per block: each site's walk advances `BLOCK` steps before the
+/// next site's, and the block buffer keeps their imports step-aligned
+/// for the concurrent-peak fold. Large enough to amortize the per-site
+/// switch, small enough that the buffer (`BLOCK × CHUNK × 8` bytes
+/// ≈ 64 KiB) stays cache-resident.
+const BLOCK: usize = 128;
 
 /// One member site of a fleet: prepared inputs plus its simulation config.
 #[derive(Debug, Clone, Copy)]
@@ -71,10 +70,9 @@ pub struct FleetMetrics {
     /// Total embodied emissions of every site's build-out, tCO2.
     pub embodied_t: f64,
     /// Peak *concurrent* grid import across the fleet, kW: the maximum
-    /// over time of the per-step sum of site imports. Only an interleaved
-    /// walk can report this without storing full import traces. `None`
-    /// when tracking was disabled via
-    /// [`FleetEvaluator::with_peak_tracking`].
+    /// over time of the per-step sum of site imports, folded from the
+    /// walks' step-aligned block buffer. `None` when tracking was
+    /// disabled via [`FleetEvaluator::with_peak_tracking`].
     pub peak_concurrent_import_kw: Option<f64>,
     /// Grid import per site, MWh (site order of the evaluator).
     pub site_import_mwh: Vec<f64>,
@@ -120,7 +118,7 @@ impl FleetResult {
 }
 
 /// The multi-site batched engine: one cohort of plans, all sites, one
-/// interleaved time-major pass.
+/// batch chunk walk per site and chunk.
 #[derive(Debug, Clone)]
 pub struct FleetEvaluator<'a> {
     sites: Vec<FleetSite<'a>>,
@@ -158,12 +156,12 @@ impl<'a> FleetEvaluator<'a> {
         Self {
             sites,
             track_peak: true,
-            backend: BatchBackend::Auto,
+            backend: BatchBackend::default(),
         }
     }
 
     /// Enable or disable concurrent-peak tracking (on by default).
-    /// Tracking costs one store per candidate-step plus a vectorized
+    /// Tracking costs one store per lane-step plus a vectorized
     /// per-block fold (a few percent of the pass); with it off the pass
     /// does exactly the work of independent per-site batch sweeps and
     /// [`FleetMetrics::peak_concurrent_import_kw`] is `None`.
@@ -172,9 +170,8 @@ impl<'a> FleetEvaluator<'a> {
         self
     }
 
-    /// Force a chunk-walk backend (default: follow the `MGOPT_SIMD`
-    /// toggle). Both walks are pinned bit-identical, per-site and on
-    /// fleet aggregates.
+    /// Set the walk's lane width (default: 4 lanes). Both widths are
+    /// pinned bit-identical, per-site and on fleet aggregates.
     pub fn with_backend(mut self, backend: BatchBackend) -> Self {
         self.backend = backend;
         self
@@ -248,11 +245,6 @@ impl<'a> FleetEvaluator<'a> {
             .map(|s| s.load.values()[..n].iter().sum::<f64>() * dt_h)
             .collect();
 
-        // The lane walk records no SoC traces; any site that wants them
-        // routes the whole cohort through the scalar oracle walk.
-        let any_soc = self.sites.iter().any(|s| s.cfg.record_soc);
-        let use_simd = self.backend.use_simd() && !any_soc && !self.sites[0].data.step().is_zero();
-
         // Stage-total snapshots attribute this call's prepare/kernel time
         // in the emitted event (see the batch engine for the caveat).
         let trace = telemetry::enabled().then(|| {
@@ -269,12 +261,9 @@ impl<'a> FleetEvaluator<'a> {
         let chunks: Vec<&[Vec<Composition>]> = plans.chunks(CHUNK).collect();
         let nested: Vec<Vec<FleetResult>> = chunks
             .into_par_iter()
-            .map(|chunk| {
-                if use_simd {
-                    self.run_chunk_simd(chunk, n, &demand_kwh)
-                } else {
-                    self.run_chunk(chunk, n, &demand_kwh)
-                }
+            .map(|chunk| match self.backend {
+                BatchBackend::Scalar => self.run_chunk::<1>(chunk, n, &demand_kwh),
+                BatchBackend::Simd => self.run_chunk::<LANES>(chunk, n, &demand_kwh),
             })
             .collect();
         let out: Vec<FleetResult> = nested.into_iter().flatten().collect();
@@ -286,7 +275,7 @@ impl<'a> FleetEvaluator<'a> {
                 .u64("steps", n as u64)
                 .u64("chunks", plans.len().div_ceil(CHUNK) as u64)
                 .u64("rows", (plans.len() * self.sites.len() * n) as u64)
-                .bool("simd", use_simd)
+                .bool("simd", self.backend == BatchBackend::Simd)
                 .u64(
                     "simd_rows",
                     telemetry::counter_value(Counter::SimdRows) - simd0,
@@ -306,8 +295,9 @@ impl<'a> FleetEvaluator<'a> {
         out
     }
 
-    /// Evaluate one chunk of plans over `0..n`, interleaved time-major.
-    fn run_chunk(
+    /// Evaluate one chunk of plans over `0..n`: one [`Walk`] per site,
+    /// advanced site by site in `BLOCK`-step blocks.
+    fn run_chunk<const L: usize>(
         &self,
         plans: &[Vec<Composition>],
         n: usize,
@@ -315,439 +305,62 @@ impl<'a> FleetEvaluator<'a> {
     ) -> Vec<FleetResult> {
         let ns = self.sites.len();
         let m = plans.len();
-        let dt = self.sites[0].data.step();
-        let steps_per_hour = (3_600 / dt.secs()).max(1) as usize;
 
         let prepare_span = telemetry::span(Stage::FleetPrepare);
-
-        // Per-site columns and per-site policy, hoisted out of the loop.
-        let pv: Vec<&[f64]> = self
+        let site_comps: Vec<Vec<Composition>> = (0..ns)
+            .map(|s| plans.iter().map(|p| p[s]).collect())
+            .collect();
+        let mut walks: Vec<Walk<'_, L>> = self
             .sites
             .iter()
-            .map(|s| s.data.pv_unit_kw.values())
+            .zip(&site_comps)
+            .map(|(site, comps)| Walk::new(site.data, site.load, comps, site.cfg))
             .collect();
-        let wind: Vec<&[f64]> = self
-            .sites
-            .iter()
-            .map(|s| s.data.wind_unit_kw.values())
-            .collect();
-        let load: Vec<&[f64]> = self.sites.iter().map(|s| s.load.values()).collect();
-        let ci: Vec<&[f64]> = self
-            .sites
-            .iter()
-            .map(|s| s.data.ci_g_per_kwh.values())
-            .collect();
-        let price: Vec<&[f64]> = self
-            .sites
-            .iter()
-            .map(|s| s.data.price_usd_per_mwh.values())
-            .collect();
-        let policies: Vec<_> = self.sites.iter().map(|s| s.cfg.policy).collect();
-        let islanded: Vec<bool> = policies.iter().map(|p| p.is_islanded()).collect();
-        let record_soc: Vec<bool> = self.sites.iter().map(|s| s.cfg.record_soc).collect();
-
-        // Flat per-(site, plan) state, site-major: index `s * m + p`, so
-        // the hot per-site inner loop walks contiguous state exactly like
-        // the single-site batch engine.
-        let solar_kw: Vec<f64> = (0..ns)
-            .flat_map(|s| plans.iter().map(move |p| p[s].solar_kw))
-            .collect();
-        let wind_n: Vec<f64> = (0..ns)
-            .flat_map(|s| plans.iter().map(move |p| p[s].wind_turbines as f64))
-            .collect();
-        let mut kernels: Vec<StorageKernel> = (0..ns)
-            .flat_map(|s| {
-                plans
-                    .iter()
-                    .map(move |p| (s, &p[s]))
-                    .map(|(s, c)| StorageKernel::for_composition(c, &self.sites[s].cfg.battery))
-            })
-            .collect();
-        let mut accs: Vec<BatchAcc> = vec![BatchAcc::default(); m * ns];
-        let mut peaks: Vec<f64> = vec![0.0; m];
-        let any_soc = record_soc.iter().any(|&r| r);
-        let mut soc_traces: Vec<Vec<f64>> = if any_soc {
-            (0..m * ns)
-                .map(|i| {
-                    if record_soc[i / m] {
-                        Vec::with_capacity(n / steps_per_hour + 1)
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Per site, consecutive plans sharing that site's (wind, solar)
-        // pair share one generation computation per step — in uniform
-        // sweep order these are the battery-dimension runs, exactly as in
-        // the single-site engine (and cross-product cohorts get the long
-        // shared runs of their outer dimensions for free). Membership is
-        // bitwise, like the batch engine's, so the shared value equals
-        // every member's own per-candidate expression exactly.
-        let groups: Vec<Vec<(usize, usize)>> = (0..ns)
-            .map(|s| {
-                let mut g = Vec::new();
-                let mut start = 0usize;
-                for k in 1..=m {
-                    if k == m
-                        || solar_kw[s * m + k].to_bits() != solar_kw[s * m + start].to_bits()
-                        || wind_n[s * m + k].to_bits() != wind_n[s * m + start].to_bits()
-                    {
-                        g.push((start, k));
-                        start = k;
-                    }
-                }
-                g
-            })
-            .collect();
-
-        // The interleave runs in blocks of `BLOCK` steps: each site is
-        // advanced `BLOCK` steps with the exact single-site batch inner
-        // loop (sites are physically independent — only the *metrics*
-        // couple them), buffering per-step fleet imports so the peak fold
-        // still sees concurrent, step-aligned values. Switching sites per
-        // block instead of per step keeps the hot loop's shape (and cost)
-        // identical to the single-site engine.
+        // Every site pads the same plans, so the walks share one slot
+        // count: the block buffer holds one row of slots per step.
+        let slots = walks[0].slots();
         let block = BLOCK.min(n);
         let track_peak = self.track_peak;
-        let mut import_buf = vec![0.0f64; block * m];
-
+        let mut import_buf = vec![0.0f64; if track_peak { block * slots } else { 0 }];
+        let mut peaks = vec![0.0f64; slots];
         drop(prepare_span);
-        let kernel_span = telemetry::span(Stage::FleetKernel);
 
+        let kernel_span = telemetry::span(Stage::FleetKernel);
         for i0 in (0..n).step_by(block) {
             let i1 = (i0 + block).min(n);
-            for s in 0..ns {
-                let (pv_s, wind_s_col, load_s, ci_s, price_s) =
-                    (pv[s], wind[s], load[s], ci[s], price[s]);
-                let policy = policies[s];
-                let isl = islanded[s];
-                let site_soc = any_soc && record_soc[s];
-                let first_site = s == 0;
-                let base = s * m;
-                // Subslices give the inner loop the exact shape of the
-                // single-site batch kernel (no `base +` arithmetic or
-                // widened bounds checks in the hot path).
-                let solar_s = &solar_kw[base..base + m];
-                let wind_s = &wind_n[base..base + m];
-                let kernels_s = &mut kernels[base..base + m];
-                let accs_s = &mut accs[base..base + m];
-                for (i, row) in (i0..i1).zip(import_buf.chunks_exact_mut(m)) {
-                    let (pv_i, wind_i, load_i, ci_i, price_i) =
-                        (pv_s[i], wind_s_col[i], load_s[i], ci_s[i], price_s[i]);
-                    let rec_soc = site_soc && i % steps_per_hour == 0;
-                    for &(g0, g1) in &groups[s] {
-                        let gen = solar_s[g0] * pv_i + wind_s[g0] * wind_i;
-                        let p_delta = gen - load_i;
-                        for p in g0..g1 {
-                            let request = policy.storage_request(
-                                Power::from_kw(p_delta),
-                                kernels_s[p].soc(),
-                                ci_i,
-                            );
-                            let p_storage = kernels_s[p].update_kw(request, dt);
-                            let residual = p_delta - p_storage;
-                            let (import, export, unmet) = if isl && residual < 0.0 {
-                                (0.0, 0.0, -residual)
-                            } else if residual < 0.0 {
-                                (-residual, 0.0, 0.0)
-                            } else {
-                                (0.0, residual, 0.0)
-                            };
-                            accs_s[p].record(
-                                gen, load_i, import, export, p_storage, unmet, ci_i, price_i,
-                            );
-                            // Step-aligned fleet import: the first site
-                            // overwrites the block buffer (no reset pass),
-                            // later sites accumulate. The peak fold runs
-                            // once per block, branchless, so the hot
-                            // candidate loop stays store-only. (The
-                            // `track_peak` guard is loop-invariant; LLVM
-                            // unswitches it out of the hot path.)
-                            if track_peak {
-                                if first_site {
-                                    row[p] = import;
-                                } else {
-                                    row[p] += import;
-                                }
-                            }
-                            if rec_soc {
-                                soc_traces[base + p].push(kernels_s[p].soc());
-                            }
-                        }
-                    }
-                }
+            for (s, walk) in walks.iter_mut().enumerate() {
+                let imports = match (track_peak, s) {
+                    (false, _) => Imports::Drop,
+                    (true, 0) => Imports::Set(&mut import_buf),
+                    (true, _) => Imports::Add(&mut import_buf),
+                };
+                walk.advance(i0..i1, imports);
             }
             // Fold the block's concurrent imports into the running peaks:
             // branchless f64::max over contiguous rows auto-vectorizes, so
             // the fold costs a fraction of an op per candidate-step.
             if track_peak {
-                for row in import_buf.chunks_exact(m).take(i1 - i0) {
+                for row in import_buf.chunks_exact(slots).take(i1 - i0) {
                     for (peak, &v) in peaks.iter_mut().zip(row) {
                         *peak = peak.max(v);
                     }
                 }
             }
         }
-
         drop(kernel_span);
         telemetry::add(Counter::FleetChunks, 1);
         telemetry::add(Counter::FleetRows, (m * ns * n) as u64);
 
-        let cycles: Vec<f64> = kernels.iter().map(|k| k.equivalent_full_cycles()).collect();
-        self.assemble(plans, &accs, &cycles, &peaks, soc_traces, n, demand_kwh)
-    }
-
-    /// Evaluate one chunk of plans over `0..n` with the lane-wide SIMD
-    /// kernel: per site, full lane groups walk four plans at once and
-    /// the tail (< 4 plans) runs the scalar kernel. Bit-identical to
-    /// [`Self::run_chunk`], including the concurrent-peak fold (which
-    /// consumes the same per-step import values).
-    fn run_chunk_simd(
-        &self,
-        plans: &[Vec<Composition>],
-        n: usize,
-        demand_kwh: &[f64],
-    ) -> Vec<FleetResult> {
-        let ns = self.sites.len();
-        let m = plans.len();
-        let dt = self.sites[0].data.step();
-        let dt_h = dt.hours();
-
-        let prepare_span = telemetry::span(Stage::FleetPrepare);
-
-        let pv: Vec<&[f64]> = self
-            .sites
-            .iter()
-            .map(|s| s.data.pv_unit_kw.values())
+        let mut site_results: Vec<_> = walks
+            .into_iter()
+            .zip(demand_kwh)
+            .map(|(walk, &demand)| walk.finish(demand).into_iter())
             .collect();
-        let wind: Vec<&[f64]> = self
-            .sites
-            .iter()
-            .map(|s| s.data.wind_unit_kw.values())
-            .collect();
-        let load: Vec<&[f64]> = self.sites.iter().map(|s| s.load.values()).collect();
-        let ci: Vec<&[f64]> = self
-            .sites
-            .iter()
-            .map(|s| s.data.ci_g_per_kwh.values())
-            .collect();
-        let price: Vec<&[f64]> = self
-            .sites
-            .iter()
-            .map(|s| s.data.price_usd_per_mwh.values())
-            .collect();
-        let policies: Vec<_> = self.sites.iter().map(|s| s.cfg.policy).collect();
-        let islanded: Vec<bool> = policies.iter().map(|p| p.is_islanded()).collect();
-
-        // Site-major lane state: lane_groups[s][g] covers plans
-        // `g*LANES .. g*LANES+LANES` at site `s`.
-        let r0 = (m / LANES) * LANES;
-        let rem = m - r0;
-        let mut lane_groups: Vec<Vec<LaneGroup>> = (0..ns)
-            .map(|s| {
-                (0..r0)
-                    .step_by(LANES)
-                    .map(|p0| {
-                        let quad: [Composition; LANES] = std::array::from_fn(|j| plans[p0 + j][s]);
-                        LaneGroup::new(&quad, &self.sites[s].cfg.battery)
-                    })
-                    .collect()
-            })
-            .collect();
-        let lane_params: Vec<LaneParams> = self
-            .sites
-            .iter()
-            .map(|s| LaneParams::new(&s.cfg.battery, dt_h))
-            .collect();
-        let lane_policies: Vec<LanePolicy> = policies.iter().map(|&p| LanePolicy::new(p)).collect();
-
-        // Scalar remainder state, site-major: index `s * rem + j` for
-        // plan `r0 + j`.
-        let mut rem_kernels: Vec<StorageKernel> = (0..ns)
-            .flat_map(|s| {
-                (r0..m).map(move |p| {
-                    StorageKernel::for_composition(&plans[p][s], &self.sites[s].cfg.battery)
-                })
-            })
-            .collect();
-        let mut rem_accs: Vec<BatchAcc> = vec![BatchAcc::default(); rem * ns];
-
-        let mut peaks: Vec<f64> = vec![0.0; m];
-        let block = BLOCK.min(n);
-        let track_peak = self.track_peak;
-        let mut import_buf = vec![0.0f64; block * m];
-
-        drop(prepare_span);
-        let kernel_span = telemetry::span(Stage::FleetKernel);
-
-        for i0 in (0..n).step_by(block) {
-            let i1 = (i0 + block).min(n);
-            for s in 0..ns {
-                let (pv_s, wind_s_col, load_s, ci_s, price_s) =
-                    (pv[s], wind[s], load[s], ci[s], price[s]);
-                let lane_policy = lane_policies[s];
-                let params = lane_params[s];
-                let policy = policies[s];
-                let isl = islanded[s];
-                let first_site = s == 0;
-                let groups_s = &mut lane_groups[s];
-                let rem_base = s * rem;
-                for (i, row) in (i0..i1).zip(import_buf.chunks_exact_mut(m)) {
-                    let (pv_i, wind_i, load_i, ci_i, price_i) =
-                        (pv_s[i], wind_s_col[i], load_s[i], ci_s[i], price_s[i]);
-                    let pv_v = F64x4::splat(pv_i);
-                    let wind_v = F64x4::splat(wind_i);
-                    let load_v = F64x4::splat(load_i);
-                    let ci_v = F64x4::splat(ci_i);
-                    let price_v = F64x4::splat(price_i);
-                    for (g_idx, g) in groups_s.iter_mut().enumerate() {
-                        let gen = g.solar * pv_v + g.wind * wind_v;
-                        let p_delta = gen - load_v;
-                        let request = lane_policy.request(p_delta, g.kernel.soc(), ci_i);
-                        let p_storage = g.kernel.step(request, &params);
-                        let residual = p_delta - p_storage;
-                        let (import, export, unmet) = split_residual(residual, isl);
-                        g.acc
-                            .record(gen, load_v, import, export, p_storage, unmet, ci_v, price_v);
-                        if track_peak {
-                            let p0 = g_idx * LANES;
-                            for j in 0..LANES {
-                                if first_site {
-                                    row[p0 + j] = import.lane(j);
-                                } else {
-                                    row[p0 + j] += import.lane(j);
-                                }
-                            }
-                        }
-                    }
-                    for j in 0..rem {
-                        let comp = &plans[r0 + j][s];
-                        let gen = comp.solar_kw * pv_i + comp.wind_turbines as f64 * wind_i;
-                        let p_delta = gen - load_i;
-                        let request = policy.storage_request(
-                            Power::from_kw(p_delta),
-                            rem_kernels[rem_base + j].soc(),
-                            ci_i,
-                        );
-                        let p_storage = rem_kernels[rem_base + j].update_kw(request, dt);
-                        let residual = p_delta - p_storage;
-                        let (import, export, unmet) = if isl && residual < 0.0 {
-                            (0.0, 0.0, -residual)
-                        } else if residual < 0.0 {
-                            (-residual, 0.0, 0.0)
-                        } else {
-                            (0.0, residual, 0.0)
-                        };
-                        rem_accs[rem_base + j]
-                            .record(gen, load_i, import, export, p_storage, unmet, ci_i, price_i);
-                        if track_peak {
-                            if first_site {
-                                row[r0 + j] = import;
-                            } else {
-                                row[r0 + j] += import;
-                            }
-                        }
-                    }
-                }
-            }
-            // Same branchless per-block fold as the scalar walk, over the
-            // same import values.
-            if track_peak {
-                for row in import_buf.chunks_exact(m).take(i1 - i0) {
-                    for (peak, &v) in peaks.iter_mut().zip(row) {
-                        *peak = peak.max(v);
-                    }
-                }
-            }
-        }
-
-        drop(kernel_span);
-        telemetry::add(Counter::FleetChunks, 1);
-        telemetry::add(Counter::FleetRows, (m * ns * n) as u64);
-        telemetry::add(Counter::SimdRows, (r0 * ns * n) as u64);
-        telemetry::add(Counter::SimdRemainderRows, (rem * ns * n) as u64);
-
-        // Materialize the site-major (s * m + p) layout the shared
-        // assembly expects.
-        let rem_accs = &rem_accs;
-        let rem_kernels = &rem_kernels;
-        let accs: Vec<BatchAcc> = (0..ns)
-            .flat_map(|s| {
-                let lanes_s = &lane_groups[s];
-                let rem_base = s * rem;
-                (0..m).map(move |p| {
-                    if p < r0 {
-                        lanes_s[p / LANES].acc.extract(p % LANES)
-                    } else {
-                        rem_accs[rem_base + (p - r0)].clone()
-                    }
-                })
-            })
-            .collect();
-        let cycles: Vec<f64> = (0..ns)
-            .flat_map(|s| {
-                let lanes_s = &lane_groups[s];
-                let rem_base = s * rem;
-                (0..m).map(move |p| {
-                    if p < r0 {
-                        lanes_s[p / LANES].kernel.equivalent_full_cycles(p % LANES)
-                    } else {
-                        rem_kernels[rem_base + (p - r0)].equivalent_full_cycles()
-                    }
-                })
-            })
-            .collect();
-        self.assemble(plans, &accs, &cycles, &peaks, Vec::new(), n, demand_kwh)
-    }
-
-    /// Scale one chunk's raw accumulators into per-plan results — shared
-    /// by the scalar and lane-wide walks. `accs`/`cycles` are site-major
-    /// (`s * m + p`); `soc_traces` is empty unless a site records SoC
-    /// (scalar walk only).
-    #[allow(clippy::too_many_arguments)] // one parameter per chunk output
-    fn assemble(
-        &self,
-        plans: &[Vec<Composition>],
-        accs: &[BatchAcc],
-        cycles: &[f64],
-        peaks: &[f64],
-        mut soc_traces: Vec<Vec<f64>>,
-        n: usize,
-        demand_kwh: &[f64],
-    ) -> Vec<FleetResult> {
-        let ns = self.sites.len();
-        let m = plans.len();
-        let dt_h = self.sites[0].data.step().hours();
-        let any_soc = !soc_traces.is_empty();
-        let days = n as f64 * dt_h / 24.0;
         (0..m)
             .map(|p| {
-                let per_site: Vec<AnnualResult> = (0..ns)
-                    .map(|s| {
-                        let idx = s * m + p;
-                        let comp = plans[p][s];
-                        AnnualResult {
-                            composition: comp,
-                            metrics: accs[idx].finish(
-                                &comp,
-                                self.sites[s].cfg,
-                                cycles[idx],
-                                n,
-                                days,
-                                demand_kwh[s],
-                                dt_h,
-                            ),
-                            soc_trace_hourly: if any_soc {
-                                std::mem::take(&mut soc_traces[idx])
-                            } else {
-                                Vec::new()
-                            },
-                        }
-                    })
+                let per_site: Vec<AnnualResult> = site_results
+                    .iter_mut()
+                    .map(|results| results.next().expect("one result per plan"))
                     .collect();
                 let fleet = FleetMetrics {
                     operational_t_per_day: per_site
@@ -759,7 +372,7 @@ impl<'a> FleetEvaluator<'a> {
                         .map(|r| r.metrics.operational_t_per_year)
                         .sum(),
                     embodied_t: per_site.iter().map(|r| r.metrics.embodied_t).sum(),
-                    peak_concurrent_import_kw: self.track_peak.then(|| peaks[p]),
+                    peak_concurrent_import_kw: track_peak.then(|| peaks[p]),
                     site_import_mwh: per_site.iter().map(|r| r.metrics.grid_import_mwh).collect(),
                     grid_import_mwh: per_site.iter().map(|r| r.metrics.grid_import_mwh).sum(),
                     energy_cost_usd: per_site.iter().map(|r| r.metrics.energy_cost_usd).sum(),
@@ -863,7 +476,7 @@ mod tests {
                 cfg: &cfg_b,
             },
         ];
-        // 7 plans: one full lane group plus a 3-plan scalar remainder,
+        // 7 plans: one full lane group plus a padded 3-plan group,
         // including battery-less plans (null kernel lanes).
         let plans: Vec<Vec<Composition>> = (0..7)
             .map(|i| {

@@ -13,16 +13,16 @@
 //! evaluates a whole cohort of compositions in one time-major pass — the
 //! engine the search layers use. [`Evaluator`] abstracts over them. The
 //! [`fleet`] module extends the batch engine to several sites at once:
-//! [`FleetEvaluator`] interleaves every member's arrays in one time-major
-//! walk and reports fleet-level aggregates (peak *concurrent* grid import,
-//! fleet tCO2/day) alongside bit-identical per-site results.
+//! [`FleetEvaluator`] runs the batch walk per site in step blocks and
+//! reports fleet-level aggregates (peak *concurrent* grid import, fleet
+//! tCO2/day) alongside bit-identical per-site results.
 //!
-//! The batch and fleet engines walk candidates through the [`simd`]
-//! module's hand-rolled 4-lane kernel by default (`MGOPT_SIMD=0`
-//! disables it at runtime; [`BatchBackend`] forces a walk explicitly).
-//! Lanes hold *different candidates*, never different timesteps, so the
-//! lane walk is bit-identical to the scalar chunk walk — the scalar walk
-//! stays available as the agreement oracle.
+//! The batch and fleet engines share one chunk walk, written once over
+//! the [`simd`] module's lane types and generic over lane width: 4 lanes
+//! by default, 1 lane as the A/B baseline ([`BatchBackend`]). Lanes hold
+//! *different candidates*, never different timesteps, so both widths are
+//! bit-identical; a short last lane group is padded with copies of its
+//! last candidate.
 //!
 //! ## Quick tour
 //!
@@ -60,15 +60,15 @@ pub mod simulate;
 pub mod site;
 
 pub use batch::{
-    simulate_batch, simulate_batch_period, simulate_batch_period_with_backend,
-    simulate_batch_with_backend, BatchEvaluator, Evaluator, ScalarEvaluator, StorageKernel,
+    simulate_batch, simulate_batch_period, simulate_batch_period_with_backend, BatchEvaluator,
+    Evaluator, ScalarEvaluator, StorageKernel,
 };
 pub use composition::{Composition, CompositionSpace};
 pub use embodied::EmbodiedDb;
 pub use fleet::{FleetEvaluator, FleetMetrics, FleetResult, FleetSite};
 pub use metrics::{AnnualMetrics, AnnualResult};
 pub use policy::{shift_load_carbon_aware, DispatchPolicy};
-pub use simd::{simd_enabled, BatchBackend, F64x4, LANES};
+pub use simd::{BatchBackend, F64x4, LANES};
 pub use simulate::{
     build_cosim_microgrid, simulate_period, simulate_year, simulate_year_cosim, SimConfig,
 };

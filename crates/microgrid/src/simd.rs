@@ -1,11 +1,14 @@
-//! The hand-rolled SIMD lane layer for the columnar batch engine.
+//! The lane layer of the chunk walk.
 //!
 //! Stable Rust has no `std::simd`; this module provides an explicit
-//! 4-lane `f64` vector ([`F64x4`], `#[repr(align(32))]` so a lane group
-//! fills one AVX register / half a cache line) with branchless
+//! `L`-lane `f64` vector ([`Lanes`], `#[repr(align(32))]` so a 4-lane
+//! group fills one AVX register / half a cache line) with branchless
 //! `min`/`max`/`select` combinators, plus a lane-wide reimplementation of
 //! the C/L/C battery envelope ([`LaneKernel`]), dispatch-policy requests
-//! ([`LanePolicy`]) and the raw metric accumulators ([`LaneAcc`]).
+//! ([`LanePolicy`]) and the raw metric accumulators ([`LaneAcc`]). The
+//! batch and fleet engines run their one chunk walk on these types; the
+//! lane width is a const parameter, and [`BatchBackend`] picks 4 lanes
+//! (the default) or 1.
 //!
 //! ## The lanes-are-candidates invariant
 //!
@@ -14,34 +17,28 @@
 //! ever interacts with its own lane, so the arithmetic each candidate
 //! sees — operand values, operation order, rounding — is exactly the
 //! scalar [`StorageKernel`](crate::StorageKernel) recursion, and results
-//! are **bit-identical** to the scalar chunk path, not merely close. The
+//! are **bit-identical** at every lane width, not merely close. The
 //! branchy charge/idle/discharge envelope becomes select-based: both
 //! envelope branches are evaluated lane-wide and the per-lane result is
 //! chosen bitwise, which never perturbs the chosen value. Every
 //! element-wise op lowers to the same scalar `f64` operation per lane
-//! (`f64::min`, `f64::max`, `f64::clamp`, `+`, `*`, `/`), so agreement
-//! does not depend on how LLVM vectorizes the fixed-width loops.
-//! `mul_add` is provided for throughput-oriented callers but is **not**
-//! used in the agreement-critical envelope (FMA contraction would change
-//! rounding versus the scalar engine).
-//!
-//! ## Runtime toggle
-//!
-//! `MGOPT_SIMD=0` disables the lane path at runtime (resolved once, like
-//! telemetry's enable flag); anything else — or the variable being unset
-//! — leaves it on. The scalar chunk walk remains the always-available
-//! agreement oracle, and [`BatchBackend`] lets tests and benches force
-//! either path explicitly regardless of the environment.
+//! (`f64::min`, `f64::max`, `f64::clamp`, `+`, `*`, `/`, never a fused
+//! multiply-add), so agreement does not depend on how LLVM vectorizes
+//! the fixed-width loops.
 
-// The element-wise ops are written as explicit `for i in 0..4` index loops
+// The element-wise ops are written as explicit `for i in 0..L` index loops
 // on purpose: every lane must run the exact scalar f64 operation, and the
 // fixed-width indexed form is the clearest statement of that (and what
 // LLVM unrolls/vectorizes). Iterator adapters obscure the lane index the
 // whole module is organized around.
 #![allow(clippy::needless_range_loop)]
+// The per-step kernels the walk calls once per lane group and step
+// (`LaneKernel::step`, `LanePolicy::request`, `split_residual`,
+// `LaneAcc::record`) are `#[inline(always)]`: as generic items they are
+// instantiated inside the walk, and with plain `#[inline]` LLVM left
+// some of them out of line there, costing the 4-lane sweep ~15%.
 
 use std::ops::{Add, BitAnd, Div, Mul, Neg, Not, Sub};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use mgopt_storage::{ClcBattery, ClcParams, Storage};
 
@@ -49,96 +46,54 @@ use crate::batch::BatchAcc;
 use crate::composition::Composition;
 use crate::policy::DispatchPolicy;
 
-/// Lanes per vector: four `f64`s, one 256-bit register.
+/// Lanes per vector of the default walk: four `f64`s, one 256-bit
+/// register.
 pub const LANES: usize = 4;
 
-// ---------------------------------------------------------------------
-// MGOPT_SIMD runtime toggle
-// ---------------------------------------------------------------------
-
-const UNINIT: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(UNINIT);
-
-/// `true` unless `MGOPT_SIMD=0`. Resolved from the environment once on
-/// first call (one relaxed atomic load afterwards), mirroring the
-/// telemetry enable flag.
-#[inline]
-pub fn simd_enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        OFF => false,
-        ON => true,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("MGOPT_SIMD")
-        .map(|v| v != "0")
-        .unwrap_or(true);
-    STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Which chunk walk the batch engines use.
+/// The lane width the batch and fleet engines walk candidates at.
 ///
-/// `Auto` follows [`simd_enabled`] (the `MGOPT_SIMD` toggle); `Scalar`
-/// and `Simd` force a path regardless of the environment — benches use
-/// them for A/B runs and tests for race-free agreement pinning.
+/// Both widths run the same walk and are pinned bit-identical; `Scalar`
+/// is the A/B baseline the bench bins time the 4-lane walk against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchBackend {
-    /// Follow the `MGOPT_SIMD` runtime toggle (default on).
-    #[default]
-    Auto,
-    /// Always the scalar chunk walk (the agreement oracle).
+    /// One candidate per lane group.
     Scalar,
-    /// Always the lane-wide walk.
+    /// [`LANES`] candidates per lane group.
+    #[default]
     Simd,
 }
 
-impl BatchBackend {
-    /// `true` when this backend selects the lane-wide walk.
-    #[inline]
-    pub fn use_simd(self) -> bool {
-        match self {
-            BatchBackend::Auto => simd_enabled(),
-            BatchBackend::Scalar => false,
-            BatchBackend::Simd => true,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// F64x4 / Mask4
+// Lanes / Mask
 // ---------------------------------------------------------------------
 
-/// Four `f64` lanes, register-aligned.
+/// `L` `f64` lanes, register-aligned.
 ///
-/// Every element-wise op is a fixed 4-iteration loop over the matching
+/// Every element-wise op is a fixed `L`-iteration loop over the matching
 /// scalar `f64` operation, so per-lane results are bit-identical to
 /// scalar code whether or not LLVM emits vector instructions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(32))]
-pub struct F64x4(pub [f64; 4]);
+pub struct Lanes<const L: usize>(pub [f64; L]);
+
+/// Four `f64` lanes, the default walk's vector.
+pub type F64x4 = Lanes<4>;
 
 /// A per-lane boolean as all-ones / all-zeros bit patterns, the shape
-/// hardware compare instructions produce and [`Mask4::select`] consumes
+/// hardware compare instructions produce and [`Mask::select`] consumes
 /// bitwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C, align(32))]
-pub struct Mask4(pub [u64; 4]);
+pub struct Mask<const L: usize>(pub [u64; L]);
 
-impl F64x4 {
+impl<const L: usize> Lanes<L> {
     /// All lanes `+0.0`.
-    pub const ZERO: F64x4 = F64x4([0.0; 4]);
+    pub const ZERO: Self = Lanes([0.0; L]);
 
     /// All lanes `v`.
     #[inline]
     pub fn splat(v: f64) -> Self {
-        F64x4([v; 4])
+        Lanes([v; L])
     }
 
     /// Lane `i`.
@@ -150,167 +105,149 @@ impl F64x4 {
     /// Lane-wise `f64::min` (matches the scalar engine's `min` calls).
     #[inline]
     pub fn min(self, o: Self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = self.0[i].min(o.0[i]);
         }
-        F64x4(r)
+        Lanes(r)
     }
 
     /// Lane-wise `f64::max`.
     #[inline]
     pub fn max(self, o: Self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = self.0[i].max(o.0[i]);
         }
-        F64x4(r)
+        Lanes(r)
     }
 
     /// Lane-wise `f64::clamp(0.0, 1.0)` (the envelope's taper clamp).
     #[inline]
     pub fn clamp01(self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = self.0[i].clamp(0.0, 1.0);
         }
-        F64x4(r)
-    }
-
-    /// Lane-wise fused multiply-add `self * a + b`. Not used in the
-    /// agreement-critical envelope (contraction changes rounding); here
-    /// for throughput-oriented callers that tolerate it.
-    #[inline]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
-            r[i] = self.0[i].mul_add(a.0[i], b.0[i]);
-        }
-        F64x4(r)
-    }
-
-    /// Sum of all lanes (left-to-right; only used where order is free).
-    #[inline]
-    pub fn reduce_add(self) -> f64 {
-        self.0[0] + self.0[1] + self.0[2] + self.0[3]
+        Lanes(r)
     }
 
     #[inline]
-    fn cmp(self, o: Self, f: impl Fn(f64, f64) -> bool) -> Mask4 {
-        let mut r = [0u64; 4];
-        for i in 0..4 {
+    fn cmp(self, o: Self, f: impl Fn(f64, f64) -> bool) -> Mask<L> {
+        let mut r = [0u64; L];
+        for i in 0..L {
             r[i] = if f(self.0[i], o.0[i]) { !0 } else { 0 };
         }
-        Mask4(r)
+        Mask(r)
     }
 
     /// Lane-wise `<`.
     #[inline]
-    pub fn lt(self, o: Self) -> Mask4 {
+    pub fn lt(self, o: Self) -> Mask<L> {
         self.cmp(o, |a, b| a < b)
     }
 
     /// Lane-wise `>`.
     #[inline]
-    pub fn gt(self, o: Self) -> Mask4 {
+    pub fn gt(self, o: Self) -> Mask<L> {
         self.cmp(o, |a, b| a > b)
     }
 
     /// Lane-wise `<=`.
     #[inline]
-    pub fn le(self, o: Self) -> Mask4 {
+    pub fn le(self, o: Self) -> Mask<L> {
         self.cmp(o, |a, b| a <= b)
     }
 
     /// Lane-wise `>=`.
     #[inline]
-    pub fn ge(self, o: Self) -> Mask4 {
+    pub fn ge(self, o: Self) -> Mask<L> {
         self.cmp(o, |a, b| a >= b)
     }
 
     /// Lane-wise `!=` (IEEE: `-0.0` equals `+0.0`, `NaN != NaN`).
     #[inline]
-    pub fn ne(self, o: Self) -> Mask4 {
+    pub fn ne(self, o: Self) -> Mask<L> {
         self.cmp(o, |a, b| a != b)
     }
 }
 
-impl Add for F64x4 {
-    type Output = F64x4;
+impl<const L: usize> Add for Lanes<L> {
+    type Output = Self;
     #[inline]
     fn add(self, o: Self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = self.0[i] + o.0[i];
         }
-        F64x4(r)
+        Lanes(r)
     }
 }
 
-impl Sub for F64x4 {
-    type Output = F64x4;
+impl<const L: usize> Sub for Lanes<L> {
+    type Output = Self;
     #[inline]
     fn sub(self, o: Self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = self.0[i] - o.0[i];
         }
-        F64x4(r)
+        Lanes(r)
     }
 }
 
-impl Mul for F64x4 {
-    type Output = F64x4;
+impl<const L: usize> Mul for Lanes<L> {
+    type Output = Self;
     #[inline]
     fn mul(self, o: Self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = self.0[i] * o.0[i];
         }
-        F64x4(r)
+        Lanes(r)
     }
 }
 
-impl Div for F64x4 {
-    type Output = F64x4;
+impl<const L: usize> Div for Lanes<L> {
+    type Output = Self;
     #[inline]
     fn div(self, o: Self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = self.0[i] / o.0[i];
         }
-        F64x4(r)
+        Lanes(r)
     }
 }
 
-impl Neg for F64x4 {
-    type Output = F64x4;
+impl<const L: usize> Neg for Lanes<L> {
+    type Output = Self;
     #[inline]
     fn neg(self) -> Self {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = -self.0[i];
         }
-        F64x4(r)
+        Lanes(r)
     }
 }
 
-impl Mask4 {
+impl<const L: usize> Mask<L> {
     /// All lanes true.
-    pub const ALL: Mask4 = Mask4([!0; 4]);
+    pub const ALL: Self = Mask([!0; L]);
     /// All lanes false.
-    pub const NONE: Mask4 = Mask4([0; 4]);
+    pub const NONE: Self = Mask([0; L]);
 
     /// Per-lane `if mask { a } else { b }`, as a bitwise blend — the
     /// chosen lane's bits pass through unmodified, so selection never
     /// perturbs a value.
     #[inline]
-    pub fn select(self, a: F64x4, b: F64x4) -> F64x4 {
-        let mut r = [0.0; 4];
-        for i in 0..4 {
+    pub fn select(self, a: Lanes<L>, b: Lanes<L>) -> Lanes<L> {
+        let mut r = [0.0; L];
+        for i in 0..L {
             r[i] = f64::from_bits((a.0[i].to_bits() & self.0[i]) | (b.0[i].to_bits() & !self.0[i]));
         }
-        F64x4(r)
+        Lanes(r)
     }
 
     /// `true` when any lane is set.
@@ -326,27 +263,27 @@ impl Mask4 {
     }
 }
 
-impl BitAnd for Mask4 {
-    type Output = Mask4;
+impl<const L: usize> BitAnd for Mask<L> {
+    type Output = Self;
     #[inline]
     fn bitand(self, o: Self) -> Self {
-        let mut r = [0u64; 4];
-        for i in 0..4 {
+        let mut r = [0u64; L];
+        for i in 0..L {
             r[i] = self.0[i] & o.0[i];
         }
-        Mask4(r)
+        Mask(r)
     }
 }
 
-impl Not for Mask4 {
-    type Output = Mask4;
+impl<const L: usize> Not for Mask<L> {
+    type Output = Self;
     #[inline]
     fn not(self) -> Self {
-        let mut r = [0u64; 4];
-        for i in 0..4 {
+        let mut r = [0u64; L];
+        for i in 0..L {
             r[i] = !self.0[i];
         }
-        Mask4(r)
+        Mask(r)
     }
 }
 
@@ -360,32 +297,32 @@ impl Not for Mask4 {
 /// built, so the lane path panics on invalid parameters exactly when the
 /// scalar kernel would.
 #[derive(Debug, Clone, Copy)]
-pub struct LaneParams {
-    eta: F64x4,
-    min_soc: F64x4,
-    charge_taper_soc: F64x4,
-    charge_taper_den: F64x4,
-    discharge_width: F64x4,
-    discharge_taper_top: F64x4,
-    hours: F64x4,
+pub struct LaneParams<const L: usize> {
+    eta: Lanes<L>,
+    min_soc: Lanes<L>,
+    charge_taper_soc: Lanes<L>,
+    charge_taper_den: Lanes<L>,
+    discharge_width: Lanes<L>,
+    discharge_taper_top: Lanes<L>,
+    hours: Lanes<L>,
 }
 
-impl LaneParams {
+impl<const L: usize> LaneParams<L> {
     /// Splat one parameter set for a chunk stepping `dt_h` hours.
     pub fn new(p: &ClcParams, dt_h: f64) -> Self {
         LaneParams {
-            eta: F64x4::splat(p.round_trip_efficiency.sqrt()),
-            min_soc: F64x4::splat(p.min_soc),
-            charge_taper_soc: F64x4::splat(p.charge_taper_soc),
-            charge_taper_den: F64x4::splat(1.0 - p.charge_taper_soc),
-            discharge_width: F64x4::splat(p.discharge_taper_width),
-            discharge_taper_top: F64x4::splat(p.min_soc + p.discharge_taper_width),
-            hours: F64x4::splat(dt_h),
+            eta: Lanes::splat(p.round_trip_efficiency.sqrt()),
+            min_soc: Lanes::splat(p.min_soc),
+            charge_taper_soc: Lanes::splat(p.charge_taper_soc),
+            charge_taper_den: Lanes::splat(1.0 - p.charge_taper_soc),
+            discharge_width: Lanes::splat(p.discharge_taper_width),
+            discharge_taper_top: Lanes::splat(p.min_soc + p.discharge_taper_width),
+            hours: Lanes::splat(dt_h),
         }
     }
 }
 
-/// Four candidates' battery state, one per lane.
+/// `L` candidates' battery state, one per lane.
 ///
 /// Lanes whose composition has no battery are inactive: their SoC is
 /// pinned at `0.0` (what [`StorageKernel::Null`](crate::StorageKernel)
@@ -393,29 +330,27 @@ impl LaneParams {
 /// capacity placeholder of `1.0` so the always-evaluated envelope never
 /// divides by zero; the `active` mask discards those results.
 #[derive(Debug, Clone, Copy)]
-pub struct LaneKernel {
-    soc: F64x4,
-    discharged: F64x4,
-    cap: F64x4,
-    pmax_charge: F64x4,
-    pmax_discharge: F64x4,
-    active: Mask4,
+pub struct LaneKernel<const L: usize> {
+    soc: Lanes<L>,
+    discharged: Lanes<L>,
+    cap: Lanes<L>,
+    pmax_charge: Lanes<L>,
+    pmax_discharge: Lanes<L>,
+    active: Mask<L>,
 }
 
-impl LaneKernel {
-    /// Build lane state for up to four compositions (missing trailing
-    /// lanes are inactive).
+impl<const L: usize> LaneKernel<L> {
+    /// Build lane state for `L` compositions, one per lane.
     ///
     /// # Panics
     /// Panics on invalid parameters, via the same [`ClcBattery::new`]
     /// validation the scalar kernel runs.
-    pub fn new(comps: &[Composition], params: &ClcParams) -> Self {
-        assert!(comps.len() <= LANES, "at most {LANES} lanes");
-        let mut soc = [0.0; 4];
-        let mut cap = [1.0; 4];
-        let mut pmax_c = [0.0; 4];
-        let mut pmax_d = [0.0; 4];
-        let mut active = [0u64; 4];
+    pub fn new(comps: &[Composition; L], params: &ClcParams) -> Self {
+        let mut soc = [0.0; L];
+        let mut cap = [1.0; L];
+        let mut pmax_c = [0.0; L];
+        let mut pmax_d = [0.0; L];
+        let mut active = [0u64; L];
         for (i, c) in comps.iter().enumerate() {
             if c.battery_kwh > 0.0 {
                 // Route through the scalar constructor so validation
@@ -431,22 +366,22 @@ impl LaneKernel {
             }
         }
         LaneKernel {
-            soc: F64x4(soc),
-            discharged: F64x4::ZERO,
-            cap: F64x4(cap),
-            pmax_charge: F64x4(pmax_c),
-            pmax_discharge: F64x4(pmax_d),
-            active: Mask4(active),
+            soc: Lanes(soc),
+            discharged: Lanes::ZERO,
+            cap: Lanes(cap),
+            pmax_charge: Lanes(pmax_c),
+            pmax_discharge: Lanes(pmax_d),
+            active: Mask(active),
         }
     }
 
     /// Current per-lane SoC (0 on inactive lanes).
     #[inline]
-    pub fn soc(&self) -> F64x4 {
+    pub fn soc(&self) -> Lanes<L> {
         self.soc
     }
 
-    /// One step of the C/L/C envelope, all four candidates at once:
+    /// One step of the C/L/C envelope, all `L` candidates at once:
     /// request `request` kW for the chunk's `dt`, returning the
     /// accepted/delivered power per lane.
     ///
@@ -455,29 +390,29 @@ impl LaneKernel {
     /// `moving` mask reproduces the scalar early return for zero
     /// requests and inactive (null-storage) lanes: those lanes return
     /// `+0.0` and their state is untouched.
-    #[inline]
-    pub fn step(&mut self, request: F64x4, p: &LaneParams) -> F64x4 {
-        let one = F64x4::splat(1.0);
+    #[inline(always)]
+    pub fn step(&mut self, request: Lanes<L>, p: &LaneParams<L>) -> Lanes<L> {
+        let one = Lanes::splat(1.0);
 
         // Scalar `update` returns ZERO untouched when the request is
         // zero (or the lane has no battery); `!=` treats -0.0 as zero,
         // matching `power == Power::ZERO`.
-        let moving = self.active & request.ne(F64x4::ZERO);
-        let charging = request.gt(F64x4::ZERO);
+        let moving = self.active & request.ne(Lanes::ZERO);
+        let charging = request.gt(Lanes::ZERO);
         let take_c = moving & charging;
         let take_d = moving & !charging;
 
-        // Adjacent candidates see the same weather, so all four lanes
-        // usually agree on the branch — skip an entirely untaken side
-        // rather than always paying both. A skipped side's lanes were
-        // discarded bitwise by the selects below anyway (lanes never
-        // mix, so dropping dead-lane arithmetic cannot perturb a kept
-        // lane), and the untaken side carries ~4 vector divides, the
-        // most expensive ops in the walk. Both sides read the pre-step
-        // `soc0`; the masks are disjoint, so the sequential state
-        // updates equal the original three-way select.
+        // Adjacent candidates see the same weather, so all lanes usually
+        // agree on the branch — skip an entirely untaken side rather than
+        // always paying both. A skipped side's lanes were discarded
+        // bitwise by the selects below anyway (lanes never mix, so
+        // dropping dead-lane arithmetic cannot perturb a kept lane), and
+        // the untaken side carries ~4 vector divides, the most expensive
+        // ops in the walk. Both sides read the pre-step `soc0`; the masks
+        // are disjoint, so the sequential state updates equal the
+        // original three-way select.
         let soc0 = self.soc;
-        let mut ret = F64x4::ZERO;
+        let mut ret = Lanes::ZERO;
 
         if take_c.any() {
             // Charge side (power > 0), exactly ClcBattery::update's order.
@@ -502,7 +437,7 @@ impl LaneKernel {
                 .ge(p.discharge_taper_top)
                 .select(self.pmax_discharge, self.pmax_discharge * frac_d);
             let p_d = (-request).min(limit_d);
-            let usable = (soc0 - p.min_soc).max(F64x4::ZERO) * self.cap;
+            let usable = (soc0 - p.min_soc).max(Lanes::ZERO) * self.cap;
             let max_term_d = usable * p.eta;
             let term_d = (p_d * p.hours).min(max_term_d);
             let soc_d = (soc0 - term_d / p.eta / self.cap).max(p.min_soc);
@@ -532,7 +467,7 @@ impl LaneKernel {
 
 /// A [`DispatchPolicy`] resolved once per chunk into its lane-wide form.
 #[derive(Debug, Clone, Copy)]
-pub enum LanePolicy {
+pub enum LanePolicy<const L: usize> {
     /// SelfConsumption / Islanded: the request is the net bus power.
     Passthrough,
     /// Carbon-aware grid charging (threshold test is per-step scalar,
@@ -541,16 +476,16 @@ pub enum LanePolicy {
         /// Charge from the grid when CI is below this, g/kWh.
         ci_threshold: f64,
         /// Stop grid-charging at this SoC.
-        target_soc: F64x4,
+        target_soc: Lanes<L>,
     },
     /// Battery-sparing: small deficits don't discharge.
     Sparing {
         /// Deficits smaller than this are served from the grid, kW.
-        threshold: F64x4,
+        threshold: Lanes<L>,
     },
 }
 
-impl LanePolicy {
+impl<const L: usize> LanePolicy<L> {
     /// Resolve a scalar policy.
     pub fn new(policy: DispatchPolicy) -> Self {
         match policy {
@@ -560,19 +495,19 @@ impl LanePolicy {
                 target_soc,
             } => LanePolicy::CarbonAware {
                 ci_threshold: ci_threshold_g_per_kwh,
-                target_soc: F64x4::splat(target_soc),
+                target_soc: Lanes::splat(target_soc),
             },
             DispatchPolicy::BatterySparing {
                 deficit_threshold_kw,
             } => LanePolicy::Sparing {
-                threshold: F64x4::splat(deficit_threshold_kw),
+                threshold: Lanes::splat(deficit_threshold_kw),
             },
         }
     }
 
     /// Lane-wide `DispatchPolicy::storage_request`.
-    #[inline]
-    pub fn request(&self, p_delta: F64x4, soc: F64x4, ci: f64) -> F64x4 {
+    #[inline(always)]
+    pub fn request(&self, p_delta: Lanes<L>, soc: Lanes<L>, ci: f64) -> Lanes<L> {
         match *self {
             LanePolicy::Passthrough => p_delta,
             LanePolicy::CarbonAware {
@@ -581,13 +516,13 @@ impl LanePolicy {
             } => {
                 if ci < ci_threshold {
                     soc.lt(target_soc)
-                        .select(F64x4::splat(f64::MAX / 4.0).max(p_delta), p_delta)
+                        .select(Lanes::splat(f64::MAX / 4.0).max(p_delta), p_delta)
                 } else {
                     p_delta
                 }
             }
             LanePolicy::Sparing { threshold } => {
-                (p_delta.lt(F64x4::ZERO) & (-p_delta).lt(threshold)).select(F64x4::ZERO, p_delta)
+                (p_delta.lt(Lanes::ZERO) & (-p_delta).lt(threshold)).select(Lanes::ZERO, p_delta)
             }
         }
     }
@@ -596,14 +531,17 @@ impl LanePolicy {
 /// Split the post-storage residual into (import, export, unmet) exactly
 /// like the scalar three-way branch: negative residuals import (or go
 /// unmet when islanded), non-negative residuals export.
-#[inline]
-pub fn split_residual(residual: F64x4, islanded: bool) -> (F64x4, F64x4, F64x4) {
-    let neg = residual.lt(F64x4::ZERO);
-    let export = neg.select(F64x4::ZERO, residual);
+#[inline(always)]
+pub fn split_residual<const L: usize>(
+    residual: Lanes<L>,
+    islanded: bool,
+) -> (Lanes<L>, Lanes<L>, Lanes<L>) {
+    let neg = residual.lt(Lanes::ZERO);
+    let export = neg.select(Lanes::ZERO, residual);
     if islanded {
-        (F64x4::ZERO, export, neg.select(-residual, F64x4::ZERO))
+        (Lanes::ZERO, export, neg.select(-residual, Lanes::ZERO))
     } else {
-        (neg.select(-residual, F64x4::ZERO), export, F64x4::ZERO)
+        (neg.select(-residual, Lanes::ZERO), export, Lanes::ZERO)
     }
 }
 
@@ -616,65 +554,67 @@ pub fn split_residual(residual: F64x4, islanded: bool) -> (F64x4, F64x4, F64x4) 
 /// Inactive additions contribute `+0.0` (or the exact `-0.0` the scalar
 /// else-branch adds), which never changes accumulator bits.
 #[derive(Debug, Clone, Copy)]
-pub struct LaneAcc {
-    production: F64x4,
-    import: F64x4,
-    export: F64x4,
-    direct: F64x4,
-    charge: F64x4,
-    discharge: F64x4,
-    unmet: F64x4,
-    op_weighted: F64x4,
-    cost_import: F64x4,
-    cost_export: F64x4,
-    self_sufficient_steps: F64x4,
+pub struct LaneAcc<const L: usize> {
+    production: Lanes<L>,
+    import: Lanes<L>,
+    export: Lanes<L>,
+    direct: Lanes<L>,
+    charge: Lanes<L>,
+    discharge: Lanes<L>,
+    unmet: Lanes<L>,
+    op_weighted: Lanes<L>,
+    cost_import: Lanes<L>,
+    cost_export: Lanes<L>,
+    self_sufficient_steps: Lanes<L>,
 }
 
-impl Default for LaneAcc {
+impl<const L: usize> Default for LaneAcc<L> {
     fn default() -> Self {
         LaneAcc {
-            production: F64x4::ZERO,
-            import: F64x4::ZERO,
-            export: F64x4::ZERO,
-            direct: F64x4::ZERO,
-            charge: F64x4::ZERO,
-            discharge: F64x4::ZERO,
-            unmet: F64x4::ZERO,
-            op_weighted: F64x4::ZERO,
-            cost_import: F64x4::ZERO,
-            cost_export: F64x4::ZERO,
-            self_sufficient_steps: F64x4::ZERO,
+            production: Lanes::ZERO,
+            import: Lanes::ZERO,
+            export: Lanes::ZERO,
+            direct: Lanes::ZERO,
+            charge: Lanes::ZERO,
+            discharge: Lanes::ZERO,
+            unmet: Lanes::ZERO,
+            op_weighted: Lanes::ZERO,
+            cost_import: Lanes::ZERO,
+            cost_export: Lanes::ZERO,
+            self_sufficient_steps: Lanes::ZERO,
         }
     }
 }
 
-impl LaneAcc {
-    /// Record one step for all four lanes (`BatchAcc::record`, lane-wide).
-    #[inline]
+impl<const L: usize> LaneAcc<L> {
+    /// Record one step for all `L` lanes. All arguments are kW-scale
+    /// except `ci` (g/kWh) and `price` ($/MWh); `demand` is the step's
+    /// load.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
-        gen: F64x4,
-        demand: F64x4,
-        import: F64x4,
-        export: F64x4,
-        p_storage: F64x4,
-        unmet: F64x4,
-        ci: F64x4,
-        price: F64x4,
+        gen: Lanes<L>,
+        demand: Lanes<L>,
+        import: Lanes<L>,
+        export: Lanes<L>,
+        p_storage: Lanes<L>,
+        unmet: Lanes<L>,
+        ci: Lanes<L>,
+        price: Lanes<L>,
     ) {
         self.production = self.production + gen;
         self.import = self.import + import;
         self.export = self.export + export;
-        self.direct = self.direct + gen.min(demand).max(F64x4::ZERO);
+        self.direct = self.direct + gen.min(demand).max(Lanes::ZERO);
         // Scalar: `if p_storage > 0 { charge += p } else { discharge += -p }`.
         // The uncharging lanes add +0.0 to `charge` (bit-preserving: the
         // accumulator is never -0.0) and the charging lanes add +0.0 to
         // `discharge`; the else-branch's `-p_storage` is added verbatim,
         // including the `-0.0` the scalar path adds for idle steps.
-        let charging = p_storage.gt(F64x4::ZERO);
-        self.charge = self.charge + charging.select(p_storage, F64x4::ZERO);
-        self.discharge = self.discharge + charging.select(F64x4::ZERO, -p_storage);
+        let charging = p_storage.gt(Lanes::ZERO);
+        self.charge = self.charge + charging.select(p_storage, Lanes::ZERO);
+        self.discharge = self.discharge + charging.select(Lanes::ZERO, -p_storage);
         self.unmet = self.unmet + unmet;
         self.op_weighted = self.op_weighted + import * ci;
         self.cost_import = self.cost_import + import * price;
@@ -682,12 +622,12 @@ impl LaneAcc {
         // Exact small-integer counting in f64 (steps/year << 2^53).
         self.self_sufficient_steps = self.self_sufficient_steps
             + import
-                .le(F64x4::splat(1e-9))
-                .select(F64x4::splat(1.0), F64x4::ZERO);
+                .le(Lanes::splat(1e-9))
+                .select(Lanes::splat(1.0), Lanes::ZERO);
     }
 
-    /// Extract lane `i` as a scalar [`BatchAcc`], feeding the exact same
-    /// `finish` formulas as the scalar chunk walk.
+    /// Extract lane `i` as a scalar [`BatchAcc`], feeding the shared
+    /// `finish` formulas.
     pub(crate) fn extract(&self, i: usize) -> BatchAcc {
         BatchAcc {
             production: self.production.lane(i),
@@ -706,32 +646,31 @@ impl LaneAcc {
 }
 
 /// One lane-width group of candidates: generation coefficients, battery
-/// state and accumulators for four consecutive chunk members.
+/// state and accumulators for `L` consecutive chunk members.
 #[derive(Debug, Clone, Copy)]
-pub struct LaneGroup {
+pub struct LaneGroup<const L: usize> {
     /// Per-lane solar capacity, kW.
-    pub solar: F64x4,
+    pub solar: Lanes<L>,
     /// Per-lane wind turbine count.
-    pub wind: F64x4,
+    pub wind: Lanes<L>,
     /// Per-lane battery state.
-    pub kernel: LaneKernel,
+    pub kernel: LaneKernel<L>,
     /// Per-lane raw accumulators.
-    pub acc: LaneAcc,
+    pub acc: LaneAcc<L>,
 }
 
-impl LaneGroup {
-    /// Build a group from up to four compositions.
-    pub fn new(comps: &[Composition], params: &ClcParams) -> Self {
-        assert!(!comps.is_empty() && comps.len() <= LANES);
-        let mut solar = [0.0; 4];
-        let mut wind = [0.0; 4];
+impl<const L: usize> LaneGroup<L> {
+    /// Build a group from `L` compositions, one per lane.
+    pub fn new(comps: &[Composition; L], params: &ClcParams) -> Self {
+        let mut solar = [0.0; L];
+        let mut wind = [0.0; L];
         for (i, c) in comps.iter().enumerate() {
             solar[i] = c.solar_kw;
             wind[i] = c.wind_turbines as f64;
         }
         LaneGroup {
-            solar: F64x4(solar),
-            wind: F64x4(wind),
+            solar: Lanes(solar),
+            wind: Lanes(wind),
             kernel: LaneKernel::new(comps, params),
             acc: LaneAcc::default(),
         }
@@ -746,8 +685,8 @@ mod tests {
 
     #[test]
     fn arithmetic_matches_scalar_ops_bitwise() {
-        let a = F64x4([1.5, -0.0, f64::MAX, 3.7e-310]);
-        let b = F64x4([2.5, 0.0, 2.0, 1.1]);
+        let a = Lanes([1.5, -0.0, f64::MAX, 3.7e-310]);
+        let b = Lanes([2.5, 0.0, 2.0, 1.1]);
         for i in 0..4 {
             assert_eq!((a + b).lane(i).to_bits(), (a.lane(i) + b.lane(i)).to_bits());
             assert_eq!((a - b).lane(i).to_bits(), (a.lane(i) - b.lane(i)).to_bits());
@@ -761,18 +700,14 @@ mod tests {
                 a.max(b).lane(i).to_bits(),
                 a.lane(i).max(b.lane(i)).to_bits()
             );
-            assert_eq!(
-                a.mul_add(b, b).lane(i).to_bits(),
-                a.lane(i).mul_add(b.lane(i), b.lane(i)).to_bits()
-            );
         }
     }
 
     #[test]
     fn select_is_a_bitwise_blend() {
-        let a = F64x4([1.0, 2.0, -0.0, f64::NAN]);
-        let b = F64x4([5.0, 6.0, 7.0, 8.0]);
-        let m = Mask4([!0, 0, !0, !0]);
+        let a = Lanes([1.0, 2.0, -0.0, f64::NAN]);
+        let b = Lanes([5.0, 6.0, 7.0, 8.0]);
+        let m = Mask([!0, 0, !0, !0]);
         let r = m.select(a, b);
         assert_eq!(r.lane(0), 1.0);
         assert_eq!(r.lane(1), 6.0);
@@ -782,7 +717,7 @@ mod tests {
 
     #[test]
     fn comparisons_treat_signed_zero_and_nan_like_ieee() {
-        let z = F64x4([-0.0, 0.0, f64::NAN, 1.0]);
+        let z = Lanes([-0.0, 0.0, f64::NAN, 1.0]);
         let ne = z.ne(F64x4::ZERO);
         assert!(!ne.lane(0), "-0.0 == +0.0");
         assert!(!ne.lane(1));
@@ -793,12 +728,12 @@ mod tests {
 
     #[test]
     fn mask_combinators() {
-        let m = Mask4([!0, 0, !0, 0]);
+        let m = Mask([!0, 0, !0, 0]);
         assert!(m.any());
         assert!(!(m & !m).any());
         assert_eq!((!m).0, [0, !0, 0, !0]);
-        assert!(!Mask4::NONE.any());
-        assert!(Mask4::ALL.lane(3));
+        assert!(!Mask::<4>::NONE.any());
+        assert!(Mask::<4>::ALL.lane(3));
     }
 
     #[test]
@@ -811,7 +746,7 @@ mod tests {
             Composition::new(0, 0.0, 22_500.0),
         ];
         let dt = SimDuration::from_hours(1.0);
-        let mut lanes = LaneKernel::new(&comps, &params);
+        let mut lanes = LaneKernel::<4>::new(&comps, &params);
         let lane_params = LaneParams::new(&params, dt.hours());
         let mut scalars: Vec<StorageKernel> = comps
             .iter()
@@ -856,9 +791,9 @@ mod tests {
                 deficit_threshold_kw: 200.0,
             },
         ];
-        let socs = F64x4([0.1, 0.5, 0.95, 0.0]);
+        let socs = Lanes([0.1, 0.5, 0.95, 0.0]);
         for policy in policies {
-            let lane = LanePolicy::new(policy);
+            let lane = LanePolicy::<4>::new(policy);
             for p_delta in [-500.0, -100.0, -0.0, 0.0, 50.0, 4_000.0] {
                 for ci in [10.0, 400.0] {
                     let got = lane.request(F64x4::splat(p_delta), socs, ci);
@@ -882,7 +817,7 @@ mod tests {
     fn split_residual_matches_scalar_branches() {
         let residuals = [-5.0, -0.0, 0.0, 3.0];
         for islanded in [false, true] {
-            let (import, export, unmet) = split_residual(F64x4(residuals), islanded);
+            let (import, export, unmet) = split_residual(Lanes(residuals), islanded);
             for (i, &r) in residuals.iter().enumerate() {
                 let (wi, we, wu) = if islanded && r < 0.0 {
                     (0.0, 0.0, -r)
@@ -899,13 +834,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_forcing_overrides_env() {
-        assert!(!BatchBackend::Scalar.use_simd());
-        assert!(BatchBackend::Simd.use_simd());
-        // Auto consults the env exactly once; both outcomes are legal
-        // here depending on the harness environment.
-        let _ = BatchBackend::Auto.use_simd();
-        assert_eq!(BatchBackend::default(), BatchBackend::Auto);
+    fn default_backend_is_the_four_lane_walk() {
+        assert_eq!(BatchBackend::default(), BatchBackend::Simd);
     }
 
     #[test]
@@ -915,6 +845,6 @@ mod tests {
             discharge_taper_width: 0.0,
             ..ClcParams::default()
         };
-        LaneKernel::new(&[Composition::new(0, 0.0, 100.0)], &bad);
+        LaneKernel::<1>::new(&[Composition::new(0, 0.0, 100.0)], &bad);
     }
 }

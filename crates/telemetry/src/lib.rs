@@ -388,12 +388,15 @@ pub enum Counter {
     CacheHits,
     /// NSGA-II memo-cache misses (genomes actually evaluated).
     CacheMisses,
-    /// Candidate-rows evaluated lane-wide by the SIMD chunk walk (both
-    /// engines). With the remainder counter this makes lane utilization
-    /// observable: `simd.rows / (simd.rows + simd.remainder_rows)`.
+    /// Candidate-rows (real candidates × steps) evaluated by the 4-lane
+    /// chunk walk (both engines). With the remainder counter this makes
+    /// lane utilization observable: real rows over lane slots,
+    /// `simd.rows / (simd.rows + simd.remainder_rows)`.
     SimdRows,
-    /// Candidate-rows the SIMD chunk walk handed to its scalar remainder
-    /// loop (tail candidates that don't fill a lane group).
+    /// Padded lane rows of the 4-lane chunk walk: lane slots of a chunk's
+    /// short last group that carry a copy of its last candidate (slots
+    /// minus candidates, × steps). The name predates padding, when these
+    /// candidates ran a scalar remainder loop.
     SimdRemainderRows,
     /// Prepared-scenario cache hits (study requests answered from an
     /// already-synthesized `Arc<PreparedScenario>`).

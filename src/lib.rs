@@ -35,7 +35,7 @@
 //! | grid | [`gridcarbon`] | carbon-intensity + price signals |
 //! | load | [`workload`] | Perlmutter-like power traces |
 //! | bus | [`cosim`] | Vessim-style co-simulation engine |
-//! | domain | [`microgrid`] | compositions, policies, year simulators, 4-lane SIMD kernel (`MGOPT_SIMD`) |
+//! | domain | [`microgrid`] | compositions, policies, year simulators, the lane-width-generic chunk walk |
 //! | search | [`optimizer`] | NSGA-II, exhaustive, Pareto tooling |
 //! | framework | [`core`] | scenarios, studies, paper experiments, wire format, prepared cache |
 //! | service | [`server`] | optimization daemon: concurrent studies over the wire protocol |
@@ -55,14 +55,15 @@
 //!   a whole cohort of compositions at once (monomorphized battery
 //!   kernels, shared generation profiles, chunk-level parallelism).
 //!
-//! The batch and fleet engines walk chunks through the hand-rolled 4-lane
-//! SIMD kernel in [`microgrid::simd`] by default. **Lanes are candidates,
-//! never timesteps**: each lane advances a different composition through
-//! the exact scalar arithmetic, so the lane walk is bit-identical to the
-//! scalar chunk walk (pinned by `tests/engine_agreement.rs`, not merely
-//! ≤1e-9). `MGOPT_SIMD=0` forces the scalar walk at runtime;
-//! [`microgrid::BatchBackend`] forces either walk programmatically, which
-//! is how the bench bins record their SIMD-vs-scalar A/B.
+//! The batch and fleet engines share one chunk walk over the hand-rolled
+//! lane types in [`microgrid::simd`], generic over lane width and run 4
+//! lanes wide. **Lanes are candidates, never timesteps**: each lane
+//! advances a different composition through the exact scalar arithmetic,
+//! so every lane width gives bit-identical results (pinned by
+//! `tests/engine_agreement.rs`, not merely ≤1e-9); a short last lane
+//! group is padded with copies of its last candidate.
+//! [`microgrid::BatchBackend`] selects 1 lane instead, which is how the
+//! bench bins record their 4-lane vs 1-lane A/B.
 //!
 //! Every search layer funnels cohorts through
 //! `optimizer::Problem::evaluate_batch`, so NSGA-II generations,
@@ -70,18 +71,18 @@
 //! the batch engine (`core::CompositionProblem` wires it up;
 //! `core::sweep_all` is a thin wrapper over it).
 //!
-//! Multi-site studies ride [`microgrid::FleetEvaluator`]: one interleaved
-//! time-major walk over several prepared sites, yielding per-site results
-//! bit-identical to single-site batch runs plus fleet aggregates (fleet
-//! tCO2/day, peak *concurrent* grid import). `core::FleetScenario` /
-//! `core::fleet_sweep` are the configuration and sweep layers on top
-//! (`tests/fleet_agreement.rs` pins the fleet engine to both the batch
-//! engine and the cosim `Environment` oracle), and `core::FleetProblem`
-//! exposes the cross-product plan space (one composition index per site)
-//! to every sampler, with the peak concurrent-import cap as an optional
-//! constraint under NSGA-II's constraint-dominance
-//! (`tests/fleet_search_agreement.rs` pins the search against exhaustive
-//! fleet sweeps).
+//! Multi-site studies ride [`microgrid::FleetEvaluator`]: the batch walk
+//! per prepared site, advanced site by site in step blocks, yielding
+//! per-site results bit-identical to single-site batch runs plus fleet
+//! aggregates (fleet tCO2/day, peak *concurrent* grid import).
+//! `core::FleetScenario` / `core::fleet_sweep` are the configuration and
+//! sweep layers on top (`tests/fleet_agreement.rs` pins the fleet engine
+//! to both the batch engine and the cosim `Environment` oracle), and
+//! `core::FleetProblem` exposes the cross-product plan space (one
+//! composition index per site) to every sampler, with the peak
+//! concurrent-import cap as an optional constraint under NSGA-II's
+//! constraint-dominance (`tests/fleet_search_agreement.rs` pins the
+//! search against exhaustive fleet sweeps).
 //!
 //! ## Observability
 //!

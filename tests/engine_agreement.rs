@@ -189,11 +189,11 @@ proptest! {
         }
     }
 
-    /// The SIMD chunk walk is **bit-identical** to the scalar chunk walk —
-    /// not ≤1e-9 — on both paper sites, across partial windows and batch
-    /// sizes straddling the lane width (4) and the chunk size (64): lanes
-    /// hold different candidates, so per-candidate arithmetic order never
-    /// changes.
+    /// The chunk walk at lane width 4 is **bit-identical** to the same
+    /// walk at width 1 — not ≤1e-9 — on both paper sites, across partial
+    /// windows and batch sizes straddling the lane width (4) and the chunk
+    /// size (64): lanes hold different candidates, and padded lanes copy a
+    /// real one, so per-candidate arithmetic order never changes.
     #[test]
     fn simd_batch_is_bit_identical_to_scalar_batch(
         comps in prop::collection::vec(arbitrary_composition(), 65),

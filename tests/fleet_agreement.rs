@@ -1,13 +1,13 @@
-//! Fleet-engine agreement: the interleaved multi-site pass must tell the
-//! same story as (a) independent single-site batch runs — bit-for-bit —
-//! and (b) the cosim `Environment` oracle with hand-rolled fleet
-//! accounting (the pre-`FleetEvaluator` way to run geo-distributed
-//! studies), to ≤1e-9 relative.
+//! Fleet-engine agreement: the multi-site pass must tell the same story
+//! as (a) independent single-site batch runs — bit-for-bit — (b) itself
+//! at the other lane width, bit-for-bit, and (c) the cosim `Environment`
+//! oracle with hand-rolled fleet accounting (the pre-`FleetEvaluator` way
+//! to run geo-distributed studies), to ≤1e-9 relative.
 
 use std::sync::OnceLock;
 
 use microgrid_opt::cosim::Environment;
-use microgrid_opt::microgrid::build_cosim_microgrid;
+use microgrid_opt::microgrid::{build_cosim_microgrid, FleetMetrics};
 use microgrid_opt::prelude::*;
 use microgrid_opt::units::{rel_close, rel_error};
 use proptest::prelude::*;
@@ -62,6 +62,103 @@ proptest! {
         prop_assert_eq!(result.fleet.operational_t_per_day, op_sum);
         let em_sum: f64 = result.per_site.iter().map(|r| r.metrics.embodied_t).sum();
         prop_assert_eq!(result.fleet.embodied_t, em_sum);
+    }
+}
+
+fn arbitrary_policy() -> impl Strategy<Value = DispatchPolicy> {
+    prop::sample::select(vec![
+        DispatchPolicy::SelfConsumption,
+        DispatchPolicy::Islanded,
+        DispatchPolicy::CarbonAwareGridCharge {
+            ci_threshold_g_per_kwh: 330.0,
+            target_soc: 0.9,
+        },
+        DispatchPolicy::BatterySparing {
+            deficit_threshold_kw: 2_000.0,
+        },
+    ])
+}
+
+/// Every number a fleet result reports, as bits: per-site metrics, then
+/// the fleet aggregates (exhaustive destructuring, so a new aggregate
+/// cannot drop out of the comparison).
+fn fleet_bits(r: &FleetResult) -> Vec<u64> {
+    let FleetMetrics {
+        operational_t_per_day,
+        operational_t_per_year,
+        embodied_t,
+        peak_concurrent_import_kw,
+        site_import_mwh,
+        grid_import_mwh,
+        energy_cost_usd,
+    } = &r.fleet;
+    r.per_site
+        .iter()
+        .flat_map(|s| s.metrics.fields().map(|(_, v)| v))
+        .chain([
+            *operational_t_per_day,
+            *operational_t_per_year,
+            *embodied_t,
+            *grid_import_mwh,
+            *energy_cost_usd,
+        ])
+        .chain(site_import_mwh.iter().copied())
+        .map(f64::to_bits)
+        .chain([peak_concurrent_import_kw.map_or(u64::MAX, f64::to_bits)])
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The fleet engine at lane width 4 is bit-identical to the same walk
+    /// at width 1 on every per-site metric and every fleet aggregate, the
+    /// concurrent peak included: every cohort size around the lane width
+    /// (4) and the chunk size (64), mixed policies per site, peak
+    /// tracking on and off.
+    #[test]
+    fn fleet_lane_widths_are_bit_identical(
+        plans in prop::collection::vec(prop::collection::vec(arbitrary_composition(), 2), 129),
+        policies in prop::collection::vec(arbitrary_policy(), 2),
+        // Windows inside one step block, across several, and ending
+        // mid-block; full years are pinned per site above.
+        n_steps in prop::sample::select(vec![1usize, 24, 168, 1_095]),
+    ) {
+        let fleet = paper_fleet();
+        let cfgs: Vec<SimConfig> = fleet
+            .members
+            .iter()
+            .zip(&policies)
+            .map(|(m, &policy)| SimConfig { policy, ..m.config.sim.clone() })
+            .collect();
+        let sites: Vec<FleetSite> = fleet
+            .members
+            .iter()
+            .zip(&fleet.names)
+            .zip(&cfgs)
+            .map(|((m, name), cfg)| FleetSite { name, data: &m.data, load: &m.load, cfg })
+            .collect();
+        for size in [1usize, 3, 4, 5, 63, 64, 65, 129] {
+            for track_peak in [false, true] {
+                let run = |backend| {
+                    FleetEvaluator::new(sites.clone())
+                        .with_peak_tracking(track_peak)
+                        .with_backend(backend)
+                        .evaluate_plans_period(&plans[..size], n_steps)
+                };
+                let (one, four) = (run(BatchBackend::Scalar), run(BatchBackend::Simd));
+                prop_assert_eq!(one.len(), size);
+                for (p, (a, b)) in one.iter().zip(&four).enumerate() {
+                    prop_assert_eq!(a.plan(), b.plan());
+                    prop_assert_eq!(
+                        fleet_bits(a),
+                        fleet_bits(b),
+                        "size={} peak={} n={} plan {} {:?}",
+                        size, track_peak, n_steps, p, policies
+                    );
+                }
+            }
+        }
     }
 }
 

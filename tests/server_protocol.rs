@@ -449,7 +449,10 @@ fn queued_study_reports_position_then_cancel_frees_the_slot() {
     h.send(&frame("c", Request::Cancel("s1".into())));
     let mut s1_open = true;
     let mut s2_front = None;
-    while s2_front.is_none() {
+    // The worker frees s1's slot before writing its terminal frame, so
+    // s2 may finish before s1's `Cancelled` arrives: frames of different
+    // ids are unordered. Read until both have ended.
+    while s1_open || s2_front.is_none() {
         let f = h.recv();
         match (f.id.as_str(), f.resp) {
             ("s1", Response::Front(_)) if s1_open => {}

@@ -7,6 +7,7 @@
 
 use std::sync::Mutex;
 
+use microgrid_opt::microgrid::simulate_batch_period;
 use microgrid_opt::optimizer::OptimizationResult;
 use microgrid_opt::prelude::*;
 use microgrid_opt::telemetry::{self, MemorySink};
@@ -127,5 +128,55 @@ fn disabled_path_records_nothing() {
             stage.name
         );
         assert_eq!(stage.total_ms, 0.0);
+    }
+}
+
+/// The 4-lane walk pads a short last lane group with copies of its last
+/// candidate: a 5-candidate batch walks 5 real rows and 3 padded rows
+/// per step, and the trace's `simd_rows` / `simd_remainder_rows` report
+/// exactly that (the fleet engine, per site).
+#[test]
+fn padded_lane_rows_are_reported_as_remainder_rows() {
+    let _guard = lock();
+    let scenario = tiny_scenario();
+    let comps: Vec<Composition> = scenario.config.space.iter().take(5).collect();
+    let n = 48usize;
+    let site = |name| FleetSite {
+        name,
+        data: &scenario.data,
+        load: &scenario.load,
+        cfg: &scenario.config.sim,
+    };
+    let fleet = FleetEvaluator::new(vec![site("a"), site("b")]);
+    let plans: Vec<Vec<Composition>> = comps.iter().map(|&c| vec![c, c]).collect();
+
+    let (sink, lines) = MemorySink::new();
+    telemetry::install_sink(Box::new(sink));
+    telemetry::set_enabled(true);
+    simulate_batch_period(
+        &scenario.data,
+        &scenario.load,
+        &comps,
+        &scenario.config.sim,
+        n,
+    );
+    fleet.evaluate_plans_period(&plans, n);
+    telemetry::set_enabled(false);
+    telemetry::take_sink();
+
+    let captured = lines.lock().unwrap();
+    for (kind, rows) in [("batch_eval", 5 * n), ("fleet_eval", 2 * 5 * n)] {
+        let ev = captured
+            .iter()
+            .map(|l| telemetry::parse::parse_line(l).expect("captured event parses"))
+            .find(|ev| ev.kind == kind)
+            .unwrap_or_else(|| panic!("no {kind} event"));
+        assert_eq!(ev.uint("rows"), Some(rows as u64), "{kind} rows");
+        assert_eq!(ev.uint("simd_rows"), Some(rows as u64), "{kind} simd_rows");
+        assert_eq!(
+            ev.uint("simd_remainder_rows"),
+            Some((rows / 5 * 3) as u64),
+            "{kind} padded rows"
+        );
     }
 }
