@@ -121,9 +121,14 @@ fn main() {
     let scalar_walk_med = median_ms(&mut scalar_walk_ms);
 
     // Multi-thread scaling of the default batched sweep.
-    let scaling = mgopt_bench::scaling_sweep(&mgopt_bench::thread_counts(), 3, || {
-        std::hint::black_box(sweep_all(&scenario));
-    });
+    let scaling = mgopt_bench::scaling_sweep(
+        &mgopt_bench::thread_counts(),
+        3,
+        || (),
+        |()| {
+            std::hint::black_box(sweep_all(&scenario));
+        },
+    );
 
     let scalar_med = median_ms(&mut scalar_ms);
     let batched_med = median_ms(&mut batched_ms);

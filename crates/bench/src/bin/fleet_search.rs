@@ -1,10 +1,15 @@
 //! Emit `BENCH_fleet_search.json`: wall-clock of NSGA-II over the
 //! cross-product fleet-plan space (both paper sites) with cohorts routed
-//! through the batched interleaved
-//! [`FleetEvaluator`](mgopt_microgrid::FleetEvaluator) pass, versus the
-//! same search forced onto the optimizer's default rayon-scalar fallback
-//! (one single-plan pass per unseen genome) — so the batching speedup on
-//! the *search* path is measured, not assumed.
+//! through one batched [`FleetEvaluator`](mgopt_microgrid::FleetEvaluator)
+//! pass, versus the same search forced onto the optimizer's default
+//! rayon-scalar fallback (one single-plan pass per unseen genome) — so the
+//! batching speedup on the *search* path is measured, not assumed.
+//!
+//! An uncapped search answers cohorts from each prepared member's
+//! per-site result table, which outlives the search. So every timed run
+//! searches a cold copy of the prepared fleet — the same inputs, empty
+//! tables — made outside the clock: each timing is one cold study, not
+//! the previous run's table lookups.
 //!
 //! ```text
 //! cargo run --release -p mgopt-bench --bin fleet_search
@@ -15,12 +20,13 @@
 //! per-site spaces for smoke runs.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use mgopt_bench::{TelemetrySection, ThreadScaling};
-use mgopt_core::{FleetProblem, FleetScenario};
+use mgopt_core::{FleetProblem, FleetScenario, PreparedFleet, PreparedScenario};
 use mgopt_microgrid::BatchBackend;
-use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, Problem};
+use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, OptimizationResult, Problem};
 use mgopt_telemetry as telemetry;
 use serde::Serialize;
 
@@ -87,6 +93,52 @@ impl Problem for ScalarFallback<'_> {
 
 use mgopt_bench::min_ms;
 
+/// A copy of `fleet` whose members are clones: the same prepared inputs,
+/// empty per-site result tables.
+fn cold_copy(fleet: &PreparedFleet) -> PreparedFleet {
+    PreparedFleet {
+        names: fleet.names.clone(),
+        members: fleet
+            .members
+            .iter()
+            .map(|m| Arc::new(PreparedScenario::clone(m)))
+            .collect(),
+    }
+}
+
+/// A search over a prepared fleet.
+type Search<'a> = dyn Fn(&PreparedFleet) -> OptimizationResult + 'a;
+
+/// Wall-clock of one search on a cold copy of `fleet`, made before the
+/// clock starts, ms.
+fn cold_ms(fleet: &PreparedFleet, search: &Search<'_>) -> f64 {
+    let cold = cold_copy(fleet);
+    let t0 = Instant::now();
+    std::hint::black_box(search(&cold).history.len());
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// `samples` cold timings each of searches `a` and `b`, alternating which
+/// goes first so clock drift cannot systematically favor either.
+fn ab_ms(
+    fleet: &PreparedFleet,
+    samples: usize,
+    a: &Search<'_>,
+    b: &Search<'_>,
+) -> (Vec<f64>, Vec<f64>) {
+    let (mut a_ms, mut b_ms) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for k in 0..samples {
+        if k % 2 == 0 {
+            a_ms.push(cold_ms(fleet, a));
+            b_ms.push(cold_ms(fleet, b));
+        } else {
+            b_ms.push(cold_ms(fleet, b));
+            a_ms.push(cold_ms(fleet, a));
+        }
+    }
+    (a_ms, b_ms)
+}
+
 fn main() {
     // Resolve MGOPT_TRACE first (installing any requested sink), then force
     // collection off so the A/B timing below starts from the disabled path.
@@ -98,8 +150,6 @@ fn main() {
         m.scenario.space = mgopt_bench::space();
     }
     let fleet = scenario.prepare();
-    let problem = FleetProblem::new(&fleet);
-    let scalar = ScalarFallback(&problem);
     let config = Nsga2Config {
         population_size: 50,
         max_trials: 350,
@@ -109,76 +159,48 @@ fn main() {
     let optimizer = Nsga2Optimizer::new(config.clone());
     let samples = 7usize;
 
+    let batched = |f: &PreparedFleet| optimizer.run(&FleetProblem::new(f));
+    let fallback = |f: &PreparedFleet| optimizer.run(&ScalarFallback(&FleetProblem::new(f)));
+    let simd =
+        |f: &PreparedFleet| optimizer.run(&FleetProblem::new(f).with_backend(BatchBackend::Simd));
+    let scalar_walk =
+        |f: &PreparedFleet| optimizer.run(&FleetProblem::new(f).with_backend(BatchBackend::Scalar));
+
     // Warm-up + agreement: identical seeds must yield identical histories.
-    let batched_run = optimizer.run(&problem);
-    let scalar_run = optimizer.run(&scalar);
+    let batched_run = batched(&cold_copy(&fleet));
+    let scalar_run = fallback(&cold_copy(&fleet));
     let agreement = batched_run.history == scalar_run.history;
     assert!(
         agreement,
         "batched and scalar fleet searches diverged — the fleet engine \
          broke its cohort/single-plan agreement guarantee"
     );
-
-    let mut batched_ms = Vec::with_capacity(samples);
-    let mut scalar_ms = Vec::with_capacity(samples);
-    // Alternate A/B order per sample so clock drift cannot systematically
-    // favor either path.
-    for k in 0..samples {
-        let time = |f: &dyn Fn() -> usize, out: &mut Vec<f64>| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            out.push(t0.elapsed().as_secs_f64() * 1e3);
-        };
-        let run_batched = || optimizer.run(&problem).history.len();
-        let run_scalar = || optimizer.run(&scalar).history.len();
-        if k % 2 == 0 {
-            time(&run_batched, &mut batched_ms);
-            time(&run_scalar, &mut scalar_ms);
-        } else {
-            time(&run_scalar, &mut scalar_ms);
-            time(&run_batched, &mut batched_ms);
-        }
-    }
-
+    let (batched_ms, scalar_ms) = ab_ms(&fleet, samples, &batched, &fallback);
     let batched_min = min_ms(&batched_ms);
     let scalar_min = min_ms(&scalar_ms);
 
     // Lane width 4 vs 1 on the search path: the same NSGA-II run with the
     // fleet engine's walk at either width. Bit-identical engines +
     // identical seeds must reproduce the same trial history.
-    let simd_problem = FleetProblem::new(&fleet).with_backend(BatchBackend::Simd);
-    let scalar_walk_problem = FleetProblem::new(&fleet).with_backend(BatchBackend::Scalar);
     let simd_agreement =
-        optimizer.run(&simd_problem).history == optimizer.run(&scalar_walk_problem).history;
+        simd(&cold_copy(&fleet)).history == scalar_walk(&cold_copy(&fleet)).history;
     assert!(
         simd_agreement,
         "4-lane search diverged from the 1-lane search"
     );
-    let mut simd_ms = Vec::with_capacity(samples);
-    let mut scalar_walk_ms = Vec::with_capacity(samples);
-    for k in 0..samples {
-        let time = |f: &dyn Fn() -> usize, out: &mut Vec<f64>| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            out.push(t0.elapsed().as_secs_f64() * 1e3);
-        };
-        let run_simd = || optimizer.run(&simd_problem).history.len();
-        let run_scalar_walk = || optimizer.run(&scalar_walk_problem).history.len();
-        if k % 2 == 0 {
-            time(&run_simd, &mut simd_ms);
-            time(&run_scalar_walk, &mut scalar_walk_ms);
-        } else {
-            time(&run_scalar_walk, &mut scalar_walk_ms);
-            time(&run_simd, &mut simd_ms);
-        }
-    }
+    let (simd_ms, scalar_walk_ms) = ab_ms(&fleet, samples, &simd, &scalar_walk);
     let simd_min = min_ms(&simd_ms);
     let scalar_walk_min = min_ms(&scalar_walk_ms);
 
     // Multi-thread scaling of the batched search.
-    let scaling = mgopt_bench::scaling_sweep(&mgopt_bench::thread_counts(), 3, || {
-        std::hint::black_box(optimizer.run(&problem).history.len());
-    });
+    let scaling = mgopt_bench::scaling_sweep(
+        &mgopt_bench::thread_counts(),
+        3,
+        || cold_copy(&fleet),
+        |cold| {
+            std::hint::black_box(batched(&cold).history.len());
+        },
+    );
 
     // Telemetry A/B: the same batched search with collection ON (spans,
     // counters, and events to any MGOPT_TRACE sink). The disabled-path
@@ -187,17 +209,13 @@ fn main() {
     // the cost of switching collection on.
     telemetry::reset_stats();
     telemetry::set_enabled(true);
-    let mut enabled_ms = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        std::hint::black_box(optimizer.run(&problem).history.len());
-        enabled_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    let enabled_ms: Vec<f64> = (0..3).map(|_| cold_ms(&fleet, &batched)).collect();
     let section = mgopt_bench::collect_telemetry_section();
     telemetry::set_enabled(false);
     let enabled_min = min_ms(&enabled_ms);
     let overhead_pct = (enabled_min / batched_min - 1.0) * 1e2;
 
+    let problem = FleetProblem::new(&fleet);
     let bench = FleetSearchBench {
         sites: fleet.names.clone(),
         space_per_site: problem.dims().to_vec(),

@@ -189,9 +189,14 @@ fn main() {
 
     // Multi-thread scaling of the full interleaved sweep (peak on, the
     // deliverable configuration).
-    let scaling = mgopt_bench::scaling_sweep(&mgopt_bench::thread_counts(), 3, || {
-        std::hint::black_box(fleet.evaluator().evaluate_plans(&plans));
-    });
+    let scaling = mgopt_bench::scaling_sweep(
+        &mgopt_bench::thread_counts(),
+        3,
+        || (),
+        |()| {
+            std::hint::black_box(fleet.evaluator().evaluate_plans(&plans));
+        },
+    );
 
     let interleaved_min = min_ms(&interleaved_ms);
     let with_peak_min = min_ms(&with_peak_ms);

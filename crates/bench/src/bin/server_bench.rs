@@ -13,6 +13,8 @@
 //! checked bit-identical against a standalone `FleetProblem` + NSGA-II
 //! run with the same seed (`agreement`), and the Accepted frames surface
 //! the prepared-cache hit rate (one fleet → 2 misses, then hits only).
+//! Every timed batch starts a fresh daemon, so its studies start from
+//! empty per-site result tables and share them as they run.
 //!
 //! A second, `multi_conn` record drives one shared daemon from 8
 //! concurrent connections (2 studies each, 16 total) past the
@@ -71,6 +73,8 @@ struct ServerBench {
     /// `true` when every daemon front matched its standalone run bit for
     /// bit.
     agreement: bool,
+    /// Worker threads available to the daemon's study pool.
+    threads: usize,
     /// The multi-connection phase (shared daemon, many sockets).
     multi_conn: MultiConnBench,
 }
@@ -429,9 +433,13 @@ fn main() {
     // Multi-connection phase: same 8 studies, one shared daemon, one
     // connection per study (each submitted twice), plus a long streamed
     // victim study cancelled after its first generation.
+    // The loose cap never binds but keeps every victim generation a real
+    // walk, so the cancel lands mid-study: an uncapped victim is answered
+    // from the per-site result tables and can finish first.
     let victim = {
         let mut v = study(999, population, max_trials * 10);
         v.stream = true;
+        v.peak_cap_kw = Some(60_000.0);
         v
     };
     let mut multi_ms = f64::INFINITY;
@@ -482,6 +490,7 @@ fn main() {
             0.0
         },
         agreement,
+        threads: rayon::current_num_threads(),
         multi_conn,
     };
 

@@ -39,6 +39,8 @@ fn required_fields(kind: &str) -> &'static [&'static str] {
             "steps",
             "chunks",
             "rows",
+            "walked_rows",
+            "table_hits",
             "prepare_ms",
             "kernel_ms",
             "wall_ms",
@@ -98,6 +100,12 @@ fn check_event(ev: &TraceEvent) -> Result<(), String> {
 struct EngineAgg {
     calls: u64,
     rows: u64,
+    /// Rows the kernel actually stepped: `rows` minus the fleet engine's
+    /// per-site table hits.
+    walked_rows: u64,
+    /// Fleet (plan, site) lookups, and those the per-site table answered.
+    lookups: u64,
+    table_hits: u64,
     chunks: u64,
     simd_rows: u64,
     simd_remainder_rows: u64,
@@ -109,7 +117,12 @@ struct EngineAgg {
 impl EngineAgg {
     fn absorb(&mut self, ev: &TraceEvent) {
         self.calls += 1;
-        self.rows += ev.uint("rows").unwrap_or(0);
+        let rows = ev.uint("rows").unwrap_or(0);
+        self.rows += rows;
+        // Batch passes (and pre-table fleet traces) walk every row.
+        self.walked_rows += ev.uint("walked_rows").unwrap_or(rows);
+        self.lookups += ev.uint("plans").unwrap_or(0) * ev.uint("sites").unwrap_or(0);
+        self.table_hits += ev.uint("table_hits").unwrap_or(0);
         self.chunks += ev.uint("chunks").unwrap_or(0);
         // Optional (added with the SIMD kernel) — older traces summarize
         // without a lane-utilization line.
@@ -125,21 +138,32 @@ impl EngineAgg {
             return;
         }
         let throughput = if self.kernel_ms > 0.0 {
-            self.rows as f64 / (self.kernel_ms / 1e3)
+            self.walked_rows as f64 / (self.kernel_ms / 1e3)
         } else {
             0.0
         };
         println!(
-            "  {label:<12} {:>6} passes {:>10} chunks {:>14} rows   \
-             prepare {:>9.1} ms   kernel {:>9.1} ms   wall {:>9.1} ms   {:>10.2e} rows/s",
+            "  {label:<12} {:>6} passes {:>10} chunks {:>14} rows {:>14} walked   \
+             prepare {:>9.1} ms   kernel {:>9.1} ms   wall {:>9.1} ms   {:>10.2e} walked rows/s",
             self.calls,
             self.chunks,
             self.rows,
+            self.walked_rows,
             self.prepare_ms,
             self.kernel_ms,
             self.wall_ms,
             throughput
         );
+        if self.lookups > 0 {
+            println!(
+                "  {:<12} {:>6.1}% of (plan, site) lookups answered by the per-site table \
+                 ({} hits of {})",
+                "  table", // indented sublabel under the engine row
+                self.table_hits as f64 / self.lookups as f64 * 1e2,
+                self.table_hits,
+                self.lookups
+            );
+        }
         let vectorized = self.simd_rows + self.simd_remainder_rows;
         if vectorized > 0 {
             println!(

@@ -135,11 +135,14 @@ pub struct ThreadScaling {
 
 /// Time `workload` at each requested thread count via
 /// [`rayon::set_num_threads`], restoring the unlimited pool afterwards.
-/// `reps` timings per count, keeping the fastest (see [`min_ms`]).
-pub fn scaling_sweep<F: FnMut()>(
+/// `reps` timings per count, keeping the fastest (see [`min_ms`]). Each
+/// timing first runs `setup`, outside the clock, and hands its value to
+/// the workload (`|| ()` when there is nothing to set up).
+pub fn scaling_sweep<S>(
     counts: &[usize],
     reps: usize,
-    mut workload: F,
+    mut setup: impl FnMut() -> S,
+    mut workload: impl FnMut(S),
 ) -> Vec<ThreadScaling> {
     let sweep = counts
         .iter()
@@ -148,8 +151,9 @@ pub fn scaling_sweep<F: FnMut()>(
             let effective = rayon::current_num_threads();
             let samples: Vec<f64> = (0..reps.max(1))
                 .map(|_| {
+                    let input = setup();
                     let t0 = std::time::Instant::now();
-                    workload();
+                    workload(input);
                     t0.elapsed().as_secs_f64() * 1e3
                 })
                 .collect();
@@ -350,9 +354,9 @@ mod tests {
     #[test]
     fn scaling_sweep_runs_each_count_and_restores_the_pool() {
         let before = rayon::current_num_threads();
-        let mut runs = 0usize;
-        let sweep = scaling_sweep(&[1, 2], 3, || runs += 1);
-        assert_eq!(runs, 6);
+        let (mut setups, mut runs) = (0usize, 0usize);
+        let sweep = scaling_sweep(&[1, 2], 3, || setups += 1, |()| runs += 1);
+        assert_eq!((setups, runs), (6, 6));
         assert_eq!(sweep.len(), 2);
         for (point, req) in sweep.iter().zip([1usize, 2]) {
             assert_eq!(point.threads_requested, req);

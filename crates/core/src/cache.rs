@@ -15,6 +15,12 @@
 //! concurrent requests for the *same* scenario block on one preparation
 //! instead of duplicating it.
 //!
+//! An entry carries more than inputs: each [`PreparedScenario`] holds its
+//! member's per-site result table (see its docs), so every uncapped study
+//! handed the same entry shares one table, and a (site, composition)
+//! pair walked by one study is a lookup for the next. Eviction drops the
+//! table with the entry.
+//!
 //! Every lookup bumps [`Counter::PrepCacheHits`] or
 //! [`Counter::PrepCacheMisses`], surfacing the hit rate in the
 //! `MGOPT_TRACE` counter snapshot.

@@ -4,11 +4,11 @@
 //! A [`FleetScenario`] names several [`ScenarioConfig`]s and prepares them
 //! into one [`PreparedFleet`] whose member sites share a simulation clock.
 //! [`fleet_sweep`] then scores a cohort of **fleet plans** (one composition
-//! per site) through the interleaved
-//! [`FleetEvaluator`], producing per-site
-//! results bit-identical to single-site sweeps plus fleet aggregates
-//! (fleet tCO2/day, peak concurrent grid import) that only a synchronized
-//! walk can report.
+//! per site) through the [`FleetEvaluator`], which runs the batch chunk
+//! walk per site in step blocks, producing per-site results
+//! bit-identical to single-site sweeps plus fleet aggregates (fleet
+//! tCO2/day, peak concurrent grid import) that only a step-aligned walk
+//! can report.
 //!
 //! ## Search layers
 //!
@@ -17,7 +17,8 @@
 //! searching the cross-product plan space directly, wrap the prepared
 //! fleet in a [`FleetProblem`](crate::problem::FleetProblem): one genome
 //! dimension per member, NSGA-II / random / exhaustive samplers all route
-//! their cohorts through the same interleaved engine, and a peak
+//! their cohorts through the same fleet engine (uncapped cohorts answered
+//! from each member's per-site result table), and a peak
 //! concurrent-import cap becomes a first-class constraint
 //! (`examples/fleet_search.rs` walks the whole stack).
 
@@ -155,7 +156,7 @@ impl PreparedFleet {
         self.members.len()
     }
 
-    /// The interleaved multi-site engine over this fleet's inputs.
+    /// The multi-site engine over this fleet's inputs.
     pub fn evaluator(&self) -> FleetEvaluator<'_> {
         FleetEvaluator::new(
             self.names
@@ -222,8 +223,8 @@ pub fn fleet_plans(fleet: &PreparedFleet, assignment: FleetAssignment) -> Vec<Ve
     }
 }
 
-/// Evaluate every plan of the assignment through the interleaved fleet
-/// engine. Results are returned in plan order (for
+/// Evaluate every plan of the assignment through the fleet engine's
+/// plan walk. Results are returned in plan order (for
 /// [`FleetAssignment::Uniform`], the shared space's index order).
 pub fn fleet_sweep(fleet: &PreparedFleet, assignment: FleetAssignment) -> Vec<FleetResult> {
     let plans = fleet_plans(fleet, assignment);

@@ -12,7 +12,7 @@
 //! * [`scenario`] — serializable scenario configs and their preparation;
 //! * [`cache`] — the shared prepared-scenario cache (Arc-handout, LRU,
 //!   hit/miss telemetry) behind the optimization daemon;
-//! * [`fleet`] — multi-site fleet scenarios and the interleaved fleet
+//! * [`fleet`] — multi-site fleet scenarios and the exhaustive fleet
 //!   sweep (geo-distributed studies, fleet-level carbon accounts);
 //! * [`wire`] — the daemon's versioned request/response wire format with
 //!   strict-reject parsing and structured error frames;

@@ -9,7 +9,8 @@
 //!
 //! [`FleetProblem`] is the multi-site analogue: the genome assigns one
 //! composition *index* per fleet member, cohorts route through one
-//! [`FleetEvaluator`] pass, and an optional cap on the fleet's peak
+//! [`FleetEvaluator`] pass — answered from the members' per-site result
+//! tables when uncapped — and an optional cap on the fleet's peak
 //! concurrent grid import becomes a first-class constraint handled by
 //! NSGA-II's constraint-dominance.
 
@@ -172,11 +173,21 @@ impl MultiFidelityProblem for CompositionProblem<'_> {
 /// via constraint-dominance, so every feasible plan outranks every
 /// cap-breaking one.
 ///
-/// Cohorts evaluate in **one fleet pass** per generation through
-/// [`FleetEvaluator::evaluate_plans`], which runs the batch chunk walk
-/// per site; peak tracking is only enabled when a cap is set, so
-/// unconstrained searches do exactly the work of independent per-site
-/// batch sweeps.
+/// Cohorts evaluate in **one fleet pass** per generation, and single
+/// genomes as a cohort of one:
+///
+/// * **Uncapped**, the pass is [`FleetEvaluator::evaluate_tabled`] over
+///   each member's per-site result table (see [`PreparedScenario`]). Only
+///   (site, composition) pairs no earlier cohort — of this study or of
+///   any other study on the same prepared members — has walked are
+///   walked, each once, and every plan is summed from the table. So a
+///   warm daemon answers most cohorts with few or no walks.
+/// * **Capped**, the pass is [`FleetEvaluator::evaluate_plans`] with peak
+///   tracking: the concurrent peak needs every site's per-step imports,
+///   so every plan walks all of its sites, and the tables are never
+///   allocated.
+///
+/// Both paths give bit-identical objectives.
 pub struct FleetProblem<'a> {
     fleet: &'a PreparedFleet,
     dims: Vec<usize>,
@@ -289,12 +300,19 @@ impl<'a> FleetProblem<'a> {
     }
 
     fn evaluate_plans(&self, genomes: &[Genome]) -> Vec<Evaluation> {
-        let plans: Vec<Vec<Composition>> = genomes.iter().map(|g| self.plan(g)).collect();
-        self.evaluator()
-            .evaluate_plans(&plans)
-            .iter()
-            .map(|r| self.evaluation_of(r))
-            .collect()
+        let results = if self.peak_cap_kw.is_some() {
+            let plans: Vec<Vec<Composition>> = genomes.iter().map(|g| self.plan(g)).collect();
+            self.evaluator().evaluate_plans(&plans)
+        } else {
+            let tables: Vec<_> = self
+                .fleet
+                .members
+                .iter()
+                .map(|m| (&m.config.space, m.site_table_or_init()))
+                .collect();
+            self.evaluator().evaluate_tabled(genomes, &tables)
+        };
+        results.iter().map(|r| self.evaluation_of(r)).collect()
     }
 }
 
@@ -316,7 +334,9 @@ impl Problem for FleetProblem<'_> {
     }
 
     fn evaluate_constrained(&self, genome: &[u16]) -> Evaluation {
-        self.evaluation_of(&self.evaluator().evaluate(&self.plan(genome)))
+        self.evaluate_plans(&[genome.to_vec()])
+            .pop()
+            .expect("one genome in, one evaluation out")
     }
 
     fn evaluate_batch(&self, genomes: &[Genome]) -> Vec<Vec<f64>> {

@@ -6,7 +6,9 @@
 //! into the heavyweight [`PreparedScenario`] (synthesized weather, unit
 //! generation profiles, CI/price signals, load trace) shared by all trials.
 
-use mgopt_microgrid::{CompositionSpace, SimConfig, Site, SiteData};
+use std::sync::OnceLock;
+
+use mgopt_microgrid::{CompositionSpace, SimConfig, Site, SiteData, SiteTable};
 use mgopt_units::{SimDuration, TimeSeries};
 use mgopt_workload::{constant_load, diurnal_web_load, HpcWorkload, HpcWorkloadParams};
 use serde::{Deserialize, Serialize};
@@ -129,12 +131,31 @@ impl ScenarioConfig {
             config: self.clone(),
             data,
             load,
+            table: OnceLock::new(),
         }
     }
 }
 
 /// A scenario with all inputs synthesized.
-#[derive(Debug, Clone)]
+///
+/// ## Per-site result table
+///
+/// A member's full-horizon metrics depend only on these inputs and the
+/// composition, so uncapped fleet searches
+/// ([`FleetProblem`](crate::FleetProblem)) remember them here: a
+/// [`SiteTable`] with one slot per index of `config.space`, each walked
+/// at most once. Every study over this scenario shares it — through the
+/// daemon's [`PreparedCache`](crate::PreparedCache) entry, every study on
+/// that member. The table is allocated on the first uncapped
+/// evaluation; capped searches and every other engine never touch it.
+///
+/// * **Clones start empty.** A clone is a new scenario that may be
+///   edited, so it never inherits results. Edit a clone, never a
+///   scenario an uncapped search has already evaluated.
+/// * **Memory bound.** 136 bytes per composition: a paper member's
+///   1,089 entries take about 145 KiB, and the largest space a fleet
+///   genome can index (65,536 entries) at most 8.5 MiB.
+#[derive(Debug)]
 pub struct PreparedScenario {
     /// The originating configuration.
     pub config: ScenarioConfig,
@@ -142,12 +163,36 @@ pub struct PreparedScenario {
     pub data: SiteData,
     /// The data-center load trace, kW.
     pub load: TimeSeries,
+    table: OnceLock<SiteTable>,
+}
+
+impl Clone for PreparedScenario {
+    fn clone(&self) -> Self {
+        Self {
+            config: self.config.clone(),
+            data: self.data.clone(),
+            load: self.load.clone(),
+            table: OnceLock::new(),
+        }
+    }
 }
 
 impl PreparedScenario {
     /// Site display name.
     pub fn site_name(&self) -> &str {
         &self.data.site.name
+    }
+
+    /// The per-site result table, once an uncapped fleet evaluation has
+    /// allocated it.
+    pub fn site_table(&self) -> Option<&SiteTable> {
+        self.table.get()
+    }
+
+    /// The per-site result table, allocated (empty) on first use.
+    pub(crate) fn site_table_or_init(&self) -> &SiteTable {
+        self.table
+            .get_or_init(|| SiteTable::new(self.config.space.len()))
     }
 }
 
@@ -195,6 +240,18 @@ mod tests {
         let web = WorkloadConfig::Web { mean_kw: 800.0 }.generate(step, 1);
         assert!((web.mean() - 800.0).abs() < 1e-6);
         assert!(web.std() > 0.0);
+    }
+
+    #[test]
+    fn clones_start_with_an_empty_table() {
+        let prepared = ScenarioConfig {
+            space: CompositionSpace::tiny(),
+            ..ScenarioConfig::paper_houston()
+        }
+        .prepare();
+        assert!(prepared.site_table().is_none(), "allocated lazily");
+        assert_eq!(prepared.site_table_or_init().len(), 27);
+        assert!(prepared.clone().site_table().is_none());
     }
 
     #[test]

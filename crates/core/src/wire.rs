@@ -411,7 +411,9 @@ pub struct StudyDone {
     pub generations: u32,
     /// Trials sampled (genome draws, including memoized repeats).
     pub sampled_trials: u64,
-    /// Distinct genomes actually simulated.
+    /// Distinct genomes evaluated. An uncapped study may answer some or
+    /// all of them from the members' per-site result tables without a
+    /// walk, so this counts genomes, not simulations.
     pub unique_evaluations: u64,
     /// Genome-memo cache hits inside the search.
     pub cache_hits: u64,

@@ -250,8 +250,12 @@ pub fn simulate_batch_period_with_backend(
     let nested: Vec<Vec<AnnualResult>> = chunks
         .into_par_iter()
         .map(|chunk| match backend {
-            BatchBackend::Scalar => run_chunk::<1>(data, load_kw, chunk, cfg, n, demand_kwh),
-            BatchBackend::Simd => run_chunk::<LANES>(data, load_kw, chunk, cfg, n, demand_kwh),
+            BatchBackend::Scalar => {
+                run_chunk::<1>(data, load_kw, chunk, cfg, n, demand_kwh, &BATCH_STATS)
+            }
+            BatchBackend::Simd => {
+                run_chunk::<LANES>(data, load_kw, chunk, cfg, n, demand_kwh, &BATCH_STATS)
+            }
         })
         .collect();
     let out: Vec<AnnualResult> = nested.into_iter().flatten().collect();
@@ -282,25 +286,43 @@ pub fn simulate_batch_period_with_backend(
     out
 }
 
-/// Evaluate one chunk of candidates over `0..n`, `L` per lane group.
-fn run_chunk<const L: usize>(
+/// The spans and counters an engine's chunk walks report under.
+pub(crate) struct ChunkStats {
+    pub(crate) prepare: Stage,
+    pub(crate) kernel: Stage,
+    pub(crate) chunks: Counter,
+    pub(crate) rows: Counter,
+}
+
+/// The batch engine's chunk telemetry.
+const BATCH_STATS: ChunkStats = ChunkStats {
+    prepare: Stage::BatchPrepare,
+    kernel: Stage::BatchKernel,
+    chunks: Counter::BatchChunks,
+    rows: Counter::BatchRows,
+};
+
+/// Evaluate one chunk of candidates at one site over `0..n`, `L` per
+/// lane group, timed and counted under `stats`.
+pub(crate) fn run_chunk<const L: usize>(
     data: &SiteData,
     load_kw: &TimeSeries,
     comps: &[Composition],
     cfg: &SimConfig,
     n: usize,
     demand_kwh: f64,
+    stats: &ChunkStats,
 ) -> Vec<AnnualResult> {
-    let prepare_span = telemetry::span(Stage::BatchPrepare);
+    let prepare_span = telemetry::span(stats.prepare);
     let mut walk = Walk::<L>::new(data, load_kw, comps, cfg);
     drop(prepare_span);
 
-    let kernel_span = telemetry::span(Stage::BatchKernel);
+    let kernel_span = telemetry::span(stats.kernel);
     walk.advance(0..n, Imports::Drop);
     drop(kernel_span);
 
-    telemetry::add(Counter::BatchChunks, 1);
-    telemetry::add(Counter::BatchRows, (comps.len() * n) as u64);
+    telemetry::add(stats.chunks, 1);
+    telemetry::add(stats.rows, (comps.len() * n) as u64);
     walk.finish(demand_kwh)
 }
 

@@ -21,21 +21,34 @@
 //! writes its per-step imports into one block buffer, and the peak is
 //! folded once per block, so no full import trace is ever materialized.
 //!
+//! Every other fleet metric is an in-order sum of per-site annual
+//! metrics ([`FleetMetrics::from_sites`]), and a site's metrics depend
+//! only on its prepared inputs and its composition. So a cohort that
+//! needs no concurrent peak can be answered per site:
+//! [`FleetEvaluator::evaluate_tabled`] keeps one [`SiteTable`] per member,
+//! indexed by composition index, and walks only the (site, composition)
+//! pairs the table has not seen.
+//!
 //! ## Agreement guarantee
 //!
 //! Per-site results are **bit-identical** to running the single-site batch
 //! engine on each site independently: every site runs the batch walk on
-//! its own candidates, block boundaries only pause it.
-//! `tests/fleet_agreement.rs` pins this exactly, and pins fleet totals to
-//! the cosim [`Environment`](mgopt_cosim) oracle at ≤1e-9 relative.
+//! its own candidates, block boundaries only pause it, and a candidate's
+//! lane never reads another lane. Table-backed results are therefore the
+//! plan walk's results, bit for bit. `tests/fleet_agreement.rs` and
+//! `tests/site_table.rs` pin this exactly, and `tests/fleet_agreement.rs`
+//! pins fleet totals to the cosim [`Environment`](mgopt_cosim) oracle at
+//! ≤1e-9 relative.
+
+use std::sync::OnceLock;
 
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
 use mgopt_units::TimeSeries;
 use rayon::prelude::*;
 
-use crate::batch::{Imports, Walk, CHUNK};
-use crate::composition::Composition;
-use crate::metrics::AnnualResult;
+use crate::batch::{run_chunk, ChunkStats, Imports, Walk, CHUNK};
+use crate::composition::{Composition, CompositionSpace};
+use crate::metrics::{AnnualMetrics, AnnualResult};
 use crate::simd::{BatchBackend, LANES};
 use crate::simulate::SimConfig;
 use crate::site::SiteData;
@@ -46,6 +59,14 @@ use crate::site::SiteData;
 /// switch, small enough that the buffer (`BLOCK × CHUNK × 8` bytes
 /// ≈ 64 KiB) stays cache-resident.
 const BLOCK: usize = 128;
+
+/// The fleet engine's chunk telemetry (per-site walks of the table path).
+const FLEET_STATS: ChunkStats = ChunkStats {
+    prepare: Stage::FleetPrepare,
+    kernel: Stage::FleetKernel,
+    chunks: Counter::FleetChunks,
+    rows: Counter::FleetRows,
+};
 
 /// One member site of a fleet: prepared inputs plus its simulation config.
 #[derive(Debug, Clone, Copy)]
@@ -58,6 +79,51 @@ pub struct FleetSite<'a> {
     pub load: &'a TimeSeries,
     /// Simulation parameters for this site.
     pub cfg: &'a SimConfig,
+}
+
+/// One member's full-horizon results, one slot per index of its
+/// [`CompositionSpace`], each filled at most once.
+///
+/// A slot holds the [`AnnualMetrics`] the chunk walk reports for that
+/// composition at that member's prepared inputs, so the table is only
+/// valid next to those inputs: it never outlives or leaves them. Slots
+/// are [`OnceLock`]s, so concurrent studies share one table without a
+/// lock; two that race for a slot computed bit-identical metrics, and
+/// the loser's copy is dropped. There is no map, so lookups cannot
+/// depend on iteration order.
+///
+/// Memory: 136 bytes per slot (an [`AnnualMetrics`] plus the lock
+/// state), allocated whole on construction.
+#[derive(Debug)]
+pub struct SiteTable {
+    slots: Box<[OnceLock<AnnualMetrics>]>,
+}
+
+impl SiteTable {
+    /// An empty table for a space of `len` compositions.
+    pub fn new(len: usize) -> Self {
+        Self {
+            slots: (0..len).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Number of slots (the space's size).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// `true` for a table over an empty space.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The stored metrics of composition `index`, if it has been walked.
+    ///
+    /// # Panics
+    /// Panics when `index` is outside the space.
+    pub fn get(&self, index: usize) -> Option<&AnnualMetrics> {
+        self.slots[index].get()
+    }
 }
 
 /// Fleet-level aggregates of one plan, over the simulated window.
@@ -83,6 +149,25 @@ pub struct FleetMetrics {
 }
 
 impl FleetMetrics {
+    /// The aggregates of one plan from its per-site results (site order)
+    /// and, when tracked, its concurrent peak. Every total is an in-order
+    /// sum over sites; both evaluation paths build their metrics here,
+    /// so they cannot differ by a bit.
+    pub fn from_sites(per_site: &[AnnualResult], peak_concurrent_import_kw: Option<f64>) -> Self {
+        let total = |field: fn(&AnnualMetrics) -> f64| -> f64 {
+            per_site.iter().map(|r| field(&r.metrics)).sum()
+        };
+        FleetMetrics {
+            operational_t_per_day: total(|m| m.operational_t_per_day),
+            operational_t_per_year: total(|m| m.operational_t_per_year),
+            embodied_t: total(|m| m.embodied_t),
+            peak_concurrent_import_kw,
+            site_import_mwh: per_site.iter().map(|r| r.metrics.grid_import_mwh).collect(),
+            grid_import_mwh: total(|m| m.grid_import_mwh),
+            energy_cost_usd: total(|m| m.energy_cost_usd),
+        }
+    }
+
     /// Violation of a peak concurrent-import cap, kW: `0.0` when the
     /// fleet's peak stays at or under `cap_kw`, otherwise the exceedance.
     /// This is the constraint magnitude fleet-plan searches feed into
@@ -114,6 +199,31 @@ impl FleetResult {
     /// site order.
     pub fn plan(&self) -> Vec<Composition> {
         self.per_site.iter().map(|r| r.composition).collect()
+    }
+}
+
+/// Start-of-pass snapshot of the stage totals and lane counters behind
+/// one `fleet_eval` event (see the batch engine for the attribution
+/// caveat).
+struct PassTrace {
+    t0: std::time::Instant,
+    prepare_ms: f64,
+    kernel_ms: f64,
+    simd_rows: u64,
+    padded_rows: u64,
+}
+
+impl PassTrace {
+    /// The snapshot, when tracing is on.
+    fn start() -> Option<Self> {
+        telemetry::enabled().then(|| Self {
+            // mgopt-lint: allow(determinism) — wall clock feeds the fleet_eval trace only, never results
+            t0: std::time::Instant::now(),
+            prepare_ms: telemetry::stage_ms(Stage::FleetPrepare),
+            kernel_ms: telemetry::stage_ms(Stage::FleetKernel),
+            simd_rows: telemetry::counter_value(Counter::SimdRows),
+            padded_rows: telemetry::counter_value(Counter::SimdRemainderRows),
+        })
     }
 }
 
@@ -223,40 +333,14 @@ impl<'a> FleetEvaluator<'a> {
         n_steps: usize,
     ) -> Vec<FleetResult> {
         assert!(n_steps > 0, "n_steps must be positive");
-        for (i, p) in plans.iter().enumerate() {
-            assert_eq!(
-                p.len(),
-                self.sites.len(),
-                "plan {i}: {} compositions for {} sites",
-                p.len(),
-                self.sites.len()
-            );
-        }
+        self.check_arity(plans.iter().map(Vec::len));
         if plans.is_empty() {
             return Vec::new();
         }
 
         let n = n_steps.min(self.len());
-        let dt_h = self.sites[0].data.step().hours();
-        // Demand is per-site, identical across plans: accumulate it once.
-        let demand_kwh: Vec<f64> = self
-            .sites
-            .iter()
-            .map(|s| s.load.values()[..n].iter().sum::<f64>() * dt_h)
-            .collect();
-
-        // Stage-total snapshots attribute this call's prepare/kernel time
-        // in the emitted event (see the batch engine for the caveat).
-        let trace = telemetry::enabled().then(|| {
-            (
-                // mgopt-lint: allow(determinism) — wall clock feeds the fleet_eval trace only, never results
-                std::time::Instant::now(),
-                telemetry::stage_ms(Stage::FleetPrepare),
-                telemetry::stage_ms(Stage::FleetKernel),
-                telemetry::counter_value(Counter::SimdRows),
-                telemetry::counter_value(Counter::SimdRemainderRows),
-            )
-        });
+        let demand_kwh = self.demand_kwh(n);
+        let trace = PassTrace::start();
 
         let chunks: Vec<&[Vec<Composition>]> = plans.chunks(CHUNK).collect();
         let nested: Vec<Vec<FleetResult>> = chunks
@@ -268,31 +352,205 @@ impl<'a> FleetEvaluator<'a> {
             .collect();
         let out: Vec<FleetResult> = nested.into_iter().flatten().collect();
 
-        if let Some((t0, prep0, kern0, simd0, rem0)) = trace {
-            telemetry::Event::new("fleet_eval")
-                .u64("plans", plans.len() as u64)
-                .u64("sites", self.sites.len() as u64)
-                .u64("steps", n as u64)
-                .u64("chunks", plans.len().div_ceil(CHUNK) as u64)
-                .u64("rows", (plans.len() * self.sites.len() * n) as u64)
-                .bool("simd", self.backend == BatchBackend::Simd)
-                .u64(
-                    "simd_rows",
-                    telemetry::counter_value(Counter::SimdRows) - simd0,
-                )
-                .u64(
-                    "simd_remainder_rows",
-                    telemetry::counter_value(Counter::SimdRemainderRows) - rem0,
-                )
-                .f64(
-                    "prepare_ms",
-                    telemetry::stage_ms(Stage::FleetPrepare) - prep0,
-                )
-                .f64("kernel_ms", telemetry::stage_ms(Stage::FleetKernel) - kern0)
-                .f64("wall_ms", t0.elapsed().as_secs_f64() * 1e3)
-                .emit();
-        }
+        let walked = plans.len() * self.sites.len();
+        self.emit_fleet_eval(trace, plans.len(), n, plans.len().div_ceil(CHUNK), walked);
         out
+    }
+
+    /// Evaluate an uncapped cohort over the full horizon through per-site
+    /// result tables, in input order.
+    ///
+    /// Each plan is given as one composition index per site (a fleet
+    /// genome); `tables` pairs each site, in site order, with its
+    /// [`CompositionSpace`] and [`SiteTable`]. Per site, only the indices
+    /// the table lacks are walked — once each, in first-seen order, in
+    /// chunks of one site's compositions — and all (site, chunk) walks
+    /// run as one parallel pass. Their metrics fill the table, and every
+    /// plan is then answered from it through [`FleetMetrics::from_sites`].
+    /// Results equal [`evaluate_plans`](Self::evaluate_plans) bit for bit,
+    /// except that they carry no SoC traces.
+    ///
+    /// The caller must pair each site with the table of *that* site's
+    /// prepared inputs and config: the table cannot tell.
+    ///
+    /// # Panics
+    /// Panics when peak tracking is on (a table holds no per-step
+    /// imports), when `tables` does not match the sites, when a table's
+    /// size differs from its space's, when a plan's length differs from
+    /// the number of sites, or when an index lies outside its space.
+    pub fn evaluate_tabled(
+        &self,
+        plans: &[Vec<u16>],
+        tables: &[(&CompositionSpace, &SiteTable)],
+    ) -> Vec<FleetResult> {
+        assert!(
+            !self.track_peak,
+            "a per-site table cannot report a concurrent peak: disable peak tracking"
+        );
+        assert_eq!(
+            tables.len(),
+            self.sites.len(),
+            "{} tables for {} sites",
+            tables.len(),
+            self.sites.len()
+        );
+        for (site, (space, table)) in self.sites.iter().zip(tables) {
+            assert_eq!(
+                table.len(),
+                space.len(),
+                "site {}: table size differs from its space",
+                site.name
+            );
+        }
+        self.check_arity(plans.iter().map(Vec::len));
+        if plans.is_empty() {
+            return Vec::new();
+        }
+
+        let n = self.len();
+        let demand_kwh = self.demand_kwh(n);
+        let trace = PassTrace::start();
+
+        // Per site: the indices this cohort needs and the table lacks,
+        // each once, in first-seen order.
+        let unseen: Vec<Vec<usize>> = tables
+            .iter()
+            .enumerate()
+            .map(|(s, (_, table))| {
+                let mut queued = vec![false; table.len()];
+                let mut unseen = Vec::new();
+                for plan in plans {
+                    let i = usize::from(plan[s]);
+                    if !queued[i] && table.get(i).is_none() {
+                        queued[i] = true;
+                        unseen.push(i);
+                    }
+                }
+                unseen
+            })
+            .collect();
+        let walks: Vec<(usize, &[usize])> = unseen
+            .iter()
+            .enumerate()
+            .flat_map(|(s, unseen)| unseen.chunks(CHUNK).map(move |idx| (s, idx)))
+            .collect();
+        let chunks = walks.len();
+        walks.into_par_iter().for_each(|(s, idx)| {
+            let (site, (space, table)) = (&self.sites[s], tables[s]);
+            let comps: Vec<Composition> = idx.iter().map(|&i| space.at(i)).collect();
+            let (data, load, cfg, demand) = (site.data, site.load, site.cfg, demand_kwh[s]);
+            let results = match self.backend {
+                BatchBackend::Scalar => {
+                    run_chunk::<1>(data, load, &comps, cfg, n, demand, &FLEET_STATS)
+                }
+                BatchBackend::Simd => {
+                    run_chunk::<LANES>(data, load, &comps, cfg, n, demand, &FLEET_STATS)
+                }
+            };
+            for (&i, result) in idx.iter().zip(results) {
+                // A racing study may have filled the slot first, with
+                // bit-identical metrics: keep either.
+                let _ = table.slots[i].set(result.metrics);
+            }
+        });
+
+        let out = plans
+            .iter()
+            .map(|plan| {
+                let per_site: Vec<AnnualResult> = plan
+                    .iter()
+                    .zip(tables)
+                    .map(|(&g, (space, table))| {
+                        let i = usize::from(g);
+                        AnnualResult {
+                            composition: space.at(i),
+                            metrics: table
+                                .get(i)
+                                .expect("every slot a plan needs was filled above")
+                                .clone(),
+                            soc_trace_hourly: Vec::new(),
+                        }
+                    })
+                    .collect();
+                FleetResult {
+                    fleet: FleetMetrics::from_sites(&per_site, None),
+                    per_site,
+                }
+            })
+            .collect();
+
+        let walked = unseen.iter().map(Vec::len).sum();
+        self.emit_fleet_eval(trace, plans.len(), n, chunks, walked);
+        out
+    }
+
+    /// # Panics
+    /// Panics when a plan's length (from `lens`) differs from the number
+    /// of sites.
+    fn check_arity(&self, lens: impl Iterator<Item = usize>) {
+        for (i, len) in lens.enumerate() {
+            assert_eq!(
+                len,
+                self.sites.len(),
+                "plan {i}: {len} compositions for {} sites",
+                self.sites.len()
+            );
+        }
+    }
+
+    /// Per-site demand over the first `n` steps, kWh. Identical across
+    /// plans, so every pass accumulates it once.
+    fn demand_kwh(&self, n: usize) -> Vec<f64> {
+        let dt_h = self.sites[0].data.step().hours();
+        self.sites
+            .iter()
+            .map(|s| s.load.values()[..n].iter().sum::<f64>() * dt_h)
+            .collect()
+    }
+
+    /// Emit one cohort's `fleet_eval` event. `rows` counts every plan's
+    /// sites × steps whether walked or not, `walked_rows` the rows the
+    /// walk stepped (`walked` site compositions × steps), and
+    /// `table_hits` the (plan, site) lookups answered without a walk.
+    fn emit_fleet_eval(
+        &self,
+        trace: Option<PassTrace>,
+        plans: usize,
+        steps: usize,
+        chunks: usize,
+        walked: usize,
+    ) {
+        let Some(t) = trace else {
+            return;
+        };
+        let lookups = plans * self.sites.len();
+        telemetry::Event::new("fleet_eval")
+            .u64("plans", plans as u64)
+            .u64("sites", self.sites.len() as u64)
+            .u64("steps", steps as u64)
+            .u64("chunks", chunks as u64)
+            .u64("rows", (lookups * steps) as u64)
+            .u64("walked_rows", (walked * steps) as u64)
+            .u64("table_hits", (lookups - walked) as u64)
+            .bool("simd", self.backend == BatchBackend::Simd)
+            .u64(
+                "simd_rows",
+                telemetry::counter_value(Counter::SimdRows) - t.simd_rows,
+            )
+            .u64(
+                "simd_remainder_rows",
+                telemetry::counter_value(Counter::SimdRemainderRows) - t.padded_rows,
+            )
+            .f64(
+                "prepare_ms",
+                telemetry::stage_ms(Stage::FleetPrepare) - t.prepare_ms,
+            )
+            .f64(
+                "kernel_ms",
+                telemetry::stage_ms(Stage::FleetKernel) - t.kernel_ms,
+            )
+            .f64("wall_ms", t.t0.elapsed().as_secs_f64() * 1e3)
+            .emit();
     }
 
     /// Evaluate one chunk of plans over `0..n`: one [`Walk`] per site,
@@ -362,21 +620,7 @@ impl<'a> FleetEvaluator<'a> {
                     .iter_mut()
                     .map(|results| results.next().expect("one result per plan"))
                     .collect();
-                let fleet = FleetMetrics {
-                    operational_t_per_day: per_site
-                        .iter()
-                        .map(|r| r.metrics.operational_t_per_day)
-                        .sum(),
-                    operational_t_per_year: per_site
-                        .iter()
-                        .map(|r| r.metrics.operational_t_per_year)
-                        .sum(),
-                    embodied_t: per_site.iter().map(|r| r.metrics.embodied_t).sum(),
-                    peak_concurrent_import_kw: track_peak.then(|| peaks[p]),
-                    site_import_mwh: per_site.iter().map(|r| r.metrics.grid_import_mwh).collect(),
-                    grid_import_mwh: per_site.iter().map(|r| r.metrics.grid_import_mwh).sum(),
-                    energy_cost_usd: per_site.iter().map(|r| r.metrics.energy_cost_usd).sum(),
-                };
+                let fleet = FleetMetrics::from_sites(&per_site, track_peak.then(|| peaks[p]));
                 FleetResult { per_site, fleet }
             })
             .collect()

@@ -15,7 +15,9 @@
 //! [`fleet`] module extends the batch engine to several sites at once:
 //! [`FleetEvaluator`] runs the batch walk per site in step blocks and
 //! reports fleet-level aggregates (peak *concurrent* grid import, fleet
-//! tCO2/day) alongside bit-identical per-site results.
+//! tCO2/day) alongside bit-identical per-site results. Cohorts that need
+//! no concurrent peak can instead be answered from one [`SiteTable`] per
+//! site, which walks each (site, composition) pair once.
 //!
 //! The batch and fleet engines share one chunk walk, written once over
 //! the [`simd`] module's lane types and generic over lane width: 4 lanes
@@ -65,7 +67,7 @@ pub use batch::{
 };
 pub use composition::{Composition, CompositionSpace};
 pub use embodied::EmbodiedDb;
-pub use fleet::{FleetEvaluator, FleetMetrics, FleetResult, FleetSite};
+pub use fleet::{FleetEvaluator, FleetMetrics, FleetResult, FleetSite, SiteTable};
 pub use metrics::{AnnualMetrics, AnnualResult};
 pub use policy::{shift_load_carbon_aware, DispatchPolicy};
 pub use simd::{BatchBackend, F64x4, LANES};

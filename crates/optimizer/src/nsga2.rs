@@ -23,7 +23,7 @@
 // mgopt-lint: allow(determinism) — memo cache is keyed get/insert/extend only, never iterated
 use std::collections::HashMap;
 
-use mgopt_telemetry::{self as telemetry, Counter};
+use mgopt_telemetry::{self as telemetry, Counter, Stage};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -225,8 +225,10 @@ impl Nsga2Optimizer {
                 .iter()
                 .map(|g| cache[g].total_violation())
                 .collect();
+            let sort_span = telemetry::span(Stage::SearchSort);
             let fronts = constrained_non_dominated_sort(&obj, &viol);
             let (rank, crowd) = rank_and_crowding(&obj, &fronts);
+            drop(sort_span);
 
             // Offspring generation.
             let n_children = cfg.population_size.min(cfg.max_trials - sampled).max(1);
@@ -263,9 +265,11 @@ impl Nsga2Optimizer {
                 .iter()
                 .map(|g| cache[g].total_violation())
                 .collect();
+            let sort_span = telemetry::span(Stage::SearchSort);
             let comb_fronts = constrained_non_dominated_sort(&comb_obj, &comb_viol);
             population =
                 select_next_population(&combined, &comb_obj, &comb_fronts, cfg.population_size);
+            drop(sort_span);
             generation += 1;
             emit_generation_event(generation, &population, &cache, hits, misses, hv_ref);
             if let Some(obs) = observer.as_deref_mut() {

@@ -50,7 +50,8 @@
 //! With `MGOPT_TRACE=trace.jsonl` set, the instrumented layers emit one
 //! JSON object per line. Kinds currently written: `trace_start`,
 //! `batch_eval` and `fleet_eval` (engine passes: candidates, steps,
-//! chunks, rows, prepare/kernel/wall ms), `generation` (NSGA-II: cohort,
+//! chunks, rows, prepare/kernel/wall ms; `fleet_eval` also splits its
+//! rows into walked rows and per-site table hits), `generation` (NSGA-II: cohort,
 //! cache hits/misses, feasible count, front size, 2-D hypervolume, best
 //! objectives), `rung` (successive halving) and `sampler` (exhaustive /
 //! random cohorts). `trace_report` in `mgopt-bench` summarizes and
@@ -247,9 +248,13 @@ pub enum Stage {
     BatchPrepare,
     /// Single-site batch engine: the time-major candidate loop.
     BatchKernel,
-    /// Fleet engine: per-chunk state setup across all member sites.
+    /// Fleet engine: per-chunk walk setup (every member site of a plan
+    /// chunk, or one site's chunk of unseen compositions on the table
+    /// path).
     FleetPrepare,
-    /// Fleet engine: the interleaved time-major loop (incl. peak fold).
+    /// Fleet engine: the chunk walk's time-major loop — site by site in
+    /// step blocks with the concurrent-peak fold, or one site's walk on
+    /// the table path.
     FleetKernel,
     /// Search-layer bookkeeping: non-dominated sorting and selection.
     SearchSort,
@@ -381,8 +386,10 @@ pub enum Counter {
     BatchRows,
     /// Chunks walked by the fleet engine.
     FleetChunks,
-    /// Candidate-rows (plans × sites × steps) evaluated by the fleet
-    /// engine.
+    /// Candidate-rows the fleet engine walked (site compositions ×
+    /// steps). A plan walk steps every plan's sites; the table path steps
+    /// only the site compositions its tables lacked, so this can be far
+    /// below the rows the cohorts requested (`fleet_eval`'s `rows`).
     FleetRows,
     /// NSGA-II memo-cache hits (sampled genomes answered from the cache).
     CacheHits,

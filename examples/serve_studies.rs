@@ -76,7 +76,10 @@ fn main() {
     let requests = vec![
         // A deliberately oversized streamed budget: this study is going
         // to be cancelled after its first generation, demonstrating the
-        // cooperative-cancellation lifecycle.
+        // cooperative-cancellation lifecycle. Its cap never binds, but a
+        // capped study walks every plan each generation, so it is still
+        // running when the cancel arrives; an uncapped one is answered
+        // from the per-site result tables and could finish first.
         (
             "exploratory",
             StudyRequest {
@@ -84,6 +87,7 @@ fn main() {
                     max_trials: max_trials * 4,
                     ..budget(42)
                 },
+                peak_cap_kw: Some(60_000.0),
                 ..base.clone()
             },
         ),

@@ -35,9 +35,9 @@
 //! | grid | [`gridcarbon`] | carbon-intensity + price signals |
 //! | load | [`workload`] | Perlmutter-like power traces |
 //! | bus | [`cosim`] | Vessim-style co-simulation engine |
-//! | domain | [`microgrid`] | compositions, policies, year simulators, the lane-width-generic chunk walk |
+//! | domain | [`microgrid`] | compositions, policies, year simulators, the lane-width-generic chunk walk, per-site result tables |
 //! | search | [`optimizer`] | NSGA-II, exhaustive, Pareto tooling |
-//! | framework | [`core`] | scenarios, studies, paper experiments, wire format, prepared cache |
+//! | framework | [`core`] | scenarios, studies, paper experiments, wire format, prepared cache (inputs plus result tables) |
 //! | service | [`server`] | optimization daemon: concurrent studies over the wire protocol |
 //! | correctness tooling | [`analysis`] | `mgopt_lint` workspace invariant linter (CI gate) |
 //!
@@ -82,7 +82,12 @@
 //! composition index per site) to every sampler, with the peak
 //! concurrent-import cap as an optional constraint under NSGA-II's
 //! constraint-dominance (`tests/fleet_search_agreement.rs` pins the
-//! search against exhaustive fleet sweeps).
+//! search against exhaustive fleet sweeps). Uncapped, the fleet
+//! objectives are sums of per-site metrics, so `FleetProblem` answers
+//! cohorts from a per-site result table on each prepared member
+//! ([`microgrid::SiteTable`]): each (site, composition) pair is walked
+//! once and shared by every study on that member
+//! (`tests/site_table.rs` pins it bit-identical to the plan walk).
 //!
 //! ## Observability
 //!

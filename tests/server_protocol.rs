@@ -412,9 +412,13 @@ fn concurrent_cache_eviction_never_corrupts_results() {
 /// A study big enough that a `Cancel` sent after its first streamed
 /// `Front` always lands before it finishes (cancellation is checked at
 /// every generation boundary, and this budget spans ~50 generations).
+/// Its loose peak cap never binds but keeps every generation a real
+/// walk: an uncapped study is answered from the per-site result tables
+/// and can finish before a cancel arrives.
 fn long_study(seed: u64) -> StudyRequest {
     let mut s = tiny_study(seed);
     s.budget.max_trials = 400;
+    s.peak_cap_kw = Some(60_000.0);
     s
 }
 
