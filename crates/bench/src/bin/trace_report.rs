@@ -1,6 +1,7 @@
 //! Summarize an `MGOPT_TRACE` JSONL trace: per-stage engine time
 //! breakdown, search-convergence table (NSGA-II generations), pruning
-//! rungs and sampler cohorts.
+//! rungs, daemon studies and their scenario-prep times, and sampler
+//! cohorts.
 //!
 //! ```text
 //! MGOPT_TRACE=trace.jsonl cargo run --release --example fleet_search
@@ -18,6 +19,7 @@
 use std::process::ExitCode;
 
 use mgopt_telemetry::parse::{parse_line, TraceEvent};
+use mgopt_units::stats::percentile;
 
 /// Required numeric fields per known event kind. `sampler` additionally
 /// requires a string `kind`; unknown event kinds are accepted as-is.
@@ -59,7 +61,7 @@ fn required_fields(kind: &str) -> &'static [&'static str] {
         // study, exactly one of done/cancelled to close it, a queued event
         // when the process-wide cap defers it, one request_error per error
         // frame.
-        "study_start" => &["sites", "plan_space", "prep_hits", "prep_misses"],
+        "study_start" => &["sites", "plan_space", "prep_hits", "prep_misses", "prep_ms"],
         "study_done" => &["generations", "sampled", "unique", "front", "wall_ms"],
         "study_queued" => &["ahead"],
         "study_cancelled" => &["generations", "sampled", "wall_ms"],
@@ -284,6 +286,30 @@ fn summarize(events: &[TraceEvent]) {
         let errors = events.iter().filter(|e| e.kind == "request_error").count();
         if errors > 0 {
             println!("  plus {errors} request_error frame(s)");
+        }
+    }
+    // Scenario prep per study: any cache miss prepares, all hits only look up.
+    let prep_ms = |missed: bool| -> Vec<f64> {
+        events
+            .iter()
+            .filter(|e| {
+                e.kind == "study_start" && (e.uint("prep_misses").unwrap_or(0) > 0) == missed
+            })
+            .filter_map(|e| e.num("prep_ms"))
+            .collect()
+    };
+    let prep = [
+        ("with misses", prep_ms(true)),
+        ("only hits", prep_ms(false)),
+    ];
+    if prep.iter().any(|(_, ms)| !ms.is_empty()) {
+        println!("\ndaemon scenario prep (median prep_ms per study):");
+        for (label, ms) in prep.iter().filter(|(_, ms)| !ms.is_empty()) {
+            println!(
+                "  {label:<12} {:>9.3} ms over {} studies",
+                percentile(ms, 50.0),
+                ms.len()
+            );
         }
     }
     let queued = events.iter().filter(|e| e.kind == "study_queued").count();

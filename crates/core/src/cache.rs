@@ -13,7 +13,8 @@
 //! the actual preparation runs outside it through a per-slot
 //! [`OnceLock`], so distinct scenarios prepare in parallel while
 //! concurrent requests for the *same* scenario block on one preparation
-//! instead of duplicating it.
+//! instead of duplicating it. A preparation that panics removes its slot,
+//! so a scenario that cannot be prepared never pins cache capacity.
 //!
 //! An entry carries more than inputs: each [`PreparedScenario`] holds its
 //! member's per-site result table (see its docs), so every uncapped study
@@ -27,7 +28,7 @@
 
 // mgopt-lint: allow(determinism) — prepared-site cache is keyed lookup only; eviction scans use the ordered tick, not map order
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mgopt_telemetry::{self as telemetry, Counter};
 
@@ -134,8 +135,40 @@ impl PreparedCache {
             },
             1,
         );
+        let _unwind = RemoveIfUnprepared {
+            inner: &self.inner,
+            key: &key,
+            cell: &cell,
+        };
         let prepared = Arc::clone(cell.get_or_init(|| Arc::new(config.prepare())));
         (prepared, hit)
+    }
+}
+
+/// Drop guard for a preparation: if it unwinds, the slot's cell stays
+/// empty, and [`evict_lru`] never evicts an empty slot, so the guard
+/// removes it — unless the key already maps to a newer slot. After a
+/// successful preparation it does nothing.
+struct RemoveIfUnprepared<'a> {
+    inner: &'a Mutex<Inner>,
+    key: &'a str,
+    cell: &'a Arc<OnceLock<Arc<PreparedScenario>>>,
+}
+
+impl Drop for RemoveIfUnprepared<'_> {
+    fn drop(&mut self) {
+        if self.cell.get().is_some() {
+            return;
+        }
+        // Never panic while unwinding; the map stays consistent.
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if inner
+            .slots
+            .get(self.key)
+            .is_some_and(|slot| Arc::ptr_eq(&slot.cell, self.cell))
+        {
+            inner.slots.remove(self.key);
+        }
     }
 }
 
@@ -227,6 +260,29 @@ mod tests {
             assert!(Arc::ptr_eq(&arcs[0], other));
         }
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_preparation_leaves_no_slot_behind() {
+        let cache = PreparedCache::new(2);
+        let _ = cache.get_or_prepare(&tiny(1));
+        // Steps `prepare()` panics on, as many as the cache holds and more.
+        for seed in 2..5 {
+            let bad = ScenarioConfig {
+                step_minutes: 7,
+                ..tiny(seed)
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.get_or_prepare(&bad)
+            }));
+            assert!(outcome.is_err(), "step 7 min must panic in prepare()");
+            assert_eq!(cache.len(), 1, "the failed slot was removed");
+        }
+        let (_, hit) = cache.get_or_prepare(&tiny(1));
+        assert!(hit, "the hot entry survived");
+        let _ = cache.get_or_prepare(&tiny(2));
+        let (_, hit) = cache.get_or_prepare(&tiny(1));
+        assert!(hit, "good seeds still share the cache");
     }
 
     #[test]

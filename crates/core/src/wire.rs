@@ -61,7 +61,7 @@
 //! turns these into [`Response::Error`] frames and never crashes on bad
 //! input.
 
-use mgopt_microgrid::{Composition, CompositionSpace};
+use mgopt_microgrid::{is_supported_step, Composition, CompositionSpace};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::fleet::FleetScenario;
@@ -291,10 +291,11 @@ fn validate_scenario(scenario: &FleetScenario) -> Result<(), WireError> {
     };
     let step = first.scenario.step_minutes;
     for m in &scenario.members {
-        if m.scenario.step_minutes == 0 {
+        if !is_supported_step(m.scenario.step()) {
             return Err(WireError::invalid(format!(
-                "member {}: step_minutes must be positive",
-                m.name
+                "member {}: step_minutes {} must divide an hour, or be a whole number \
+                 of hours (at most 24) that divides the year",
+                m.name, m.scenario.step_minutes
             )));
         }
         if m.scenario.step_minutes != step {

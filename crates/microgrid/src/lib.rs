@@ -74,4 +74,4 @@ pub use simd::{BatchBackend, F64x4, LANES};
 pub use simulate::{
     build_cosim_microgrid, simulate_period, simulate_year, simulate_year_cosim, SimConfig,
 };
-pub use site::{Site, SiteData};
+pub use site::{is_supported_step, Site, SiteData};

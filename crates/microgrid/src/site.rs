@@ -14,6 +14,8 @@ use mgopt_units::{SimDuration, TimeSeries};
 use mgopt_weather::{Climate, WeatherGenerator, WeatherYear};
 use serde::{Deserialize, Serialize};
 
+pub use mgopt_weather::is_supported_step;
+
 /// A data-center site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Site {
@@ -49,6 +51,9 @@ impl Site {
     }
 
     /// Precompute everything the sweep needs at the given step.
+    ///
+    /// # Panics
+    /// Panics unless [`is_supported_step`] accepts `step`.
     pub fn prepare(&self, step: SimDuration, seed: u64) -> SiteData {
         let weather = WeatherGenerator::new(self.climate.clone(), seed).generate(step);
 

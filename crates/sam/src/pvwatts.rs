@@ -11,8 +11,8 @@
 //! 4. **AC power** — the PVWatts part-load inverter efficiency curve,
 //!    clipped at the inverter rating (`dc_ac_ratio`).
 
-use mgopt_units::{SimTime, TimeSeries};
-use mgopt_weather::solar_pos::{sun_position, SunPosition};
+use mgopt_units::TimeSeries;
+use mgopt_weather::solar_pos::{extraterrestrial_normal_w_m2, SolarGeometry, SunPosition};
 use mgopt_weather::WeatherYear;
 use serde::{Deserialize, Serialize};
 
@@ -125,11 +125,8 @@ impl PvSystem {
 
     /// Angle-of-incidence cosine between the sun and the array normal.
     pub fn cos_aoi(&self, pos: &SunPosition) -> f64 {
-        let beta = self.params.tilt_deg.to_radians();
-        let gamma = self.params.azimuth_deg.to_radians();
-        let cos = pos.zenith_rad.cos() * beta.cos()
-            + pos.zenith_rad.sin() * beta.sin() * (pos.azimuth_rad - gamma).cos();
-        cos.max(0.0)
+        self.plane()
+            .cos_aoi(pos.zenith_rad.cos(), pos.zenith_rad.sin(), pos.azimuth_rad)
     }
 
     /// Transpose horizontal irradiance onto the array plane.
@@ -141,39 +138,21 @@ impl PvSystem {
         pos: &SunPosition,
         day_of_year: u32,
     ) -> PoaIrradiance {
-        let beta = self.params.tilt_deg.to_radians();
-        let cos_aoi = self.cos_aoi(pos);
-        let beam = dni * cos_aoi;
-        let ground = ghi * self.params.albedo * (1.0 - beta.cos()) / 2.0;
+        let plane = self.plane();
+        let cos_aoi = plane.cos_aoi(pos.zenith_rad.cos(), pos.zenith_rad.sin(), pos.azimuth_rad);
+        let ext = extraterrestrial_normal_w_m2(day_of_year);
+        plane.transpose(ghi, dni, dhi, cos_aoi, pos.cos_zenith(), ext)
+    }
 
-        let sky_diffuse = match self.params.transposition {
-            TranspositionModel::Isotropic => dhi * (1.0 + beta.cos()) / 2.0,
-            TranspositionModel::Hdkr => {
-                // Anisotropy index: beam transmittance of the atmosphere.
-                let ext = mgopt_weather::solar_pos::extraterrestrial_normal_w_m2(day_of_year);
-                let cos_z = pos.cos_zenith();
-                let ai = if ext > 1.0 {
-                    (dni / ext).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let rb = if cos_z > 0.017 { cos_aoi / cos_z } else { 0.0 };
-                // Horizon-brightening modulation (Reindl).
-                let f = if ghi > 0.0 {
-                    (beam.max(0.0) / ghi).sqrt().min(1.0)
-                } else {
-                    0.0
-                };
-                let iso = dhi * (1.0 - ai) * (1.0 + beta.cos()) / 2.0
-                    * (1.0 + f * (beta / 2.0).sin().powi(3));
-                let circumsolar = dhi * ai * rb;
-                (iso + circumsolar).max(0.0)
-            }
-        };
-        PoaIrradiance {
-            beam,
-            sky_diffuse,
-            ground,
+    fn plane(&self) -> Plane {
+        let beta = self.params.tilt_deg.to_radians();
+        Plane {
+            beta,
+            cos_beta: beta.cos(),
+            sin_beta: beta.sin(),
+            gamma: self.params.azimuth_deg.to_radians(),
+            albedo: self.params.albedo,
+            transposition: self.params.transposition,
         }
     }
 
@@ -214,23 +193,102 @@ impl PvSystem {
     }
 }
 
+/// The array plane's constants, computed once per [`PvSystem::simulate`]
+/// rather than once per step.
+struct Plane {
+    /// Tilt, radians.
+    beta: f64,
+    cos_beta: f64,
+    sin_beta: f64,
+    /// Azimuth, radians clockwise from north.
+    gamma: f64,
+    albedo: f64,
+    transposition: TranspositionModel,
+}
+
+impl Plane {
+    /// [`PvSystem::cos_aoi`] from the sun's unclamped zenith cosine and
+    /// sine and its azimuth.
+    #[inline]
+    fn cos_aoi(&self, zenith_cos: f64, zenith_sin: f64, azimuth_rad: f64) -> f64 {
+        let cos = zenith_cos * self.cos_beta
+            + zenith_sin * self.sin_beta * (azimuth_rad - self.gamma).cos();
+        cos.max(0.0)
+    }
+
+    /// [`PvSystem::transpose`] from the angle-of-incidence cosine, the
+    /// clamped zenith cosine and the day's extraterrestrial normal
+    /// irradiance.
+    fn transpose(
+        &self,
+        ghi: f64,
+        dni: f64,
+        dhi: f64,
+        cos_aoi: f64,
+        cos_z: f64,
+        ext: f64,
+    ) -> PoaIrradiance {
+        let beam = dni * cos_aoi;
+        let ground = ghi * self.albedo * (1.0 - self.cos_beta) / 2.0;
+
+        let sky_diffuse = match self.transposition {
+            TranspositionModel::Isotropic => dhi * (1.0 + self.cos_beta) / 2.0,
+            TranspositionModel::Hdkr => {
+                // Anisotropy index: beam transmittance of the atmosphere.
+                let ai = if ext > 1.0 {
+                    (dni / ext).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                };
+                let rb = if cos_z > 0.017 { cos_aoi / cos_z } else { 0.0 };
+                // Horizon-brightening modulation (Reindl).
+                let f = if ghi > 0.0 {
+                    (beam.max(0.0) / ghi).sqrt().min(1.0)
+                } else {
+                    0.0
+                };
+                let iso = dhi * (1.0 - ai) * (1.0 + self.cos_beta) / 2.0
+                    * (1.0 + f * (self.beta / 2.0).sin().powi(3));
+                let circumsolar = dhi * ai * rb;
+                (iso + circumsolar).max(0.0)
+            }
+        };
+        PoaIrradiance {
+            beam,
+            sky_diffuse,
+            ground,
+        }
+    }
+}
+
 impl GenerationModel for PvSystem {
+    /// Reads the sun's position from [`SolarGeometry::shared`].
+    ///
+    /// # Panics
+    /// Panics if the weather holds more than one year of steps.
     fn simulate(&self, weather: &WeatherYear) -> TimeSeries {
         let step = weather.step();
         let n = weather.len();
+        let geometry = SolarGeometry::shared(&weather.location, step);
+        assert!(n <= geometry.len(), "PVWatts simulates at most one year");
+        let plane = self.plane();
         let mut values = Vec::with_capacity(n);
         // Turbine-height wind is irrelevant here; PV arrays sit near the
         // ground, so shear the reference wind down to 2 m.
         let wind_scale = (2.0f64 / weather.wind_ref_height_m).powf(weather.wind_shear_exponent);
         for i in 0..n {
-            let t = SimTime::from_secs(i as i64 * step.secs());
-            let pos = sun_position(&weather.location, t);
-            let poa = self.transpose(
+            let cos_aoi = plane.cos_aoi(
+                geometry.zenith_cos(i),
+                geometry.zenith_sin(i),
+                geometry.azimuth_rad(i),
+            );
+            let poa = plane.transpose(
                 weather.ghi.values()[i],
                 weather.dni.values()[i],
                 weather.dhi.values()[i],
-                &pos,
-                t.calendar().day_of_year,
+                cos_aoi,
+                geometry.cos_zenith(i),
+                geometry.extraterrestrial_normal_w_m2(i),
             );
             let wind = weather.wind_speed_ms.values()[i] * wind_scale;
             let t_cell = self.cell_temperature_c(poa.total(), weather.temp_air_c.values()[i], wind);
@@ -250,7 +308,8 @@ impl GenerationModel for PvSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgopt_units::SimDuration;
+    use mgopt_units::{SimDuration, SimTime};
+    use mgopt_weather::solar_pos::sun_position;
     use mgopt_weather::{Climate, WeatherGenerator};
 
     fn berkeley_weather() -> WeatherYear {
@@ -352,6 +411,40 @@ mod tests {
                 354,
             );
             assert!(poa.total() > w.ghi.values()[i]);
+        }
+    }
+
+    #[test]
+    fn simulate_equals_the_per_step_sun_position_chain_bitwise() {
+        // `simulate` reads the shared geometry table; the public per-step
+        // API recomputes the sun position. Both must give the same bits,
+        // under either transposition model.
+        let w = berkeley_weather();
+        let wind_scale = (2.0f64 / w.wind_ref_height_m).powf(w.wind_shear_exponent);
+        for transposition in [TranspositionModel::Isotropic, TranspositionModel::Hdkr] {
+            let sys = PvSystem::new(PvSystemParams {
+                transposition,
+                ..PvSystemParams::defaults(1_000.0, 37.87)
+            });
+            let ts = sys.simulate(&w);
+            for i in 0..w.len() {
+                let t = SimTime::from_secs(i as i64 * 3_600);
+                let poa = sys.transpose(
+                    w.ghi.values()[i],
+                    w.dni.values()[i],
+                    w.dhi.values()[i],
+                    &sun_position(&w.location, t),
+                    t.calendar().day_of_year,
+                );
+                let wind = w.wind_speed_ms.values()[i] * wind_scale;
+                let t_cell = sys.cell_temperature_c(poa.total(), w.temp_air_c.values()[i], wind);
+                let want = sys.ac_power_kw(sys.dc_power_kw(poa.total(), t_cell));
+                assert_eq!(
+                    ts.values()[i].to_bits(),
+                    want.to_bits(),
+                    "{transposition:?}, step {i}"
+                );
+            }
         }
     }
 

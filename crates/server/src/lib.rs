@@ -99,7 +99,9 @@
 //! observability: each study runs under a `server.study` span, emits
 //! `study_start` / `study_done` events (plus `study_queued` when it
 //! waits for admission, `study_cancelled` when it stops early, and
-//! `request_error` for every error frame), and the prepared cache bumps
+//! `request_error` for every error frame; `study_start` carries the
+//! study's prepared-cache hits and misses and `prep_ms`, the wall time of
+//! its scenario preparation), and the prepared cache bumps
 //! `prep_cache.hits` / `prep_cache.misses` — all on the `MGOPT_TRACE`
 //! JSONL stream, readable with `trace_report`.
 
@@ -459,7 +461,9 @@ impl Server {
         if cancel.load(Ordering::SeqCst) && retire(registry, id, cancel) {
             return self.finish_cancelled(id, 0, 0, t0);
         }
+        let prep_start = Instant::now();
         let (fleet, stats) = scenario.prepare_shared(&self.cache);
+        let prep_ms = prep_start.elapsed().as_secs_f64() * 1e3;
         let plan_space = fleet.members.iter().fold(1u64, |acc, m| {
             acc.saturating_mul(m.config.space.len() as u64)
         });
@@ -469,6 +473,7 @@ impl Server {
             .u64("plan_space", plan_space)
             .u64("prep_hits", u64::from(stats.hits))
             .u64("prep_misses", u64::from(stats.misses))
+            .f64("prep_ms", prep_ms)
             .u64(
                 "fleet_key",
                 scenario

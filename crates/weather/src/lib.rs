@@ -10,7 +10,12 @@
 //! The pipeline mirrors how measured weather files are produced and consumed:
 //!
 //! 1. deterministic **solar geometry** ([`solar_pos`]) and a **clear-sky
-//!    model** ([`clearsky`]) give the cloud-free irradiance envelope;
+//!    model** ([`clearsky`]) give the cloud-free irradiance envelope. Both
+//!    depend only on the location and the step, never on the seed, so they
+//!    are computed once per (location, step) into a
+//!    [`SolarGeometry`] table that every weather year — and PVWatts, which
+//!    needs the same sun positions — shares through
+//!    [`SolarGeometry::shared`];
 //! 2. a seeded stochastic **cloud process** ([`cloud`]) yields an hourly
 //!    clear-sky index with realistic multi-day overcast spells;
 //! 3. the product is **decomposed** ([`decomposition`]) into DNI/DHI exactly
@@ -21,6 +26,19 @@
 //!    records the SAM-style performance models need.
 //!
 //! Everything is deterministic given a [`Climate`] and a seed.
+//!
+//! ## The solar-geometry memo
+//!
+//! [`SolarGeometry::shared`] keeps a process-wide, least-recently-used
+//! memo of geometry tables. Its key is the bits of the location's
+//! `latitude_deg`, `longitude_deg` and `timezone_h` — the only fields the
+//! sun position reads — plus the step in seconds; sites differing only in
+//! name or elevation share a table. It holds at most four tables, evicting
+//! the least recently used. Each costs 32 bytes per step (zenith cosine
+//! and sine, azimuth, clear-sky GHI) in one allocation, plus 365 daily
+//! extraterrestrial values: about 280 KiB at the hourly step, so the
+//! paper's two sites keep about 0.55 MiB resident. Reading a table is
+//! bit-identical to recomputing the sun position at every step.
 
 pub mod clearsky;
 pub mod climate;
@@ -33,8 +51,11 @@ pub mod solar_pos;
 pub mod temperature;
 pub mod wind;
 
-use mgopt_units::{SimDuration, SimTime, TimeSeries, SECONDS_PER_YEAR};
+use mgopt_units::{
+    SimDuration, SimTime, TimeSeries, SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR,
+};
 use serde::{Deserialize, Serialize};
+use solar_pos::SolarGeometry;
 
 pub use climate::Climate;
 pub use location::Location;
@@ -82,6 +103,16 @@ impl WeatherYear {
     }
 }
 
+/// Whether [`WeatherGenerator::generate`] — and so every site
+/// preparation — accepts `step`: it divides an hour, or it is a whole
+/// number of hours, at most one day, that divides the year.
+pub fn is_supported_step(step: SimDuration) -> bool {
+    let s = step.secs();
+    s > 0
+        && (SECONDS_PER_HOUR % s == 0
+            || (s % SECONDS_PER_HOUR == 0 && s <= SECONDS_PER_DAY && SECONDS_PER_YEAR % s == 0))
+}
+
 /// Barometric pressure at an elevation (standard atmosphere), Pa.
 pub fn pressure_at_elevation_pa(elevation_m: f64) -> f64 {
     101_325.0 * (1.0 - 2.255_77e-5 * elevation_m).powf(5.255_88)
@@ -111,17 +142,20 @@ impl WeatherGenerator {
     /// need sub-hourly regime switches); irradiance, temperature and wind
     /// are produced at the requested step.
     ///
+    /// The solar geometry comes from [`SolarGeometry::shared`]: computed
+    /// once per (location, step), whatever the seed.
+    ///
     /// # Panics
-    /// Panics unless the step divides one hour or is a multiple of it that
-    /// divides the year.
+    /// Panics unless [`is_supported_step`] accepts the step.
     pub fn generate(&self, step: SimDuration) -> WeatherYear {
-        let step_s = step.secs();
         assert!(
-            step_s > 0
-                && (3_600 % step_s == 0 || (step_s % 3_600 == 0 && SECONDS_PER_YEAR % step_s == 0)),
-            "weather step must divide an hour or be a whole number of hours"
+            is_supported_step(step),
+            "weather step must divide an hour, or be a whole number of hours \
+             (at most one day) that divides the year"
         );
+        let step_s = step.secs();
         let n = (SECONDS_PER_YEAR / step_s) as usize;
+        let geometry = SolarGeometry::shared(&self.climate.location, step);
 
         let kci = cloud::CloudGenerator::new(self.climate.solar.clone(), self.seed).generate_year();
         let mut temp_gen =
@@ -138,18 +172,15 @@ impl WeatherGenerator {
             let t = SimTime::from_secs(i as i64 * step_s);
             let hour_idx = (t.secs() / 3_600) as usize % kci.len();
 
-            let pos = solar_pos::sun_position(&self.climate.location, t);
-            let cs = clearsky::clearsky_ghi_from_position(&pos);
-            let g = cs * kci[hour_idx];
+            let g = geometry.clearsky_ghi(i) * kci[hour_idx];
 
-            let ext = solar_pos::extraterrestrial_normal_w_m2(t.calendar().day_of_year)
-                * pos.cos_zenith();
+            let ext = geometry.extraterrestrial_horizontal_w_m2(i);
             let kt = if ext > 1.0 {
                 (g / ext).clamp(0.0, 1.1)
             } else {
                 0.0
             };
-            let comps = decomposition::decompose(g, kt, pos.cos_zenith());
+            let comps = decomposition::decompose(g, kt, geometry.cos_zenith(i));
 
             ghi.push(comps.ghi);
             dni.push(comps.dni);
@@ -204,6 +235,17 @@ mod tests {
     #[should_panic(expected = "weather step")]
     fn incompatible_step_panics() {
         WeatherGenerator::new(Climate::berkeley(), 1).generate(SimDuration::from_secs(7_000));
+    }
+
+    #[test]
+    fn supported_steps_divide_an_hour_or_are_whole_hours_up_to_a_day() {
+        let minutes = |m: i64| SimDuration::from_secs(m * 60);
+        for m in [1, 5, 15, 30, 60, 120, 300, 480, 1_440] {
+            assert!(is_supported_step(minutes(m)), "{m} min");
+        }
+        for m in [0, -60, 7, 45, 90, 420, 1_800, 2_880, 4_380, 525_600] {
+            assert!(!is_supported_step(minutes(m)), "{m} min");
+        }
     }
 
     #[test]

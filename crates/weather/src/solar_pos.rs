@@ -4,9 +4,18 @@
 //! Duffie & Beckman: solar declination (Cooper), equation of time (Spencer),
 //! hour angle, zenith/elevation/azimuth, and the eccentricity-corrected
 //! extraterrestrial irradiance.
+//!
+//! The geometry of a whole year depends only on the location and the step,
+//! never on a weather seed, so the preparation chain reads it from a
+//! [`SolarGeometry`] table built once per (location, step) and shared
+//! through [`SolarGeometry::shared`].
 
-use mgopt_units::SimTime;
+use std::sync::{Arc, Mutex, PoisonError};
 
+use mgopt_units::time::DAYS_PER_YEAR;
+use mgopt_units::{SimDuration, SimTime, SECONDS_PER_DAY, SECONDS_PER_YEAR};
+
+use crate::clearsky::clearsky_ghi_from_position;
 use crate::location::Location;
 
 /// Solar constant in W/m².
@@ -109,6 +118,186 @@ pub fn extraterrestrial_normal_w_m2(day_of_year: u32) -> f64 {
 pub fn extraterrestrial_horizontal_w_m2(loc: &Location, t: SimTime) -> f64 {
     let pos = sun_position(loc, t);
     extraterrestrial_normal_w_m2(t.calendar().day_of_year) * pos.cos_zenith()
+}
+
+/// One year of solar geometry for a location at a fixed step.
+///
+/// Each row holds, for step `i` at `t = i × step`, exactly the values the
+/// per-step formulas give on [`sun_position`]`(loc, t)`, so reading the
+/// table instead of recomputing is bit-identical. Memory: one 32-byte row
+/// per step plus 365 daily values — about 280 KiB at the hourly step.
+#[derive(Debug)]
+pub struct SolarGeometry {
+    step_s: i64,
+    /// Rows, not columns: one block per resident table. Four separately
+    /// allocated columns held resident measurably slowed warm daemon
+    /// studies that never read them.
+    rows: Box<[SunRow]>,
+    /// [`extraterrestrial_normal_w_m2`] per day of year.
+    ext_normal: Box<[f64]>,
+}
+
+/// The four per-step values of a [`SolarGeometry`].
+#[derive(Debug)]
+struct SunRow {
+    /// `zenith_rad.cos()`, unclamped.
+    zenith_cos: f64,
+    /// `zenith_rad.sin()`.
+    zenith_sin: f64,
+    azimuth_rad: f64,
+    /// [`clearsky_ghi_from_position`].
+    clearsky_ghi: f64,
+}
+
+impl SolarGeometry {
+    /// Compute the table for a whole year at `step`.
+    ///
+    /// # Panics
+    /// Panics unless `step` is positive and at most one year.
+    pub fn new(loc: &Location, step: SimDuration) -> Self {
+        let step_s = step.secs();
+        assert!(
+            (1..=SECONDS_PER_YEAR).contains(&step_s),
+            "solar geometry step must be positive and at most one year"
+        );
+        let rows = (0..SECONDS_PER_YEAR / step_s)
+            .map(|i| {
+                let pos = sun_position(loc, SimTime::from_secs(i * step_s));
+                SunRow {
+                    zenith_cos: pos.zenith_rad.cos(),
+                    zenith_sin: pos.zenith_rad.sin(),
+                    azimuth_rad: pos.azimuth_rad,
+                    clearsky_ghi: clearsky_ghi_from_position(&pos),
+                }
+            })
+            .collect();
+        Self {
+            step_s,
+            rows,
+            ext_normal: (0..DAYS_PER_YEAR as u32)
+                .map(extraterrestrial_normal_w_m2)
+                .collect(),
+        }
+    }
+
+    /// The process-wide table for `(loc, step)`, built on first use.
+    ///
+    /// The memo is keyed by the bits of `latitude_deg`, `longitude_deg` and
+    /// `timezone_h` — the only [`Location`] fields [`sun_position`] reads —
+    /// plus the step, so sites differing only in name or elevation share a
+    /// table. It keeps the four most recently used tables; an evicted
+    /// table lives on in the [`Arc`]s handed out.
+    ///
+    /// # Panics
+    /// As [`SolarGeometry::new`].
+    pub fn shared(loc: &Location, step: SimDuration) -> Arc<Self> {
+        static SHARED: GeometryMemo = GeometryMemo::new();
+        SHARED.get(loc, step)
+    }
+
+    /// Number of steps in the year.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` if the table holds no steps (cannot happen by construction).
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Cosine of the zenith angle at step `i`, unclamped (negative at night).
+    #[inline]
+    pub fn zenith_cos(&self, i: usize) -> f64 {
+        self.rows[i].zenith_cos
+    }
+
+    /// Sine of the zenith angle at step `i`.
+    #[inline]
+    pub fn zenith_sin(&self, i: usize) -> f64 {
+        self.rows[i].zenith_sin
+    }
+
+    /// Azimuth at step `i`, radians clockwise from north.
+    #[inline]
+    pub fn azimuth_rad(&self, i: usize) -> f64 {
+        self.rows[i].azimuth_rad
+    }
+
+    /// [`SunPosition::cos_zenith`] at step `i`: clamped at zero.
+    #[inline]
+    pub fn cos_zenith(&self, i: usize) -> f64 {
+        self.rows[i].zenith_cos.max(0.0)
+    }
+
+    /// Clear-sky GHI at step `i`, W/m² ([`clearsky_ghi_from_position`]).
+    #[inline]
+    pub fn clearsky_ghi(&self, i: usize) -> f64 {
+        self.rows[i].clearsky_ghi
+    }
+
+    /// [`extraterrestrial_normal_w_m2`] on the day of step `i`.
+    #[inline]
+    pub fn extraterrestrial_normal_w_m2(&self, i: usize) -> f64 {
+        self.ext_normal[(i as i64 * self.step_s / SECONDS_PER_DAY) as usize]
+    }
+
+    /// [`extraterrestrial_horizontal_w_m2`] at step `i`.
+    #[inline]
+    pub fn extraterrestrial_horizontal_w_m2(&self, i: usize) -> f64 {
+        self.extraterrestrial_normal_w_m2(i) * self.cos_zenith(i)
+    }
+}
+
+/// How many (location, step) tables [`SolarGeometry::shared`] keeps: the
+/// paper's two sites at two steps.
+const MEMO_CAPACITY: usize = 4;
+
+/// Bits of the location fields [`sun_position`] reads, plus the step.
+type GeometryKey = [u64; 4];
+
+/// A least-recently-used memo of [`SolarGeometry`] tables, most recent
+/// last. A miss builds its table under the lock, so concurrent misses on
+/// one key build it once.
+struct GeometryMemo {
+    entries: Mutex<Vec<(GeometryKey, Arc<SolarGeometry>)>>,
+}
+
+impl GeometryMemo {
+    const fn new() -> Self {
+        Self {
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn get(&self, loc: &Location, step: SimDuration) -> Arc<SolarGeometry> {
+        let key = [
+            loc.latitude_deg.to_bits(),
+            loc.longitude_deg.to_bits(),
+            loc.timezone_h.to_bits(),
+            step.secs() as u64,
+        ];
+        // Entries change only after a table is built, so a poisoned lock
+        // still guards a consistent list.
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let entry = match entries.iter().position(|(k, _)| *k == key) {
+            Some(at) => entries.remove(at),
+            None => {
+                let table = Arc::new(SolarGeometry::new(loc, step));
+                if entries.len() == MEMO_CAPACITY {
+                    entries.remove(0);
+                }
+                (key, table)
+            }
+        };
+        let table = Arc::clone(&entry.1);
+        entries.push(entry);
+        table
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.lock().unwrap().len()
+    }
 }
 
 /// Day length in hours from the sunset hour angle.
@@ -225,6 +414,121 @@ mod tests {
         assert!(jan > jul);
         assert!((jan / jul - 1.0) < 0.08);
         assert!(jan < 1_420.0 && jul > 1_310.0);
+    }
+
+    fn custom_site() -> Location {
+        Location {
+            name: "Tromsø".into(),
+            latitude_deg: 69.6492,
+            longitude_deg: 18.9553,
+            elevation_m: 10.0,
+            timezone_h: 1.0,
+        }
+    }
+
+    #[test]
+    fn geometry_columns_equal_per_step_sun_position_bitwise() {
+        for loc in [Location::berkeley(), Location::houston(), custom_site()] {
+            for minutes in [60, 15, 1_440] {
+                let step = SimDuration::from_minutes(minutes as f64);
+                let geo = SolarGeometry::new(&loc, step);
+                let n = (SECONDS_PER_YEAR / step.secs()) as usize;
+                assert_eq!(geo.len(), n);
+                for i in 0..n {
+                    let t = SimTime::from_secs(i as i64 * step.secs());
+                    let pos = sun_position(&loc, t);
+                    let day = t.calendar().day_of_year;
+                    let bits = [
+                        (geo.zenith_cos(i), pos.zenith_rad.cos()),
+                        (geo.zenith_sin(i), pos.zenith_rad.sin()),
+                        (geo.azimuth_rad(i), pos.azimuth_rad),
+                        (geo.cos_zenith(i), pos.cos_zenith()),
+                        (geo.clearsky_ghi(i), clearsky_ghi_from_position(&pos)),
+                        (
+                            geo.extraterrestrial_normal_w_m2(i),
+                            extraterrestrial_normal_w_m2(day),
+                        ),
+                        (
+                            geo.extraterrestrial_horizontal_w_m2(i),
+                            extraterrestrial_horizontal_w_m2(&loc, t),
+                        ),
+                    ];
+                    for (col, (got, want)) in bits.into_iter().enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} step {minutes} min, row {i}, column {col}",
+                            loc.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_keys_on_the_fields_sun_position_reads() {
+        let memo = GeometryMemo::new();
+        let step = SimDuration::from_hours(1.0);
+        let base = custom_site();
+        let a = memo.get(&base, step);
+        let renamed = Location {
+            name: "elsewhere".into(),
+            elevation_m: 2_000.0,
+            ..base.clone()
+        };
+        assert!(Arc::ptr_eq(&a, &memo.get(&renamed, step)));
+        assert_eq!(memo.len(), 1);
+        let moved = Location {
+            longitude_deg: base.longitude_deg + 1e-9,
+            ..base.clone()
+        };
+        assert!(!Arc::ptr_eq(&a, &memo.get(&moved, step)));
+        assert!(!Arc::ptr_eq(
+            &a,
+            &memo.get(&base, SimDuration::from_minutes(30.0))
+        ));
+        assert_eq!(memo.len(), 3);
+    }
+
+    #[test]
+    fn memo_keeps_at_most_its_bound_and_evicts_least_recently_used() {
+        let memo = GeometryMemo::new();
+        let step = SimDuration::from_days(1);
+        let site = |k: usize| Location {
+            longitude_deg: k as f64,
+            ..custom_site()
+        };
+        let first = memo.get(&site(0), step);
+        for k in 1..3 * MEMO_CAPACITY {
+            let _ = memo.get(&site(k), step);
+            assert!(memo.len() <= MEMO_CAPACITY);
+        }
+        assert_eq!(memo.len(), MEMO_CAPACITY);
+        // Site 0 was evicted long ago; the table handed out lives on.
+        assert!(!Arc::ptr_eq(&first, &memo.get(&site(0), step)));
+        assert_eq!(first.len(), 365);
+        // A touched entry outlives entries used before it.
+        let last = 3 * MEMO_CAPACITY - 1;
+        let hot = memo.get(&site(last - 2), step);
+        let _ = memo.get(&site(100), step);
+        let _ = memo.get(&site(101), step);
+        assert!(Arc::ptr_eq(&hot, &memo.get(&site(last - 2), step)));
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_share_one_table() {
+        let memo = GeometryMemo::new();
+        let loc = custom_site();
+        let step = SimDuration::from_minutes(15.0);
+        let tables: Vec<Arc<SolarGeometry>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| memo.get(&loc, step))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for t in &tables[1..] {
+            assert!(Arc::ptr_eq(&tables[0], t));
+        }
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]

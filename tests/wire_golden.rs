@@ -319,4 +319,37 @@ fn rejected_requests_produce_the_documented_error_codes() {
         let err = parse_request(line).expect_err(&format!("must reject: {line}"));
         assert_eq!(err.code, *want, "wrong code for: {line}");
     }
+
+    // Well-formed inline fleets whose step `prepare()` would panic on:
+    // steps that neither divide an hour nor are whole hours (7, 90 min),
+    // and whole hours longer than a day (1,800 min), which CAISO's daily
+    // coupling cannot split into days. Resolution answers InvalidRequest.
+    for step_minutes in [0, 7, 90, 1_800] {
+        let mut fleet = FleetScenario::paper();
+        for m in &mut fleet.members {
+            m.scenario.step_minutes = step_minutes;
+        }
+        let line = encode_request(&frame(
+            "x",
+            Request::Study(StudyRequest {
+                fleet: FleetSpec::Inline(fleet),
+                space: None,
+                objectives: None,
+                budget: StudyBudget {
+                    population_size: 4,
+                    max_trials: 8,
+                    seed: 1,
+                },
+                peak_cap_kw: None,
+                stream: false,
+            }),
+        ));
+        let Request::Study(study) = parse_request(&line).expect("well-formed frame").req else {
+            panic!("decoded a study request as another variant");
+        };
+        let err = study
+            .resolved_scenario()
+            .expect_err(&format!("step {step_minutes} min must be rejected"));
+        assert_eq!(err.code, InvalidRequest, "step {step_minutes} min");
+    }
 }
