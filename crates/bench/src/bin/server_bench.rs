@@ -433,13 +433,14 @@ fn main() {
     // Multi-connection phase: same 8 studies, one shared daemon, one
     // connection per study (each submitted twice), plus a long streamed
     // victim study cancelled after its first generation.
-    // The loose cap never binds but keeps every victim generation a real
-    // walk, so the cancel lands mid-study: an uncapped victim is answered
-    // from the per-site result tables and can finish first.
+    // The 1 kW cap keeps every victim generation a real walk, so the
+    // cancel lands mid-study: no plan's summed site peaks meet it, so no
+    // plan can be answered from the per-site result tables. An uncapped
+    // or loosely capped victim is answered from them and can finish first.
     let victim = {
         let mut v = study(999, population, max_trials * 10);
         v.stream = true;
-        v.peak_cap_kw = Some(60_000.0);
+        v.peak_cap_kw = Some(1.0);
         v
     };
     let mut multi_ms = f64::INFINITY;

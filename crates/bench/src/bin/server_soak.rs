@@ -220,11 +220,12 @@ fn main() -> ExitCode {
         .map(|k| study(k, population, max_trials, false))
         .collect();
     let expected: Vec<Vec<PlanPoint>> = studies.iter().map(standalone_front).collect();
-    // The loose cap never binds but keeps every victim generation a real
-    // walk, so the cancel lands mid-study: an uncapped victim is answered
-    // from the per-site result tables and can finish first.
+    // The 1 kW cap keeps every victim generation a real walk, so the
+    // cancel lands mid-study: no plan's summed site peaks meet it, so no
+    // plan can be answered from the per-site result tables. An uncapped
+    // or loosely capped victim is answered from them and can finish first.
     let victim = StudyRequest {
-        peak_cap_kw: Some(60_000.0),
+        peak_cap_kw: Some(1.0),
         ..study(999, population, max_trials * 10, true)
     };
 

@@ -17,7 +17,7 @@
 //! so a scenario that cannot be prepared never pins cache capacity.
 //!
 //! An entry carries more than inputs: each [`PreparedScenario`] holds its
-//! member's per-site result table (see its docs), so every uncapped study
+//! member's per-site result table (see its docs), so every fleet study
 //! handed the same entry shares one table, and a (site, composition)
 //! pair walked by one study is a lookup for the next. Eviction drops the
 //! table with the entry.

@@ -17,8 +17,8 @@
 //! searching the cross-product plan space directly, wrap the prepared
 //! fleet in a [`FleetProblem`](crate::problem::FleetProblem): one genome
 //! dimension per member, NSGA-II / random / exhaustive samplers all route
-//! their cohorts through the same fleet engine (uncapped cohorts answered
-//! from each member's per-site result table), and a peak
+//! their cohorts through the same fleet engine (answered from each
+//! member's per-site result table as far as it can), and a peak
 //! concurrent-import cap becomes a first-class constraint
 //! (`examples/fleet_search.rs` walks the whole stack).
 

@@ -9,14 +9,14 @@
 //!
 //! [`FleetProblem`] is the multi-site analogue: the genome assigns one
 //! composition *index* per fleet member, cohorts route through one
-//! [`FleetEvaluator`] pass — answered from the members' per-site result
-//! tables when uncapped — and an optional cap on the fleet's peak
-//! concurrent grid import becomes a first-class constraint handled by
-//! NSGA-II's constraint-dominance.
+//! [`FleetEvaluator`] pass answered from the members' per-site result
+//! tables, and an optional cap on the fleet's peak concurrent grid
+//! import becomes a first-class constraint handled by NSGA-II's
+//! constraint-dominance.
 
 use mgopt_microgrid::{
     simulate_period, simulate_year, BatchBackend, BatchEvaluator, Composition, CompositionSpace,
-    Evaluator, FleetEvaluator, FleetResult,
+    Evaluator, FleetEvaluator,
 };
 use mgopt_optimizer::{Evaluation, Genome, MultiFidelityProblem, Problem};
 
@@ -174,20 +174,20 @@ impl MultiFidelityProblem for CompositionProblem<'_> {
 /// cap-breaking one.
 ///
 /// Cohorts evaluate in **one fleet pass** per generation, and single
-/// genomes as a cohort of one:
+/// genomes as a cohort of one: [`FleetEvaluator::evaluate_tabled`] over
+/// each member's per-site result table (see [`PreparedScenario`]). The
+/// tables are shared with every earlier cohort, of this study or of any
+/// other study on the same prepared members.
 ///
-/// * **Uncapped**, the pass is [`FleetEvaluator::evaluate_tabled`] over
-///   each member's per-site result table (see [`PreparedScenario`]). Only
-///   (site, composition) pairs no earlier cohort — of this study or of
-///   any other study on the same prepared members — has walked are
-///   walked, each once, and every plan is summed from the table. So a
-///   warm daemon answers most cohorts with few or no walks.
-/// * **Capped**, the pass is [`FleetEvaluator::evaluate_plans`] with peak
-///   tracking: the concurrent peak needs every site's per-step imports,
-///   so every plan walks all of its sites, and the tables are never
-///   allocated.
+/// * **Uncapped**, only (site, composition) pairs no earlier cohort has
+///   walked are walked, each once, and every plan is summed from the
+///   tables. So a warm daemon answers most cohorts with few or no walks.
+/// * **Capped**, a plan whose pairs are all in the tables and whose
+///   per-site peak imports sum to at most the cap is answered from them,
+///   feasible. Every other plan walks all of its sites step-aligned, for
+///   its concurrent peak, and fills the tables.
 ///
-/// Both paths give bit-identical objectives.
+/// Objectives and violations equal a plan walk's bit for bit.
 pub struct FleetProblem<'a> {
     fleet: &'a PreparedFleet,
     dims: Vec<usize>,
@@ -289,30 +289,21 @@ impl<'a> FleetProblem<'a> {
             .with_backend(self.backend)
     }
 
-    fn evaluation_of(&self, result: &FleetResult) -> Evaluation {
-        Evaluation {
-            objectives: vec![result.fleet.operational_t_per_day, result.fleet.embodied_t],
-            violations: match self.peak_cap_kw {
-                Some(cap) => vec![result.fleet.peak_cap_violation_kw(cap)],
-                None => Vec::new(),
-            },
-        }
-    }
-
     fn evaluate_plans(&self, genomes: &[Genome]) -> Vec<Evaluation> {
-        let results = if self.peak_cap_kw.is_some() {
-            let plans: Vec<Vec<Composition>> = genomes.iter().map(|g| self.plan(g)).collect();
-            self.evaluator().evaluate_plans(&plans)
-        } else {
-            let tables: Vec<_> = self
-                .fleet
-                .members
-                .iter()
-                .map(|m| (&m.config.space, m.site_table_or_init()))
-                .collect();
-            self.evaluator().evaluate_tabled(genomes, &tables)
-        };
-        results.iter().map(|r| self.evaluation_of(r)).collect()
+        let tables: Vec<_> = self
+            .fleet
+            .members
+            .iter()
+            .map(|m| (&m.config.space, m.site_table_or_init()))
+            .collect();
+        self.evaluator()
+            .evaluate_tabled(genomes, &tables, self.peak_cap_kw)
+            .into_iter()
+            .map(|(r, violation)| Evaluation {
+                objectives: vec![r.fleet.operational_t_per_day, r.fleet.embodied_t],
+                violations: violation.into_iter().collect(),
+            })
+            .collect()
     }
 }
 

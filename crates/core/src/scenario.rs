@@ -140,21 +140,21 @@ impl ScenarioConfig {
 ///
 /// ## Per-site result table
 ///
-/// A member's full-horizon metrics depend only on these inputs and the
-/// composition, so uncapped fleet searches
+/// A member's full-horizon metrics and its own peak grid import depend
+/// only on these inputs and the composition, so fleet searches
 /// ([`FleetProblem`](crate::FleetProblem)) remember them here: a
-/// [`SiteTable`] with one slot per index of `config.space`, each walked
+/// [`SiteTable`] with one slot per index of `config.space`, each filled
 /// at most once. Every study over this scenario shares it — through the
 /// daemon's [`PreparedCache`](crate::PreparedCache) entry, every study on
-/// that member. The table is allocated on the first uncapped
-/// evaluation; capped searches and every other engine never touch it.
+/// that member. The table is allocated on the first fleet-problem
+/// evaluation, capped or not; every other engine never touches it.
 ///
 /// * **Clones start empty.** A clone is a new scenario that may be
 ///   edited, so it never inherits results. Edit a clone, never a
-///   scenario an uncapped search has already evaluated.
-/// * **Memory bound.** 136 bytes per composition: a paper member's
-///   1,089 entries take about 145 KiB, and the largest space a fleet
-///   genome can index (65,536 entries) at most 8.5 MiB.
+///   scenario a fleet search has already evaluated.
+/// * **Memory bound.** 144 bytes per composition: a paper member's
+///   1,089 entries take about 153 KiB, and the largest space a fleet
+///   genome can index (65,536 entries) at most 9 MiB.
 #[derive(Debug)]
 pub struct PreparedScenario {
     /// The originating configuration.
@@ -183,7 +183,7 @@ impl PreparedScenario {
         &self.data.site.name
     }
 
-    /// The per-site result table, once an uncapped fleet evaluation has
+    /// The per-site result table, once a fleet-problem evaluation has
     /// allocated it.
     pub fn site_table(&self) -> Option<&SiteTable> {
         self.table.get()

@@ -250,12 +250,8 @@ pub fn simulate_batch_period_with_backend(
     let nested: Vec<Vec<AnnualResult>> = chunks
         .into_par_iter()
         .map(|chunk| match backend {
-            BatchBackend::Scalar => {
-                run_chunk::<1>(data, load_kw, chunk, cfg, n, demand_kwh, &BATCH_STATS)
-            }
-            BatchBackend::Simd => {
-                run_chunk::<LANES>(data, load_kw, chunk, cfg, n, demand_kwh, &BATCH_STATS)
-            }
+            BatchBackend::Scalar => run_chunk::<1>(data, load_kw, chunk, cfg, n, demand_kwh),
+            BatchBackend::Simd => run_chunk::<LANES>(data, load_kw, chunk, cfg, n, demand_kwh),
         })
         .collect();
     let out: Vec<AnnualResult> = nested.into_iter().flatten().collect();
@@ -286,57 +282,51 @@ pub fn simulate_batch_period_with_backend(
     out
 }
 
-/// The spans and counters an engine's chunk walks report under.
-pub(crate) struct ChunkStats {
-    pub(crate) prepare: Stage,
-    pub(crate) kernel: Stage,
-    pub(crate) chunks: Counter,
-    pub(crate) rows: Counter,
-}
-
-/// The batch engine's chunk telemetry.
-const BATCH_STATS: ChunkStats = ChunkStats {
-    prepare: Stage::BatchPrepare,
-    kernel: Stage::BatchKernel,
-    chunks: Counter::BatchChunks,
-    rows: Counter::BatchRows,
-};
-
 /// Evaluate one chunk of candidates at one site over `0..n`, `L` per
-/// lane group, timed and counted under `stats`.
-pub(crate) fn run_chunk<const L: usize>(
+/// lane group.
+fn run_chunk<const L: usize>(
     data: &SiteData,
     load_kw: &TimeSeries,
     comps: &[Composition],
     cfg: &SimConfig,
     n: usize,
     demand_kwh: f64,
-    stats: &ChunkStats,
 ) -> Vec<AnnualResult> {
-    let prepare_span = telemetry::span(stats.prepare);
+    let prepare_span = telemetry::span(Stage::BatchPrepare);
     let mut walk = Walk::<L>::new(data, load_kw, comps, cfg);
     drop(prepare_span);
 
-    let kernel_span = telemetry::span(stats.kernel);
+    let kernel_span = telemetry::span(Stage::BatchKernel);
     walk.advance(0..n, Imports::Drop);
     drop(kernel_span);
 
-    telemetry::add(stats.chunks, 1);
-    telemetry::add(stats.rows, (comps.len() * n) as u64);
+    telemetry::add(Counter::BatchChunks, 1);
+    telemetry::add(Counter::BatchRows, (comps.len() * n) as u64);
     walk.finish(demand_kwh)
 }
 
 /// What [`Walk::advance`] does with each step's per-lane grid import.
 ///
-/// The buffers hold one row of [`Walk::slots`] values per step of the
-/// advanced range: the fleet engine's step-aligned concurrent imports.
+/// A `peaks` slice holds one running maximum per [`Walk::slots`] slot,
+/// folded with `f64::max`: a slot's own peak import. A `buf` holds one
+/// row of slots per step of the advanced range: the fleet engine's
+/// step-aligned concurrent imports.
 pub(crate) enum Imports<'b> {
     /// Discard them (the batch engine; a fleet without peak tracking).
     Drop,
-    /// Overwrite the buffer (a fleet's first site: no reset pass).
-    Set(&'b mut [f64]),
-    /// Add into the buffer (every later site).
-    Add(&'b mut [f64]),
+    /// Fold each slot's peak (one site walked on its own).
+    Peak(&'b mut [f64]),
+    /// Overwrite the buffer (a fleet's first site: no reset pass) and
+    /// fold each slot's peak.
+    Set {
+        buf: &'b mut [f64],
+        peaks: &'b mut [f64],
+    },
+    /// Add into the buffer (every later site) and fold each slot's peak.
+    Add {
+        buf: &'b mut [f64],
+        peaks: &'b mut [f64],
+    },
 }
 
 /// The chunk walk both engines run: one site's chunk of candidates,
@@ -418,16 +408,26 @@ impl<'a, const L: usize> Walk<'a, L> {
     /// `imports`.
     pub(crate) fn advance(&mut self, steps: Range<usize>, imports: Imports<'_>) {
         let slots = self.slots();
+        // Imports are `+0.0` or positive, never NaN, so the max is exact
+        // and independent of fold order.
+        let fold = |peaks: &mut [f64], g: usize, import: Lanes<L>| {
+            for (p, v) in peaks[g * L..][..L].iter_mut().zip(import.0) {
+                *p = p.max(v);
+            }
+        };
         match imports {
             Imports::Drop => self.walk(steps, |_, _, _| {}),
-            Imports::Set(buf) => self.walk(steps, |row, g, import| {
+            Imports::Peak(peaks) => self.walk(steps, |_, g, import| fold(peaks, g, import)),
+            Imports::Set { buf, peaks } => self.walk(steps, |row, g, import| {
                 buf[row * slots + g * L..][..L].copy_from_slice(&import.0);
+                fold(peaks, g, import);
             }),
-            Imports::Add(buf) => self.walk(steps, |row, g, import| {
+            Imports::Add { buf, peaks } => self.walk(steps, |row, g, import| {
                 let dst = &mut buf[row * slots + g * L..][..L];
                 for (d, v) in dst.iter_mut().zip(import.0) {
                     *d += v;
                 }
+                fold(peaks, g, import);
             }),
         }
     }

@@ -23,11 +23,15 @@
 //!
 //! Every other fleet metric is an in-order sum of per-site annual
 //! metrics ([`FleetMetrics::from_sites`]), and a site's metrics depend
-//! only on its prepared inputs and its composition. So a cohort that
-//! needs no concurrent peak can be answered per site:
-//! [`FleetEvaluator::evaluate_tabled`] keeps one [`SiteTable`] per member,
-//! indexed by composition index, and walks only the (site, composition)
-//! pairs the table has not seen.
+//! only on its prepared inputs and its composition. So cohorts can be
+//! answered per site: [`FleetEvaluator::evaluate_tabled`] keeps one
+//! [`SiteTable`] per member, indexed by composition index. Each slot also
+//! holds the site's own peak import, and under a concurrent-import cap
+//! those peaks settle most plans without a walk: summed in site order,
+//! they bound every step's concurrent sum, so a plan whose summed peaks
+//! meet the cap meets it exactly. Uncapped cohorts walk only the (site,
+//! composition) pairs the table has not seen; capped cohorts walk only
+//! the plans the table cannot settle, and that plan walk fills the table.
 //!
 //! ## Agreement guarantee
 //!
@@ -35,10 +39,11 @@
 //! engine on each site independently: every site runs the batch walk on
 //! its own candidates, block boundaries only pause it, and a candidate's
 //! lane never reads another lane. Table-backed results are therefore the
-//! plan walk's results, bit for bit. `tests/fleet_agreement.rs` and
-//! `tests/site_table.rs` pin this exactly, and `tests/fleet_agreement.rs`
-//! pins fleet totals to the cosim [`Environment`](mgopt_cosim) oracle at
-//! ≤1e-9 relative.
+//! plan walk's results, bit for bit, and a plan the table settles under a
+//! cap has the violation the plan walk would report, `0.0`.
+//! `tests/fleet_agreement.rs` and `tests/site_table.rs` pin this exactly,
+//! and `tests/fleet_agreement.rs` pins fleet totals to the cosim
+//! [`Environment`](mgopt_cosim) oracle at ≤1e-9 relative.
 
 use std::sync::OnceLock;
 
@@ -46,7 +51,7 @@ use mgopt_telemetry::{self as telemetry, Counter, Stage};
 use mgopt_units::TimeSeries;
 use rayon::prelude::*;
 
-use crate::batch::{run_chunk, ChunkStats, Imports, Walk, CHUNK};
+use crate::batch::{Imports, Walk, CHUNK};
 use crate::composition::{Composition, CompositionSpace};
 use crate::metrics::{AnnualMetrics, AnnualResult};
 use crate::simd::{BatchBackend, LANES};
@@ -59,14 +64,6 @@ use crate::site::SiteData;
 /// switch, small enough that the buffer (`BLOCK × CHUNK × 8` bytes
 /// ≈ 64 KiB) stays cache-resident.
 const BLOCK: usize = 128;
-
-/// The fleet engine's chunk telemetry (per-site walks of the table path).
-const FLEET_STATS: ChunkStats = ChunkStats {
-    prepare: Stage::FleetPrepare,
-    kernel: Stage::FleetKernel,
-    chunks: Counter::FleetChunks,
-    rows: Counter::FleetRows,
-};
 
 /// One member site of a fleet: prepared inputs plus its simulation config.
 #[derive(Debug, Clone, Copy)]
@@ -84,19 +81,30 @@ pub struct FleetSite<'a> {
 /// One member's full-horizon results, one slot per index of its
 /// [`CompositionSpace`], each filled at most once.
 ///
-/// A slot holds the [`AnnualMetrics`] the chunk walk reports for that
+/// A slot holds the [`SiteEntry`] the chunk walk reports for that
 /// composition at that member's prepared inputs, so the table is only
 /// valid next to those inputs: it never outlives or leaves them. Slots
 /// are [`OnceLock`]s, so concurrent studies share one table without a
-/// lock; two that race for a slot computed bit-identical metrics, and
+/// lock; two that race for a slot computed bit-identical entries, and
 /// the loser's copy is dropped. There is no map, so lookups cannot
 /// depend on iteration order.
 ///
-/// Memory: 136 bytes per slot (an [`AnnualMetrics`] plus the lock
-/// state), allocated whole on construction.
+/// Memory: 144 bytes per slot (a [`SiteEntry`] plus the lock state),
+/// allocated whole on construction.
 #[derive(Debug)]
 pub struct SiteTable {
-    slots: Box<[OnceLock<AnnualMetrics>]>,
+    slots: Box<[OnceLock<SiteEntry>]>,
+}
+
+/// One walked (site, composition) pair of a [`SiteTable`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SiteEntry {
+    /// The composition's full-horizon metrics at the site.
+    pub metrics: AnnualMetrics,
+    /// The site's own peak grid import under that composition, kW: the
+    /// largest step import, at least `0.0`. It is what a one-site plan
+    /// walk reports as its concurrent peak, bit for bit.
+    pub peak_import_kw: f64,
 }
 
 impl SiteTable {
@@ -117,12 +125,18 @@ impl SiteTable {
         self.slots.is_empty()
     }
 
-    /// The stored metrics of composition `index`, if it has been walked.
+    /// The stored entry of composition `index`, if it has been walked.
     ///
     /// # Panics
     /// Panics when `index` is outside the space.
-    pub fn get(&self, index: usize) -> Option<&AnnualMetrics> {
+    pub fn get(&self, index: usize) -> Option<&SiteEntry> {
         self.slots[index].get()
+    }
+
+    /// Store the entry of composition `index`. A racing study may have
+    /// filled the slot first, with a bit-identical entry: keep either.
+    fn fill(&self, index: usize, entry: SiteEntry) {
+        let _ = self.slots[index].set(entry);
     }
 }
 
@@ -138,7 +152,8 @@ pub struct FleetMetrics {
     /// Peak *concurrent* grid import across the fleet, kW: the maximum
     /// over time of the per-step sum of site imports, folded from the
     /// walks' step-aligned block buffer. `None` when tracking was
-    /// disabled via [`FleetEvaluator::with_peak_tracking`].
+    /// disabled via [`FleetEvaluator::with_peak_tracking`], and for a plan
+    /// [`FleetEvaluator::evaluate_tabled`] answered from its tables.
     pub peak_concurrent_import_kw: Option<f64>,
     /// Grid import per site, MWh (site order of the evaluator).
     pub site_import_mwh: Vec<f64>,
@@ -345,10 +360,7 @@ impl<'a> FleetEvaluator<'a> {
         let chunks: Vec<&[Vec<Composition>]> = plans.chunks(CHUNK).collect();
         let nested: Vec<Vec<FleetResult>> = chunks
             .into_par_iter()
-            .map(|chunk| match self.backend {
-                BatchBackend::Scalar => self.run_chunk::<1>(chunk, n, &demand_kwh),
-                BatchBackend::Simd => self.run_chunk::<LANES>(chunk, n, &demand_kwh),
-            })
+            .map(|chunk| self.walk_plans(chunk, n, &demand_kwh, self.track_peak).0)
             .collect();
         let out: Vec<FleetResult> = nested.into_iter().flatten().collect();
 
@@ -357,36 +369,49 @@ impl<'a> FleetEvaluator<'a> {
         out
     }
 
-    /// Evaluate an uncapped cohort over the full horizon through per-site
-    /// result tables, in input order.
+    /// Evaluate a cohort over the full horizon through per-site result
+    /// tables, in input order, optionally under a cap on the peak
+    /// concurrent grid import.
     ///
     /// Each plan is given as one composition index per site (a fleet
     /// genome); `tables` pairs each site, in site order, with its
-    /// [`CompositionSpace`] and [`SiteTable`]. Per site, only the indices
-    /// the table lacks are walked — once each, in first-seen order, in
-    /// chunks of one site's compositions — and all (site, chunk) walks
-    /// run as one parallel pass. Their metrics fill the table, and every
-    /// plan is then answered from it through [`FleetMetrics::from_sites`].
-    /// Results equal [`evaluate_plans`](Self::evaluate_plans) bit for bit,
-    /// except that they carry no SoC traces.
+    /// [`CompositionSpace`] and [`SiteTable`]. Each answer pairs the plan's
+    /// result with its cap violation, kW (`None` without a cap).
+    ///
+    /// * **Uncapped**, only the indices a site's table lacks are walked —
+    ///   once each, in first-seen order, in chunks of one site's
+    ///   compositions, all (site, chunk) walks as one parallel pass — and
+    ///   every plan is answered from the tables through
+    ///   [`FleetMetrics::from_sites`].
+    /// * **Capped**, a plan whose pairs are all in the tables and whose
+    ///   site peaks, summed in site order, are at most the cap is answered
+    ///   from the tables with violation `0.0`. IEEE round-to-nearest
+    ///   addition is monotone, so that sum bounds every step's concurrent
+    ///   sum from above, and so the concurrent peak too. Every other plan
+    ///   takes the plan walk with peak tracking, and the walk fills the
+    ///   tables with every pair it walks.
+    ///
+    /// Objectives and violations equal those of
+    /// [`evaluate_plans`](Self::evaluate_plans) with peak tracking and
+    /// [`FleetMetrics::peak_cap_violation_kw`], bit for bit. A plan
+    /// answered from the tables carries no SoC traces and no concurrent
+    /// peak. The cap, not [`with_peak_tracking`](Self::with_peak_tracking),
+    /// decides whether plans are walked with peak tracking. One
+    /// `fleet_eval` event reports the cohort.
     ///
     /// The caller must pair each site with the table of *that* site's
     /// prepared inputs and config: the table cannot tell.
     ///
     /// # Panics
-    /// Panics when peak tracking is on (a table holds no per-step
-    /// imports), when `tables` does not match the sites, when a table's
-    /// size differs from its space's, when a plan's length differs from
-    /// the number of sites, or when an index lies outside its space.
+    /// Panics when `tables` does not match the sites, when a table's size
+    /// differs from its space's, when a plan's length differs from the
+    /// number of sites, or when an index lies outside its space.
     pub fn evaluate_tabled(
         &self,
         plans: &[Vec<u16>],
         tables: &[(&CompositionSpace, &SiteTable)],
-    ) -> Vec<FleetResult> {
-        assert!(
-            !self.track_peak,
-            "a per-site table cannot report a concurrent peak: disable peak tracking"
-        );
+        peak_cap_kw: Option<f64>,
+    ) -> Vec<(FleetResult, Option<f64>)> {
         assert_eq!(
             tables.len(),
             self.sites.len(),
@@ -411,8 +436,50 @@ impl<'a> FleetEvaluator<'a> {
         let demand_kwh = self.demand_kwh(n);
         let trace = PassTrace::start();
 
-        // Per site: the indices this cohort needs and the table lacks,
-        // each once, in first-seen order.
+        // The positions of the plans to walk, and the (site, index) pairs
+        // and chunks walked.
+        let (to_walk, walked, chunks) = match peak_cap_kw {
+            None => {
+                let (walked, chunks) = self.fill_unseen(plans, tables, n, &demand_kwh);
+                (Vec::new(), walked, chunks)
+            }
+            Some(cap) => {
+                let to_walk: Vec<usize> = (0..plans.len())
+                    .filter(|&p| !Self::settled(&plans[p], tables, cap))
+                    .collect();
+                let walked = to_walk.len() * self.sites.len();
+                let chunks = to_walk.len().div_ceil(CHUNK);
+                (to_walk, walked, chunks)
+            }
+        };
+        let walks = self.walk_and_fill(plans, &to_walk, tables, n, &demand_kwh);
+        let mut walks = to_walk.into_iter().zip(walks).peekable();
+        let out = plans
+            .iter()
+            .enumerate()
+            .map(|(p, plan)| match walks.next_if(|(q, _)| *q == p) {
+                Some((_, r)) => {
+                    let violation = peak_cap_kw.map(|cap| r.fleet.peak_cap_violation_kw(cap));
+                    (r, violation)
+                }
+                None => (Self::from_tables(plan, tables), peak_cap_kw.map(|_| 0.0)),
+            })
+            .collect();
+
+        self.emit_fleet_eval(trace, plans.len(), n, chunks, walked);
+        out
+    }
+
+    /// Walk, per site, the indices the cohort needs and the table lacks —
+    /// each once, in first-seen order — and fill the tables. Returns the
+    /// pairs and chunks walked.
+    fn fill_unseen(
+        &self,
+        plans: &[Vec<u16>],
+        tables: &[(&CompositionSpace, &SiteTable)],
+        n: usize,
+        demand_kwh: &[f64],
+    ) -> (usize, usize) {
         let unseen: Vec<Vec<usize>> = tables
             .iter()
             .enumerate()
@@ -436,52 +503,93 @@ impl<'a> FleetEvaluator<'a> {
             .collect();
         let chunks = walks.len();
         walks.into_par_iter().for_each(|(s, idx)| {
-            let (site, (space, table)) = (&self.sites[s], tables[s]);
+            let (space, table) = tables[s];
             let comps: Vec<Composition> = idx.iter().map(|&i| space.at(i)).collect();
-            let (data, load, cfg, demand) = (site.data, site.load, site.cfg, demand_kwh[s]);
-            let results = match self.backend {
-                BatchBackend::Scalar => {
-                    run_chunk::<1>(data, load, &comps, cfg, n, demand, &FLEET_STATS)
-                }
-                BatchBackend::Simd => {
-                    run_chunk::<LANES>(data, load, &comps, cfg, n, demand, &FLEET_STATS)
-                }
+            let entries = match self.backend {
+                BatchBackend::Scalar => self.walk_site::<1>(s, &comps, n, demand_kwh[s]),
+                BatchBackend::Simd => self.walk_site::<LANES>(s, &comps, n, demand_kwh[s]),
             };
-            for (&i, result) in idx.iter().zip(results) {
-                // A racing study may have filled the slot first, with
-                // bit-identical metrics: keep either.
-                let _ = table.slots[i].set(result.metrics);
+            for (&i, entry) in idx.iter().zip(entries) {
+                table.fill(i, entry);
             }
         });
+        (unseen.iter().map(Vec::len).sum(), chunks)
+    }
 
-        let out = plans
-            .iter()
-            .map(|plan| {
-                let per_site: Vec<AnnualResult> = plan
+    /// `true` when the tables settle `plan` under `cap`: every pair is in
+    /// them, and the site peaks, summed in site order, are at most `cap`.
+    fn settled(plan: &[u16], tables: &[(&CompositionSpace, &SiteTable)], cap: f64) -> bool {
+        plan.iter()
+            .zip(tables)
+            .map(|(&g, (_, table))| table.get(usize::from(g)).map(|e| e.peak_import_kw))
+            .sum::<Option<f64>>()
+            .is_some_and(|bound| bound <= cap)
+    }
+
+    /// The plans at `positions` through the plan walk with peak tracking,
+    /// in that order, filling the tables with every pair walked.
+    fn walk_and_fill(
+        &self,
+        plans: &[Vec<u16>],
+        positions: &[usize],
+        tables: &[(&CompositionSpace, &SiteTable)],
+        n: usize,
+        demand_kwh: &[f64],
+    ) -> Vec<FleetResult> {
+        let chunks: Vec<&[usize]> = positions.chunks(CHUNK).collect();
+        let nested: Vec<Vec<FleetResult>> = chunks
+            .into_par_iter()
+            .map(|chunk| {
+                let comps: Vec<Vec<Composition>> = chunk
                     .iter()
-                    .zip(tables)
-                    .map(|(&g, (space, table))| {
-                        let i = usize::from(g);
-                        AnnualResult {
-                            composition: space.at(i),
-                            metrics: table
-                                .get(i)
-                                .expect("every slot a plan needs was filled above")
-                                .clone(),
-                            soc_trace_hourly: Vec::new(),
-                        }
+                    .map(|&p| {
+                        plans[p]
+                            .iter()
+                            .zip(tables)
+                            .map(|(&g, (space, _))| space.at(usize::from(g)))
+                            .collect()
                     })
                     .collect();
-                FleetResult {
-                    fleet: FleetMetrics::from_sites(&per_site, None),
-                    per_site,
+                let (results, site_peaks) = self.walk_plans(&comps, n, demand_kwh, true);
+                for (k, (&p, result)) in chunk.iter().zip(&results).enumerate() {
+                    for (s, site) in result.per_site.iter().enumerate() {
+                        tables[s].1.fill(
+                            usize::from(plans[p][s]),
+                            SiteEntry {
+                                metrics: site.metrics.clone(),
+                                peak_import_kw: site_peaks[s][k],
+                            },
+                        );
+                    }
+                }
+                results
+            })
+            .collect();
+        nested.into_iter().flatten().collect()
+    }
+
+    /// A plan's answer from the tables, which hold every pair it needs.
+    fn from_tables(plan: &[u16], tables: &[(&CompositionSpace, &SiteTable)]) -> FleetResult {
+        let per_site: Vec<AnnualResult> = plan
+            .iter()
+            .zip(tables)
+            .map(|(&g, (space, table))| {
+                let i = usize::from(g);
+                AnnualResult {
+                    composition: space.at(i),
+                    metrics: table
+                        .get(i)
+                        .expect("every slot a table answer needs is filled")
+                        .metrics
+                        .clone(),
+                    soc_trace_hourly: Vec::new(),
                 }
             })
             .collect();
-
-        let walked = unseen.iter().map(Vec::len).sum();
-        self.emit_fleet_eval(trace, plans.len(), n, chunks, walked);
-        out
+        FleetResult {
+            fleet: FleetMetrics::from_sites(&per_site, None),
+            per_site,
+        }
     }
 
     /// # Panics
@@ -553,14 +661,64 @@ impl<'a> FleetEvaluator<'a> {
             .emit();
     }
 
+    /// Walk site `s` alone over `0..n` for a chunk of its compositions:
+    /// one [`SiteEntry`] per composition, in chunk order.
+    fn walk_site<const L: usize>(
+        &self,
+        s: usize,
+        comps: &[Composition],
+        n: usize,
+        demand_kwh: f64,
+    ) -> Vec<SiteEntry> {
+        let site = &self.sites[s];
+        let prepare_span = telemetry::span(Stage::FleetPrepare);
+        let mut walk = Walk::<L>::new(site.data, site.load, comps, site.cfg);
+        let mut peaks = vec![0.0f64; walk.slots()];
+        drop(prepare_span);
+
+        let kernel_span = telemetry::span(Stage::FleetKernel);
+        walk.advance(0..n, Imports::Peak(&mut peaks));
+        drop(kernel_span);
+        telemetry::add(Counter::FleetChunks, 1);
+        telemetry::add(Counter::FleetRows, (comps.len() * n) as u64);
+
+        walk.finish(demand_kwh)
+            .into_iter()
+            .zip(peaks)
+            .map(|(r, peak_import_kw)| SiteEntry {
+                metrics: r.metrics,
+                peak_import_kw,
+            })
+            .collect()
+    }
+
+    /// One chunk of plans through the plan walk at the evaluator's lane
+    /// width (see [`run_chunk`](Self::run_chunk)).
+    fn walk_plans(
+        &self,
+        plans: &[Vec<Composition>],
+        n: usize,
+        demand_kwh: &[f64],
+        track_peak: bool,
+    ) -> (Vec<FleetResult>, Vec<Vec<f64>>) {
+        match self.backend {
+            BatchBackend::Scalar => self.run_chunk::<1>(plans, n, demand_kwh, track_peak),
+            BatchBackend::Simd => self.run_chunk::<LANES>(plans, n, demand_kwh, track_peak),
+        }
+    }
+
     /// Evaluate one chunk of plans over `0..n`: one [`Walk`] per site,
-    /// advanced site by site in `BLOCK`-step blocks.
+    /// advanced site by site in `BLOCK`-step blocks. With `track_peak`,
+    /// it folds each plan's concurrent peak and, next to it, each site's
+    /// own peak import per plan: the second value, indexed `[site][plan]`
+    /// (empty without tracking).
     fn run_chunk<const L: usize>(
         &self,
         plans: &[Vec<Composition>],
         n: usize,
         demand_kwh: &[f64],
-    ) -> Vec<FleetResult> {
+        track_peak: bool,
+    ) -> (Vec<FleetResult>, Vec<Vec<f64>>) {
         let ns = self.sites.len();
         let m = plans.len();
 
@@ -578,19 +736,21 @@ impl<'a> FleetEvaluator<'a> {
         // count: the block buffer holds one row of slots per step.
         let slots = walks[0].slots();
         let block = BLOCK.min(n);
-        let track_peak = self.track_peak;
-        let mut import_buf = vec![0.0f64; if track_peak { block * slots } else { 0 }];
+        let tracked = if track_peak { slots } else { 0 };
+        let mut import_buf = vec![0.0f64; block * tracked];
         let mut peaks = vec![0.0f64; slots];
+        let mut site_peaks = vec![vec![0.0f64; tracked]; ns];
         drop(prepare_span);
 
         let kernel_span = telemetry::span(Stage::FleetKernel);
         for i0 in (0..n).step_by(block) {
             let i1 = (i0 + block).min(n);
-            for (s, walk) in walks.iter_mut().enumerate() {
+            for (s, (walk, site_peaks)) in walks.iter_mut().zip(&mut site_peaks).enumerate() {
+                let (buf, peaks) = (&mut import_buf[..], &mut site_peaks[..]);
                 let imports = match (track_peak, s) {
                     (false, _) => Imports::Drop,
-                    (true, 0) => Imports::Set(&mut import_buf),
-                    (true, _) => Imports::Add(&mut import_buf),
+                    (true, 0) => Imports::Set { buf, peaks },
+                    (true, _) => Imports::Add { buf, peaks },
                 };
                 walk.advance(i0..i1, imports);
             }
@@ -614,7 +774,7 @@ impl<'a> FleetEvaluator<'a> {
             .zip(demand_kwh)
             .map(|(walk, &demand)| walk.finish(demand).into_iter())
             .collect();
-        (0..m)
+        let results = (0..m)
             .map(|p| {
                 let per_site: Vec<AnnualResult> = site_results
                     .iter_mut()
@@ -623,7 +783,8 @@ impl<'a> FleetEvaluator<'a> {
                 let fleet = FleetMetrics::from_sites(&per_site, track_peak.then(|| peaks[p]));
                 FleetResult { per_site, fleet }
             })
-            .collect()
+            .collect();
+        (results, site_peaks)
     }
 }
 
@@ -904,6 +1065,80 @@ mod tests {
             tracked.fleet.site_import_mwh,
             untracked.fleet.site_import_mwh
         );
+    }
+
+    #[test]
+    fn slot_peaks_equal_one_site_plan_walk_peaks_whichever_walk_filled_them() {
+        let (h, b, lh, lb) = two_sites();
+        // Grid charging makes imports depend on the battery, not only on
+        // the load and the renewables.
+        let cfg_h = SimConfig {
+            policy: crate::policy::DispatchPolicy::CarbonAwareGridCharge {
+                ci_threshold_g_per_kwh: 300.0,
+                target_soc: 0.9,
+            },
+            ..SimConfig::default()
+        };
+        let cfg_b = SimConfig::default();
+        let sites = vec![
+            FleetSite {
+                name: "houston",
+                data: &h,
+                load: &lh,
+                cfg: &cfg_h,
+            },
+            FleetSite {
+                name: "berkeley",
+                data: &b,
+                load: &lb,
+                cfg: &cfg_b,
+            },
+        ];
+        let space = CompositionSpace::tiny();
+        // 7 plans: one full lane group plus a padded one; the first
+        // site's compositions repeat.
+        let plans: Vec<Vec<u16>> = (0..7u16)
+            .map(|k| vec![(k % 4) * 7, (k * 11 + 3) % 27])
+            .collect();
+        for backend in [BatchBackend::Scalar, BatchBackend::Simd] {
+            let fleet = FleetEvaluator::new(sites.clone()).with_backend(backend);
+            // The per-site walk fills one pair of tables, the plan walk
+            // (fresh tables under a cap) the other.
+            let by_site = [SiteTable::new(27), SiteTable::new(27)];
+            let by_plan = [SiteTable::new(27), SiteTable::new(27)];
+            fleet.evaluate_tabled(
+                &plans,
+                &[(&space, &by_site[0]), (&space, &by_site[1])],
+                None,
+            );
+            let walked = fleet.evaluate_tabled(
+                &plans,
+                &[(&space, &by_plan[0]), (&space, &by_plan[1])],
+                Some(1.0),
+            );
+            assert!(walked
+                .iter()
+                .all(|(r, _)| r.fleet.peak_concurrent_import_kw.is_some()));
+
+            for (s, site) in sites.iter().enumerate() {
+                let alone = FleetEvaluator::new(vec![*site]).with_backend(backend);
+                for plan in &plans {
+                    let i = usize::from(plan[s]);
+                    let want = alone.evaluate(&[space.at(i)]);
+                    let peak = want.fleet.peak_concurrent_import_kw.expect("tracked");
+                    for table in [&by_site[s], &by_plan[s]] {
+                        let entry = table.get(i).expect("filled");
+                        assert_eq!(
+                            entry.peak_import_kw.to_bits(),
+                            peak.to_bits(),
+                            "{backend:?} {} index {i}",
+                            site.name
+                        );
+                        assert_eq!(entry.metrics, want.per_site[0].metrics);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::pareto::{constrained_non_dominated_sort, crowding_distance, hypervolume_2d};
+use crate::pareto::{
+    constrained_non_dominated_sort, crowding_distance, crowding_order, hypervolume_2d,
+};
 use crate::problem::{Evaluation, Genome, Problem, Trial};
 use crate::study::OptimizationResult;
 
@@ -485,7 +487,7 @@ fn select_next_population(
         } else {
             let d = crowding_distance(obj, front);
             let mut order: Vec<usize> = (0..front.len()).collect();
-            order.sort_by(|&a, &b| d[b].partial_cmp(&d[a]).expect("NaN crowding"));
+            order.sort_by(|&a, &b| crowding_order(d[a], d[b]));
             for &k in order.iter().take(target - next.len()) {
                 next.push(combined[front[k]].clone());
             }
@@ -554,6 +556,18 @@ mod tests {
             let penalty = (g[1] as f64 + g[2] as f64) * 0.05;
             vec![x + penalty, 1.0 - x + penalty]
         })
+    }
+
+    #[test]
+    fn truncating_a_front_with_an_infinite_objective_does_not_panic() {
+        // The infinite objective spans the front infinitely, so the
+        // interior member's crowding distance is `inf / inf`: NaN.
+        let obj = vec![vec![0.0, 3.0], vec![1.0, 2.0], vec![f64::INFINITY, 1.0]];
+        assert!(crowding_distance(&obj, &[0, 1, 2])[1].is_nan());
+        let combined: Vec<Genome> = (0..3u16).map(|k| vec![k]).collect();
+        let next = select_next_population(&combined, &obj, &[vec![0, 1, 2]], 2);
+        // The NaN distance ranks after both boundary members.
+        assert_eq!(next, vec![vec![0], vec![2]]);
     }
 
     #[test]

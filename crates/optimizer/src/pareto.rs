@@ -2,6 +2,8 @@
 //! constraint-aware), crowding distance, quality indicators (hypervolume,
 //! IGD), and recovery metrics.
 
+use std::cmp::Ordering;
+
 use crate::problem::Trial;
 
 /// `true` when `a` Pareto-dominates `b` (minimization): no worse in every
@@ -100,7 +102,9 @@ fn sort_by_dominance(n: usize, dom: impl Fn(usize, usize) -> bool) -> Vec<Vec<us
 /// NSGA-II crowding distance for the members of one front.
 ///
 /// Returns one distance per front member (same order as `front`); boundary
-/// points get `f64::INFINITY`.
+/// points get `f64::INFINITY`. An objective whose span over the front is
+/// infinite gives the interior members `inf / inf`, a NaN distance, which
+/// selection ranks after every number.
 pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
     let m = front.len();
     if m == 0 {
@@ -137,6 +141,21 @@ pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
         }
     }
     distance
+}
+
+/// The order that ranks crowding distances, most isolated first:
+/// descending by [`f64::total_cmp`], with a NaN distance after every
+/// number, whatever its sign bit.
+///
+/// A NaN distance comes from an infinite objective span and says nothing
+/// about isolation, so it never outranks a number. Distances that are
+/// numbers are sums of non-negative terms starting at `+0.0`, never
+/// `-0.0`, so among them this is the plain `>` order.
+pub(crate) fn crowding_order(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => b.total_cmp(&a),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
 }
 
 /// Exact hypervolume of a 2-objective front w.r.t. a reference point
@@ -251,6 +270,14 @@ pub fn non_dominated_trials(trials: &[Trial]) -> Vec<Trial> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crowding_order_ranks_nan_after_every_number_whatever_its_sign() {
+        let mut d = [1.0, -f64::NAN, f64::INFINITY, f64::NAN, 0.0, 2.5];
+        d.sort_by(|a, b| crowding_order(*a, *b));
+        assert_eq!(d[..4], [f64::INFINITY, 2.5, 1.0, 0.0]);
+        assert!(d[4..].iter().all(|x| x.is_nan()));
+    }
 
     #[test]
     fn dominance_basics() {

@@ -18,7 +18,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::nsga2::sample_unique_genomes;
-use crate::pareto::{crowding_distance, fast_non_dominated_sort};
+use crate::pareto::{crowding_distance, crowding_order, fast_non_dominated_sort};
 use crate::problem::{Genome, Problem, Trial};
 use crate::study::OptimizationResult;
 
@@ -102,7 +102,7 @@ fn rank_cohort(objectives: &[Vec<f64>]) -> Vec<usize> {
     for front in &fronts {
         let d = crowding_distance(objectives, front);
         let mut members: Vec<(usize, f64)> = front.iter().copied().zip(d).collect();
-        members.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN crowding"));
+        members.sort_by(|a, b| crowding_order(a.1, b.1));
         order.extend(members.into_iter().map(|(i, _)| i));
     }
     order
@@ -248,6 +248,14 @@ mod tests {
                 vec![x + penalty, 1.0 - x + penalty]
             }),
         }
+    }
+
+    #[test]
+    fn ranking_a_front_with_an_infinite_objective_does_not_panic() {
+        // One front whose interior member has a NaN crowding distance:
+        // both boundary members rank before it.
+        let obj = vec![vec![0.0, 3.0], vec![1.0, 2.0], vec![f64::INFINITY, 1.0]];
+        assert_eq!(rank_cohort(&obj), vec![0, 2, 1]);
     }
 
     #[test]

@@ -387,9 +387,11 @@ pub enum Counter {
     /// Chunks walked by the fleet engine.
     FleetChunks,
     /// Candidate-rows the fleet engine walked (site compositions ×
-    /// steps). A plan walk steps every plan's sites; the table path steps
-    /// only the site compositions its tables lacked, so this can be far
-    /// below the rows the cohorts requested (`fleet_eval`'s `rows`).
+    /// steps). A plan walk steps every plan's sites. The table path
+    /// steps, uncapped, only the site compositions its tables lacked and,
+    /// capped, only the plans its tables could not settle, so this can
+    /// be far below the rows the cohorts requested (`fleet_eval`'s
+    /// `rows`).
     FleetRows,
     /// NSGA-II memo-cache hits (sampled genomes answered from the cache).
     CacheHits,

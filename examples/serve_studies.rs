@@ -76,10 +76,11 @@ fn main() {
     let requests = vec![
         // A deliberately oversized streamed budget: this study is going
         // to be cancelled after its first generation, demonstrating the
-        // cooperative-cancellation lifecycle. Its cap never binds, but a
-        // capped study walks every plan each generation, so it is still
-        // running when the cancel arrives; an uncapped one is answered
-        // from the per-site result tables and could finish first.
+        // cooperative-cancellation lifecycle. No plan's summed site peaks
+        // meet its 1 kW cap, so no plan can be answered from the per-site
+        // result tables: it walks every plan each generation and is still
+        // running when the cancel arrives. An uncapped or loosely capped
+        // one is answered from the tables and could finish first.
         (
             "exploratory",
             StudyRequest {
@@ -87,7 +88,7 @@ fn main() {
                     max_trials: max_trials * 4,
                     ..budget(42)
                 },
-                peak_cap_kw: Some(60_000.0),
+                peak_cap_kw: Some(1.0),
                 ..base.clone()
             },
         ),

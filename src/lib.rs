@@ -82,12 +82,15 @@
 //! composition index per site) to every sampler, with the peak
 //! concurrent-import cap as an optional constraint under NSGA-II's
 //! constraint-dominance (`tests/fleet_search_agreement.rs` pins the
-//! search against exhaustive fleet sweeps). Uncapped, the fleet
-//! objectives are sums of per-site metrics, so `FleetProblem` answers
-//! cohorts from a per-site result table on each prepared member
-//! ([`microgrid::SiteTable`]): each (site, composition) pair is walked
-//! once and shared by every study on that member
-//! (`tests/site_table.rs` pins it bit-identical to the plan walk).
+//! search against exhaustive fleet sweeps). The fleet objectives are
+//! sums of per-site metrics, so `FleetProblem` answers cohorts from a
+//! per-site result table on each prepared member
+//! ([`microgrid::SiteTable`]), shared by every study on that member.
+//! Uncapped, each (site, composition) pair is walked once. Capped, a
+//! plan whose per-site peak imports sum to at most the cap is feasible
+//! without a walk, and only the other plans take the step-aligned plan
+//! walk, which fills the table (`tests/site_table.rs` pins both
+//! bit-identical to the plan walk).
 //!
 //! ## Observability
 //!

@@ -196,11 +196,12 @@ fn run_with_cancelled_victim(
         writeln!(writer, "{}", encode_request(&frame)).unwrap();
     };
     // ~50 generations of budget: a cancel sent after the first streamed
-    // front always lands before the victim finishes on its own. The loose
-    // cap keeps every generation a real walk: uncapped studies are
-    // answered from the shared per-site tables and finish in far less
-    // time than a cancel takes to arrive.
-    let mut victim = study(victim_seed, 8, 392, Some(60_000.0));
+    // front always lands before the victim finishes on its own. The 1 kW
+    // cap keeps every generation a real walk: no plan's summed site peaks
+    // meet it, so no plan can be answered from the shared per-site tables,
+    // which answer uncapped and loosely capped studies in far less time
+    // than a cancel takes to arrive.
+    let mut victim = study(victim_seed, 8, 392, Some(1.0));
     victim.stream = true;
     send(&mut writer, "victim", Request::Study(victim));
     for (k, s) in studies.iter().enumerate() {

@@ -1,6 +1,7 @@
-//! The per-site result table: uncapped fleet searches answer cohorts from
-//! one table per prepared member, walking each (site, composition) pair
-//! at most once, and must be indistinguishable from walking every plan.
+//! The per-site result table: fleet searches answer cohorts from one
+//! table per prepared member, walking each (site, composition) pair at
+//! most once when uncapped, and only the plans the table cannot settle
+//! when capped. They must be indistinguishable from walking every plan.
 //!
 //! * Table-backed `FleetProblem` objectives equal the plan walk's
 //!   (`FleetEvaluator::evaluate_plans`) bit for bit, over random fleets
@@ -8,8 +9,16 @@
 //!   repeats.
 //! * A second problem on the same prepared fleet answers the same cohort
 //!   from the table with the same bits and walks no rows.
+//! * Capped objectives and violations equal the plan walk's bit for bit,
+//!   on empty and on filled tables, for caps below, inside and above the
+//!   plans' peaks, and for a cap exactly equal to one plan's summed site
+//!   peaks. On filled tables, exactly the plans whose summed site peaks
+//!   exceed the cap walk.
+//! * Every capped cohort emits one `fleet_eval`, and a repeated cohort
+//!   under a loose cap walks nothing.
+//! * A capped and an uncapped problem on one fleet share its tables and
+//!   read the same bits in either order.
 //! * Two threads racing over one fresh fleet's tables get the same bits.
-//! * Capped problems never allocate a table and walk every row.
 //! * Two daemon studies over one fleet share its tables: the second walks
 //!   fewer rows than it requests, and both fronts equal standalone runs.
 
@@ -100,33 +109,65 @@ fn fresh_fleet(members: &[(CompositionSpace, DispatchPolicy)]) -> PreparedFleet 
     }
 }
 
-/// Objective bits of the plan walk, the reference every table-backed
-/// answer must match.
-fn plan_walk_bits(problem: &FleetProblem<'_>, cohort: &[Genome]) -> Vec<[u64; 2]> {
+/// One evaluation's objective bits and, under a cap, its violation bits.
+type Bits = ([u64; 2], Option<u64>);
+
+/// The plan walk's results for a cohort, with peak tracking.
+fn plan_walk(problem: &FleetProblem<'_>, cohort: &[Genome]) -> Vec<FleetResult> {
     let plans: Vec<Vec<Composition>> = cohort.iter().map(|g| problem.plan(g)).collect();
-    problem
-        .fleet()
-        .evaluator()
-        .evaluate_plans(&plans)
+    problem.fleet().evaluator().evaluate_plans(&plans)
+}
+
+/// Bits of one plan-walk result: its objectives and, under `cap`, its
+/// violation.
+fn result_bits(r: &FleetResult, cap: Option<f64>) -> Bits {
+    (
+        [
+            r.fleet.operational_t_per_day.to_bits(),
+            r.fleet.embodied_t.to_bits(),
+        ],
+        cap.map(|cap| r.fleet.peak_cap_violation_kw(cap).to_bits()),
+    )
+}
+
+/// Bits of the plan walk, the reference every table-backed answer must
+/// match.
+fn plan_walk_bits(problem: &FleetProblem<'_>, cohort: &[Genome]) -> Vec<Bits> {
+    plan_walk(problem, cohort)
         .iter()
-        .map(|r| {
-            [
-                r.fleet.operational_t_per_day.to_bits(),
-                r.fleet.embodied_t.to_bits(),
-            ]
+        .map(|r| result_bits(r, problem.peak_cap_kw()))
+        .collect()
+}
+
+fn bits(evals: &[Evaluation]) -> Vec<Bits> {
+    evals
+        .iter()
+        .map(|e| {
+            assert!(e.violations.len() <= 1, "one cap, one violation");
+            (
+                [e.objectives[0].to_bits(), e.objectives[1].to_bits()],
+                e.violations.first().map(|v| v.to_bits()),
+            )
         })
         .collect()
 }
 
-fn bits(evals: &[Evaluation]) -> Vec<[u64; 2]> {
-    evals
+/// Each plan's site peaks from the fleet's filled tables, summed in site
+/// order.
+fn summed_site_peaks(fleet: &PreparedFleet, cohort: &[Genome]) -> Vec<f64> {
+    cohort
         .iter()
-        .map(|e| {
-            assert!(
-                e.violations.is_empty(),
-                "uncapped evaluations carry no violation"
-            );
-            [e.objectives[0].to_bits(), e.objectives[1].to_bits()]
+        .map(|g| {
+            g.iter()
+                .zip(&fleet.members)
+                .map(|(&i, m)| {
+                    m.site_table()
+                        .expect("allocated")
+                        .get(usize::from(i))
+                        .expect("walked")
+                        .peak_import_kw
+                })
+                .sum()
         })
         .collect()
 }
@@ -166,6 +207,72 @@ fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<(u64, u64, u64, u64)>) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn capped_cohorts_equal_the_plan_walk_bitwise(
+        members in prop::collection::vec(
+            (prop::sample::select(small_spaces()), prop::sample::select(policies())),
+            1..=3,
+        ),
+        raw in prop::collection::vec(prop::collection::vec(0u16..1_000, 3), 1..40),
+        split in 0usize..40,
+        cap_kind in 0usize..5,
+        pick in 0usize..40,
+    ) {
+        let _guard = lock();
+        // Two copies of one fleet: `cold` meets the capped cohorts with
+        // empty tables, `warm` after an uncapped pass filled them.
+        let (cold, warm) = (fresh_fleet(&members), fresh_fleet(&members));
+        let dims = FleetProblem::new(&cold).dims().to_vec();
+        let cohort: Vec<Genome> = raw
+            .iter()
+            .map(|g| dims.iter().zip(g).map(|(&d, &x)| x % d as u16).collect())
+            .collect();
+        FleetProblem::new(&warm).evaluate_batch_constrained(&cohort);
+        let sums = summed_site_peaks(&warm, &cohort);
+        let walks = plan_walk(&FleetProblem::new(&cold), &cohort);
+        let peaks: Vec<f64> = walks
+            .iter()
+            .map(|r| r.fleet.peak_concurrent_import_kw.expect("tracked"))
+            .collect();
+        let (lo, hi) = peaks
+            .iter()
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        let k = pick % cohort.len();
+        let cap = match cap_kind {
+            0 => lo * 0.5,        // below every plan's peak
+            1 => peaks[k],        // one plan's peak
+            2 => sums[k],         // one plan's bound: the `<=` boundary
+            3 => 0.5 * (lo + hi), // between the peaks
+            _ => 2.0 * sums.iter().copied().fold(0.0, f64::max), // above every bound
+        }
+        .max(1e-3);
+        let want: Vec<Bits> = walks.iter().map(|r| result_bits(r, Some(cap))).collect();
+
+        for fleet in [&cold, &warm] {
+            let problem = FleetProblem::new(fleet).with_peak_cap_kw(cap);
+            let head = &cohort[..split.min(cohort.len())];
+            prop_assert_eq!(
+                bits(&problem.evaluate_batch_constrained(head)),
+                want[..head.len()].to_vec()
+            );
+            prop_assert_eq!(bits(&problem.evaluate_batch_constrained(&cohort)), want.clone());
+            for (k, g) in cohort.iter().enumerate().take(3) {
+                prop_assert_eq!(bits(&[problem.evaluate_constrained(g)]), vec![want[k]]);
+            }
+        }
+
+        // On filled tables, exactly the plans whose summed site peaks
+        // exceed the cap take the plan walk.
+        let (_, events) = traced(|| {
+            FleetProblem::new(&warm)
+                .with_peak_cap_kw(cap)
+                .evaluate_batch_constrained(&cohort)
+        });
+        let over = sums.iter().filter(|&&sum| sum > cap).count() as u64;
+        prop_assert_eq!(events.len(), 1, "one fleet_eval per cohort");
+        prop_assert_eq!(events[0].1, over * members.len() as u64 * 8_760);
+    }
 
     #[test]
     fn table_backed_cohorts_equal_the_plan_walk_bitwise(
@@ -238,32 +345,91 @@ fn racing_threads_fill_one_fresh_table_identically() {
 }
 
 #[test]
-fn capped_problems_never_allocate_a_table_and_walk_every_row() {
+fn capped_cohorts_emit_one_fleet_eval_each_and_repeats_walk_nothing() {
     let _guard = lock();
     let spaces = small_spaces();
     let fleet = fresh_fleet(&[
         (spaces[1].clone(), DispatchPolicy::SelfConsumption),
         (spaces[2].clone(), DispatchPolicy::SelfConsumption),
     ]);
-    let problem = FleetProblem::new(&fleet).with_peak_cap_kw(3_500.0);
+    let tight = FleetProblem::new(&fleet).with_peak_cap_kw(3_500.0);
+    let loose = FleetProblem::new(&fleet).with_peak_cap_kw(1e9);
     let cohort: Vec<Genome> = (0..12u16).map(|k| vec![k % 8, k % 6]).collect();
     let (evals, events) = traced(|| {
-        let mut evals = problem.evaluate_batch_constrained(&cohort);
-        evals.push(problem.evaluate_constrained(&cohort[0]));
+        let mut evals = tight.evaluate_batch_constrained(&cohort);
+        evals.push(tight.evaluate_constrained(&cohort[0]));
+        evals.extend(loose.evaluate_batch_constrained(&cohort));
+        evals.extend(loose.evaluate_batch_constrained(&cohort));
         evals
     });
-    assert_eq!(evals.len(), 13);
-    assert_eq!(events.len(), 2, "one fleet_eval per cohort");
-    for (rows, walked, hits, _) in events {
-        assert_eq!(walked, rows);
-        assert_eq!(hits, 0);
+    assert_eq!(evals.len(), 37);
+    assert_eq!(events.len(), 4, "one fleet_eval per cohort");
+    for ((rows, walked, hits, lookups), plans) in events.iter().zip([12u64, 1, 12, 12]) {
+        assert_eq!(*lookups, plans * 2);
+        assert_eq!(*rows, lookups * 8_760);
+        assert!(walked <= rows);
+        assert_eq!(hits + walked / 8_760, *lookups);
     }
-    for member in &fleet.members {
-        assert!(
-            member.site_table().is_none(),
-            "a capped search allocated a table"
+    // The first cohort met empty tables, so every plan walked, and its
+    // walk filled every pair the cohort holds.
+    assert_eq!(events[0].1, events[0].0);
+    for (_, walked, hits, lookups) in &events[2..] {
+        assert_eq!(
+            (*walked, hits),
+            (0, lookups),
+            "loose cap: answered from the tables"
         );
     }
+}
+
+#[test]
+fn capped_and_uncapped_problems_share_one_fleets_tables_in_either_order() {
+    let _guard = lock();
+    let spaces = small_spaces();
+    let members = [
+        (spaces[0].clone(), policies()[2]),
+        (spaces[1].clone(), DispatchPolicy::SelfConsumption),
+    ];
+    let cohort: Vec<Genome> = (0..20u16).map(|k| vec![(k * 7) % 27, k % 8]).collect();
+    // A cap at the median plan's summed site peaks: about half the plans
+    // settle on filled tables.
+    let probe = fresh_fleet(&members);
+    FleetProblem::new(&probe).evaluate_batch_constrained(&cohort);
+    let sums = summed_site_peaks(&probe, &cohort);
+    let mut sorted = sums.clone();
+    sorted.sort_by(f64::total_cmp);
+    let cap = sorted[sorted.len() / 2];
+    let over = sums.iter().filter(|&&sum| sum > cap).count() as u64;
+    let rows = 20 * 2 * 8_760;
+
+    let mut reads = Vec::new();
+    for capped_first in [true, false] {
+        let fleet = fresh_fleet(&members);
+        let capped = FleetProblem::new(&fleet).with_peak_cap_kw(cap);
+        let uncapped = FleetProblem::new(&fleet);
+        let ((c, u), events) = traced(|| {
+            if capped_first {
+                let c = capped.evaluate_batch_constrained(&cohort);
+                (c, uncapped.evaluate_batch_constrained(&cohort))
+            } else {
+                let u = uncapped.evaluate_batch_constrained(&cohort);
+                (capped.evaluate_batch_constrained(&cohort), u)
+            }
+        });
+        assert_eq!(bits(&c), plan_walk_bits(&capped, &cohort));
+        assert_eq!(bits(&u), plan_walk_bits(&uncapped, &cohort));
+        let walked: Vec<u64> = events.iter().map(|e| e.1).collect();
+        if capped_first {
+            // The capped walk filled every pair the uncapped cohort needs.
+            assert_eq!(walked, [rows, 0]);
+        } else {
+            // The capped cohort walks only the plans over the cap.
+            assert_eq!(walked[1], over * 2 * 8_760);
+        }
+        reads.push((bits(&c), bits(&u)));
+    }
+    assert!(over > 0 && over < 20, "the cap splits the cohort");
+    assert_eq!(reads[0], reads[1]);
 }
 
 fn study(seed: u64) -> StudyRequest {
