@@ -12,6 +12,7 @@
 //! | R3 | `env_registry` | Every `MGOPT_*` literal read anywhere has a row in the `crates/bench/src/lib.rs` env-var table, and vice versa. |
 //! | R4 | `schema_drift` | Every `ErrorCode` variant appears in the golden rejection fixtures and the `src/lib.rs` wire spec; every telemetry event/field emitted matches `trace_report`'s `required_fields` schema. |
 //! | R5 | `unsafe_safety` | Every `unsafe` carries a `// SAFETY:` comment; all occurrences land in a machine-readable inventory. |
+//! | R6 | `orphan_module` | Every library module (`crates/*/src/**.rs` except crate roots and `bin/`) is named by non-test code in another file: a path to it or one of its top-level items. A module only tests reach is deleted or kept by a justified suppression. |
 //! | — | `suppression` | `mgopt-lint: allow(...)` directives must name a known rule and justify themselves. |
 //!
 //! Suppress a finding with a comment on the same line or the line
@@ -31,6 +32,7 @@
 //! build.
 
 pub mod lexer;
+pub mod orphan;
 pub mod registry;
 pub mod report;
 pub mod rules;
@@ -262,6 +264,7 @@ pub fn run(ws: Workspace) -> Report {
     registry::env_registry(&ws, &mut findings);
     registry::wire_schema(&ws, &mut findings);
     registry::telemetry_schema(&ws, &mut findings);
+    orphan::orphan_module(&ws, &mut findings);
 
     let sups: BTreeMap<&str, &[Suppression]> = ws
         .sources
@@ -294,12 +297,13 @@ pub fn run(ws: Workspace) -> Report {
 
 /// The fixture directories under `crates/analysis/tests/fixtures` and
 /// the one rule each must demonstrate.
-pub const FIXTURE_CASES: [(&str, Rule); 6] = [
+pub const FIXTURE_CASES: [(&str, Rule); 7] = [
     ("r1_determinism", Rule::Determinism),
     ("r2_panic_free", Rule::PanicFree),
     ("r3_env_registry", Rule::EnvRegistry),
     ("r4_schema_drift", Rule::SchemaDrift),
     ("r5_unsafe", Rule::UnsafeSafety),
+    ("r6_orphan_module", Rule::OrphanModule),
     ("suppression", Rule::Suppression),
 ];
 

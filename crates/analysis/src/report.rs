@@ -22,6 +22,9 @@ pub enum Rule {
     SchemaDrift,
     /// R5: every `unsafe` needs a `// SAFETY:` comment.
     UnsafeSafety,
+    /// R6: every library module is named by some non-test code outside
+    /// itself.
+    OrphanModule,
     /// Meta-rule: a `mgopt-lint: allow(...)` without a justification, or
     /// naming an unknown rule. Not itself suppressible.
     Suppression,
@@ -29,12 +32,13 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::Determinism,
         Rule::PanicFree,
         Rule::EnvRegistry,
         Rule::SchemaDrift,
         Rule::UnsafeSafety,
+        Rule::OrphanModule,
         Rule::Suppression,
     ];
 
@@ -46,6 +50,7 @@ impl Rule {
             Rule::EnvRegistry => "env_registry",
             Rule::SchemaDrift => "schema_drift",
             Rule::UnsafeSafety => "unsafe_safety",
+            Rule::OrphanModule => "orphan_module",
             Rule::Suppression => "suppression",
         }
     }

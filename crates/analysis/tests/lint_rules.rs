@@ -75,6 +75,124 @@ fn test_regions_are_exempt_from_engine_rules() {
     assert!(report.is_clean(), "{}", report.render_human());
 }
 
+/// `file:line` of every `orphan_module` finding over in-memory sources.
+fn orphans(files: &[(&str, &str)]) -> Vec<String> {
+    run(workspace_from_sources(files))
+        .by_rule(Rule::OrphanModule)
+        .map(|f| format!("{}:{}", f.file, f.line))
+        .collect()
+}
+
+const ORPHAN_LIB: &str = "pub mod a;\npub use a::Thing;\n";
+
+#[test]
+fn a_module_only_tests_reach_is_an_orphan() {
+    let files = [
+        ("crates/x/src/lib.rs", ORPHAN_LIB),
+        (
+            "crates/x/src/a.rs",
+            "pub struct Thing;\n#[cfg(test)]\nmod tests {\n    fn t() { super::Thing; }\n}\n",
+        ),
+        ("tests/t.rs", "use mgopt_x::a::Thing;\n"),
+        (
+            "crates/y/src/lib.rs",
+            "// mgopt_x::a::Thing in a comment\npub fn g() {}\n\
+             #[cfg(test)]\nmod tests { use mgopt_x::Thing; }\n",
+        ),
+    ];
+    assert_eq!(orphans(&files), ["crates/x/src/lib.rs:1"]);
+}
+
+#[test]
+fn paths_items_and_grouped_uses_keep_modules_alive() {
+    for caller in [
+        "use mgopt_x::a;",
+        "fn f() { x::a::helper(); }",
+        "use mgopt_x::{a, b};",
+        "use microgrid_opt::x::{a::Thing};",
+        "fn f() -> mgopt_x::Thing { todo!() }",
+        "fn f() { helper(); }",
+    ] {
+        let files = [
+            ("crates/x/src/lib.rs", ORPHAN_LIB),
+            (
+                "crates/x/src/a.rs",
+                "pub struct Thing;\npub fn helper() {}\n",
+            ),
+            ("examples/e.rs", caller),
+        ];
+        assert!(orphans(&files).is_empty(), "{caller}");
+    }
+}
+
+#[test]
+fn method_names_and_foreign_paths_do_not_count() {
+    let files = [
+        ("crates/x/src/lib.rs", "pub mod io;\n"),
+        (
+            "crates/x/src/io.rs",
+            "pub fn read(w: impl Write) {}\npub struct Buf;\n\
+             impl Buf {\n    pub fn new() -> Self { Buf }\n}\n",
+        ),
+        (
+            "examples/e.rs",
+            "use std::io::{self, Write};\n\
+             fn main() { let s = Other::new(); s.read(); }\nfn read() {}\n",
+        ),
+    ];
+    assert_eq!(orphans(&files), ["crates/x/src/lib.rs:1"]);
+}
+
+#[test]
+fn nested_modules_resolve_through_their_parent() {
+    let files = [
+        (
+            "crates/x/src/lib.rs",
+            "pub mod outer;\nfn f() { outer::run(); }\n",
+        ),
+        (
+            "crates/x/src/outer/mod.rs",
+            "pub mod inner;\npub fn run() {}\n",
+        ),
+        ("crates/x/src/outer/inner.rs", "pub fn deep() {}\n"),
+    ];
+    assert_eq!(orphans(&files), ["crates/x/src/outer/mod.rs:1"]);
+    // A sibling module's path names it (`other` itself is undeclared,
+    // so it is reported at its own first line).
+    let called = [
+        files[0],
+        files[1],
+        files[2],
+        ("crates/x/src/other.rs", "use crate::outer::inner;\n"),
+    ];
+    assert_eq!(orphans(&called), ["crates/x/src/other.rs:1"]);
+}
+
+#[test]
+fn a_type_a_macro_defines_counts_through_its_inherent_impl() {
+    let files = [
+        ("crates/x/src/lib.rs", "pub mod q;\npub use q::Power;\n"),
+        (
+            "crates/x/src/q.rs",
+            "macro_rules! quantity { ($n:ident) => { pub struct $n(pub f64); }; }\n\
+             quantity!(Power);\nimpl Power {\n    pub fn kw(self) -> f64 { self.0 }\n}\n\
+             impl std::fmt::Display for Power {}\n",
+        ),
+        ("examples/e.rs", "fn main() { let p: mgopt_x::Power; }\n"),
+    ];
+    assert!(orphans(&files).is_empty());
+    assert_eq!(orphans(&files[..2]), ["crates/x/src/lib.rs:1"]);
+}
+
+#[test]
+fn a_module_declared_under_cfg_test_is_exempt() {
+    let files = [
+        ("crates/x/src/lib.rs", "#[cfg(test)]\nmod fixtures;\n"),
+        ("crates/x/src/fixtures.rs", "pub fn sample() {}\n"),
+    ];
+    assert!(orphans(&files).is_empty());
+}
+
 #[test]
 fn binary_self_test_passes() {
     let out = Command::new(env!("CARGO_BIN_EXE_mgopt_lint"))

@@ -26,7 +26,7 @@ use std::time::Instant;
 use mgopt_bench::{TelemetrySection, ThreadScaling};
 use mgopt_core::{FleetProblem, FleetScenario, PreparedFleet, PreparedScenario};
 use mgopt_microgrid::BatchBackend;
-use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, OptimizationResult, Problem};
+use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, OptimizationResult, Problem, SearchControl};
 use mgopt_telemetry as telemetry;
 use serde::Serialize;
 
@@ -159,12 +159,12 @@ fn main() {
     let optimizer = Nsga2Optimizer::new(config.clone());
     let samples = 7usize;
 
-    let batched = |f: &PreparedFleet| optimizer.run(&FleetProblem::new(f));
-    let fallback = |f: &PreparedFleet| optimizer.run(&ScalarFallback(&FleetProblem::new(f)));
-    let simd =
-        |f: &PreparedFleet| optimizer.run(&FleetProblem::new(f).with_backend(BatchBackend::Simd));
+    let search = |p: &dyn Problem| optimizer.run_controlled(p, &mut |_| SearchControl::Continue);
+    let batched = |f: &PreparedFleet| search(&FleetProblem::new(f));
+    let fallback = |f: &PreparedFleet| search(&ScalarFallback(&FleetProblem::new(f)));
+    let simd = |f: &PreparedFleet| search(&FleetProblem::new(f).with_backend(BatchBackend::Simd));
     let scalar_walk =
-        |f: &PreparedFleet| optimizer.run(&FleetProblem::new(f).with_backend(BatchBackend::Scalar));
+        |f: &PreparedFleet| search(&FleetProblem::new(f).with_backend(BatchBackend::Scalar));
 
     // Warm-up + agreement: identical seeds must yield identical histories.
     let batched_run = batched(&cold_copy(&fleet));

@@ -32,11 +32,9 @@ use std::thread;
 use std::time::Instant;
 
 use mgopt_core::wire::{
-    encode_request, FleetSpec, PlanPoint, Request, RequestFrame, Response, ResponseFrame,
-    StudyBudget, StudyRequest, WIRE_VERSION,
+    encode_request, PlanPoint, Request, RequestFrame, Response, ResponseFrame, StudyRequest,
+    WIRE_VERSION,
 };
-use mgopt_microgrid::CompositionSpace;
-use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer};
 use mgopt_server::{pipe, Server, ServerConfig};
 use serde::Serialize;
 
@@ -108,55 +106,6 @@ struct MultiConnBench {
     /// `true` when every completed front matched its standalone run bit
     /// for bit, on every connection.
     agreement: bool,
-}
-
-fn study(seed: u64, population_size: usize, max_trials: usize) -> StudyRequest {
-    StudyRequest {
-        fleet: FleetSpec::Preset("paper".into()),
-        space: Some(CompositionSpace {
-            wind_choices: vec![0, 4],
-            solar_choices_kw: vec![0.0, 16_000.0],
-            battery_choices_kwh: vec![0.0, 22_500.0],
-        }),
-        objectives: None,
-        budget: StudyBudget {
-            population_size,
-            max_trials,
-            seed,
-        },
-        peak_cap_kw: None,
-        stream: false,
-    }
-}
-
-/// The front a standalone (no daemon) run produces for `study`.
-fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
-    let fleet = study.resolved_scenario().expect("valid study").prepare();
-    let problem = mgopt_core::FleetProblem::new(&fleet);
-    let optimizer = Nsga2Optimizer::new(Nsga2Config {
-        population_size: study.budget.population_size,
-        max_trials: study.budget.max_trials,
-        seed: study.budget.seed,
-        ..Nsga2Config::default()
-    });
-    let mut last = Vec::new();
-    optimizer.run_observed(&problem, &mut |view| {
-        last = view
-            .front
-            .iter()
-            .map(|(genome, eval)| PlanPoint {
-                genome: genome.clone(),
-                plan: genome
-                    .iter()
-                    .zip(&fleet.members)
-                    .map(|(&g, m)| m.config.space.at(g as usize))
-                    .collect(),
-                objectives: eval.objectives.clone(),
-                violation: eval.total_violation(),
-            })
-            .collect();
-    });
-    last
 }
 
 /// Stats of one timed batch through the daemon.
@@ -401,7 +350,7 @@ fn main() {
     let samples = if fast { 1 } else { 2 };
     let max_concurrent = 4usize;
     let studies: Vec<StudyRequest> = (0..n_studies as u64)
-        .map(|k| study(k, population, max_trials))
+        .map(|k| mgopt_bench::paper_study(k, population, max_trials, false))
         .collect();
 
     println!(
@@ -409,7 +358,7 @@ fn main() {
          {max_trials} trials each, max_concurrent {max_concurrent}"
     );
 
-    let expected: Vec<Vec<PlanPoint>> = studies.iter().map(standalone_front).collect();
+    let expected: Vec<Vec<PlanPoint>> = studies.iter().map(mgopt_bench::standalone_front).collect();
 
     let mut concurrent_ms = f64::INFINITY;
     let mut sequential_ms = f64::INFINITY;
@@ -437,11 +386,9 @@ fn main() {
     // cancel lands mid-study: no plan's summed site peaks meet it, so no
     // plan can be answered from the per-site result tables. An uncapped
     // or loosely capped victim is answered from them and can finish first.
-    let victim = {
-        let mut v = study(999, population, max_trials * 10);
-        v.stream = true;
-        v.peak_cap_kw = Some(1.0);
-        v
+    let victim = StudyRequest {
+        peak_cap_kw: Some(1.0),
+        ..mgopt_bench::paper_study(999, population, max_trials * 10, true)
     };
     let mut multi_ms = f64::INFINITY;
     let mut multi_peak = 0usize;

@@ -34,64 +34,13 @@ use std::thread;
 use std::time::Instant;
 
 use mgopt_core::wire::{
-    encode_request, FleetSpec, PlanPoint, Request, RequestFrame, Response, ResponseFrame,
-    StudyBudget, StudyRequest, WIRE_VERSION,
+    encode_request, PlanPoint, Request, RequestFrame, Response, ResponseFrame, StudyRequest,
+    WIRE_VERSION,
 };
-use mgopt_microgrid::CompositionSpace;
-use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer};
 use mgopt_server::{Server, ServerConfig};
 
 const CONNECTIONS: usize = 8;
 const MAX_CONCURRENT: usize = 4;
-
-fn study(seed: u64, population_size: usize, max_trials: usize, stream: bool) -> StudyRequest {
-    StudyRequest {
-        fleet: FleetSpec::Preset("paper".into()),
-        space: Some(CompositionSpace {
-            wind_choices: vec![0, 4],
-            solar_choices_kw: vec![0.0, 16_000.0],
-            battery_choices_kwh: vec![0.0, 22_500.0],
-        }),
-        objectives: None,
-        budget: StudyBudget {
-            population_size,
-            max_trials,
-            seed,
-        },
-        peak_cap_kw: None,
-        stream,
-    }
-}
-
-/// The front a standalone (no daemon) run produces for `study`.
-fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
-    let fleet = study.resolved_scenario().expect("valid study").prepare();
-    let problem = mgopt_core::FleetProblem::new(&fleet);
-    let optimizer = Nsga2Optimizer::new(Nsga2Config {
-        population_size: study.budget.population_size,
-        max_trials: study.budget.max_trials,
-        seed: study.budget.seed,
-        ..Nsga2Config::default()
-    });
-    let mut last = Vec::new();
-    optimizer.run_observed(&problem, &mut |view| {
-        last = view
-            .front
-            .iter()
-            .map(|(genome, eval)| PlanPoint {
-                genome: genome.clone(),
-                plan: genome
-                    .iter()
-                    .zip(&fleet.members)
-                    .map(|(&g, m)| m.config.space.at(g as usize))
-                    .collect(),
-                objectives: eval.objectives.clone(),
-                violation: eval.total_violation(),
-            })
-            .collect();
-    });
-    last
-}
 
 /// Send one request frame as a single write of its line and `\n`.
 fn send_frame(writer: &mut TcpStream, id: &str, req: Request) {
@@ -217,16 +166,16 @@ fn main() -> ExitCode {
     );
 
     let studies: Vec<StudyRequest> = (0..CONNECTIONS as u64)
-        .map(|k| study(k, population, max_trials, false))
+        .map(|k| mgopt_bench::paper_study(k, population, max_trials, false))
         .collect();
-    let expected: Vec<Vec<PlanPoint>> = studies.iter().map(standalone_front).collect();
+    let expected: Vec<Vec<PlanPoint>> = studies.iter().map(mgopt_bench::standalone_front).collect();
     // The 1 kW cap keeps every victim generation a real walk, so the
     // cancel lands mid-study: no plan's summed site peaks meet it, so no
     // plan can be answered from the per-site result tables. An uncapped
     // or loosely capped victim is answered from them and can finish first.
     let victim = StudyRequest {
         peak_cap_kw: Some(1.0),
-        ..study(999, population, max_trials * 10, true)
+        ..mgopt_bench::paper_study(999, population, max_trials * 10, true)
     };
 
     let t0 = Instant::now();

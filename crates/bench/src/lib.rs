@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment binaries and the benchmark
+//! artifact emitters.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it from scratch and writes a JSON artifact next to the
@@ -34,8 +35,10 @@
 
 use std::path::PathBuf;
 
-use mgopt_core::{PreparedScenario, ScenarioConfig};
+use mgopt_core::wire::{FleetSpec, PlanPoint, StudyBudget, StudyRequest};
+use mgopt_core::{FleetProblem, PreparedScenario, ScenarioConfig};
 use mgopt_microgrid::CompositionSpace;
+use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, SearchControl};
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
 use serde::{Deserialize, Serialize};
 
@@ -199,6 +202,68 @@ pub fn berkeley() -> PreparedScenario {
     .prepare()
 }
 
+/// The server bench bins' study: the paper fleet on 8 compositions per
+/// site (0 or 4 turbines, 0 or 16 MW solar, 0 or 22.5 MWh battery),
+/// uncapped.
+pub fn paper_study(
+    seed: u64,
+    population_size: usize,
+    max_trials: usize,
+    stream: bool,
+) -> StudyRequest {
+    StudyRequest {
+        fleet: FleetSpec::Preset("paper".into()),
+        space: Some(CompositionSpace {
+            wind_choices: vec![0, 4],
+            solar_choices_kw: vec![0.0, 16_000.0],
+            battery_choices_kwh: vec![0.0, 22_500.0],
+        }),
+        objectives: None,
+        budget: StudyBudget {
+            population_size,
+            max_trials,
+            seed,
+        },
+        peak_cap_kw: None,
+        stream,
+    }
+}
+
+/// The front a standalone run (no daemon) produces for `study`: the
+/// problem, peak cap and NSGA-II budget the daemon builds for it, so a
+/// daemon's `Done` front must equal this one bit for bit.
+///
+/// # Panics
+/// Panics on a study the wire layer rejects.
+pub fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
+    let fleet = study.resolved_scenario().expect("valid study").prepare();
+    let mut problem = FleetProblem::new(&fleet);
+    if let Some(cap) = study.peak_cap_kw {
+        problem = problem.with_peak_cap_kw(cap);
+    }
+    let optimizer = Nsga2Optimizer::new(Nsga2Config {
+        population_size: study.budget.population_size,
+        max_trials: study.budget.max_trials,
+        seed: study.budget.seed,
+        ..Nsga2Config::default()
+    });
+    let mut last = Vec::new();
+    optimizer.run_controlled(&problem, &mut |view| {
+        last = view
+            .front
+            .iter()
+            .map(|(genome, eval)| PlanPoint {
+                genome: genome.clone(),
+                plan: problem.plan(genome),
+                objectives: eval.objectives.clone(),
+                violation: eval.total_violation(),
+            })
+            .collect();
+        SearchControl::Continue
+    });
+    last
+}
+
 /// Fastest observed wall-clock of a timing series: on shared hosts timing
 /// noise is strictly additive (interference only ever slows a run down),
 /// so the minimum is the robust estimator of intrinsic cost.
@@ -349,6 +414,24 @@ mod tests {
                 "unhelpful message for {bad:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn standalone_front_honours_the_peak_cap() {
+        // The `paper-tiny` grid holds plans that import nothing (10
+        // turbines and 60 MWh at both sites), which meet any cap; on the
+        // bins' 8-point space every plan imports.
+        let study = |peak_cap_kw| StudyRequest {
+            fleet: FleetSpec::Preset("paper-tiny".into()),
+            peak_cap_kw,
+            ..paper_study(1, 8, 16, false)
+        };
+        let capped = standalone_front(&study(Some(1.0)));
+        assert!(!capped.is_empty());
+        assert!(capped.iter().all(|p| p.violation > 0.0), "{capped:?}");
+        let free = standalone_front(&study(None));
+        assert!(!free.is_empty());
+        assert!(free.iter().all(|p| p.violation == 0.0), "{free:?}");
     }
 
     #[test]

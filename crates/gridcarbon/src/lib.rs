@@ -23,8 +23,8 @@
 
 pub mod accounting;
 pub mod intensity;
+// mgopt-lint: allow(orphan_module) — the CSV seam for measured carbon-intensity traces (Electricity Maps exports) in place of the synthetic model
 pub mod io;
-pub mod marginal;
 pub mod price;
 
 pub use intensity::{CarbonIntensityModel, GridRegion};

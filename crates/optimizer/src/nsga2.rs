@@ -63,9 +63,10 @@ impl Default for Nsga2Config {
     }
 }
 
-/// One generation's snapshot, handed to a [`Nsga2Optimizer::run_observed`]
-/// observer after environmental selection (and once for the evaluated
-/// initial population, `generation == 0`).
+/// One generation's snapshot, handed to the
+/// [`Nsga2Optimizer::run_controlled`] observer after environmental
+/// selection (and once for the evaluated initial population,
+/// `generation == 0`).
 ///
 /// `front` is the population's current first front under
 /// constraint-dominance, deduplicated by genome, in population order —
@@ -103,7 +104,8 @@ impl Nsga2Optimizer {
     /// Create an optimizer.
     ///
     /// # Panics
-    /// Panics on a zero population or a budget smaller than one population.
+    /// Panics on a population smaller than 2 or a budget smaller than one
+    /// population.
     pub fn new(config: Nsga2Config) -> Self {
         assert!(
             config.population_size >= 2,
@@ -117,52 +119,21 @@ impl Nsga2Optimizer {
         Self { config }
     }
 
-    /// Run the optimization.
-    pub fn run(&self, problem: &dyn Problem) -> OptimizationResult {
-        self.run_inner(problem, None)
-    }
-
     /// Run the optimization, calling `observer` once per generation with
     /// the current first front — the hook streaming clients (the
-    /// optimization daemon) use for incremental front updates.
+    /// optimization daemon) use for incremental front updates. The
+    /// observer's verdict can stop the search cooperatively at the
+    /// current generation boundary ([`SearchControl::Stop`]), which is how
+    /// the daemon cancels a study; a caller that only wants the result
+    /// passes `&mut |_| SearchControl::Continue`.
     ///
-    /// The observer is outside the search's decision path: `run_observed`
-    /// with any observer and [`run`](Self::run) produce bit-identical
-    /// results for the same problem and seed.
-    pub fn run_observed(
-        &self,
-        problem: &dyn Problem,
-        observer: &mut dyn FnMut(GenerationView),
-    ) -> OptimizationResult {
-        self.run_inner(
-            problem,
-            Some(&mut |view| {
-                observer(view);
-                SearchControl::Continue
-            }),
-        )
-    }
-
-    /// Like [`run_observed`](Self::run_observed), but the observer's
-    /// return value can stop the search cooperatively at the current
-    /// generation boundary ([`SearchControl::Stop`]) — the hook the
-    /// optimization daemon uses for study cancellation.
-    ///
-    /// Completed generations are unaffected by the control channel: up to
-    /// the stopping point, the sampled history is bit-identical to the
-    /// same seed's uncancelled run.
+    /// The observer is outside the search's decision path: up to the
+    /// stopping point, the sampled history is bit-identical for every
+    /// observer and the same problem and seed.
     pub fn run_controlled(
         &self,
         problem: &dyn Problem,
         observer: &mut dyn FnMut(GenerationView) -> SearchControl,
-    ) -> OptimizationResult {
-        self.run_inner(problem, Some(observer))
-    }
-
-    fn run_inner(
-        &self,
-        problem: &dyn Problem,
-        mut observer: Option<&mut dyn FnMut(GenerationView) -> SearchControl>,
     ) -> OptimizationResult {
         let cfg = &self.config;
         let dims = problem.dims().to_vec();
@@ -200,48 +171,26 @@ impl Nsga2Optimizer {
         // the trace are comparable across the whole run. 2-objective only
         // (the workspace's `hypervolume_2d` metric); computed only when a
         // trace is being collected.
-        let hv_ref: Option<[f64; 2]> =
-            (telemetry::enabled() && problem.n_objectives() == 2).then(|| {
-                let mut r = [f64::NEG_INFINITY; 2];
-                for g in &population {
-                    let o = &cache[g].objectives;
-                    r[0] = r[0].max(o[0]);
-                    r[1] = r[1].max(o[1]);
-                }
-                [pad_reference(r[0]), pad_reference(r[1])]
-            });
+        let hv_ref = (telemetry::enabled() && problem.n_objectives() == 2)
+            .then(|| reference_point(population.iter().map(|g| &cache[g].objectives)));
         let mut generation = 0u64;
-        emit_generation_event(generation, &population, &cache, hits, misses, hv_ref);
-        let mut stopped = false;
-        if let Some(obs) = observer.as_deref_mut() {
-            stopped = obs(generation_view(generation, sampled, &population, &cache))
-                == SearchControl::Stop;
-        }
+        let mut ranked = Ranked::new(population, &cache);
+        let view = ranked.view(generation, sampled, &cache);
+        emit_generation_event(&view, &ranked.population, &cache, hits, misses, hv_ref);
+        let mut stopped = observer(view) == SearchControl::Stop;
 
         while !stopped && sampled < cfg.max_trials {
-            let obj: Vec<Vec<f64>> = population
-                .iter()
-                .map(|g| cache[g].objectives.clone())
-                .collect();
-            let viol: Vec<f64> = population
-                .iter()
-                .map(|g| cache[g].total_violation())
-                .collect();
-            let sort_span = telemetry::span(Stage::SearchSort);
-            let fronts = constrained_non_dominated_sort(&obj, &viol);
-            let (rank, crowd) = rank_and_crowding(&obj, &fronts);
-            drop(sort_span);
-
             // Offspring generation.
+            let parents = &ranked.population;
             let n_children = cfg.population_size.min(cfg.max_trials - sampled).max(1);
             let mut children: Vec<Genome> = Vec::with_capacity(n_children);
             while children.len() < n_children {
-                let a = tournament(&population, &rank, &crowd, &mut rng);
-                let b = tournament(&population, &rank, &crowd, &mut rng);
+                let a = tournament(&ranked, &mut rng);
+                let b = tournament(&ranked, &mut rng);
                 let (mut c1, mut c2) = if rng.gen::<f64>() < cfg.crossover_prob {
-                    uniform_crossover(&population[a], &population[b], &mut rng)
+                    uniform_crossover(&parents[a], &parents[b], &mut rng)
                 } else {
-                    (population[a].clone(), population[b].clone())
+                    (parents[a].clone(), parents[b].clone())
                 };
                 mutate(&mut c1, &dims, mutation_prob, &mut rng);
                 mutate(&mut c2, &dims, mutation_prob, &mut rng);
@@ -256,28 +205,20 @@ impl Nsga2Optimizer {
             cache_misses += misses;
 
             // Environmental selection over parents + children.
-            let mut combined: Vec<Genome> = population.clone();
+            let mut combined = ranked.population;
             combined.extend(children);
             combined.dedup_by(|a, b| a == b);
-            let comb_obj: Vec<Vec<f64>> = combined
-                .iter()
-                .map(|g| cache[g].objectives.clone())
-                .collect();
-            let comb_viol: Vec<f64> = combined
-                .iter()
-                .map(|g| cache[g].total_violation())
-                .collect();
+            let (comb_obj, comb_viol) = objectives_and_violations(&combined, &cache);
             let sort_span = telemetry::span(Stage::SearchSort);
             let comb_fronts = constrained_non_dominated_sort(&comb_obj, &comb_viol);
-            population =
+            let survivors =
                 select_next_population(&combined, &comb_obj, &comb_fronts, cfg.population_size);
             drop(sort_span);
             generation += 1;
-            emit_generation_event(generation, &population, &cache, hits, misses, hv_ref);
-            if let Some(obs) = observer.as_deref_mut() {
-                stopped = obs(generation_view(generation, sampled, &population, &cache))
-                    == SearchControl::Stop;
-            }
+            ranked = Ranked::new(survivors, &cache);
+            let view = ranked.view(generation, sampled, &cache);
+            emit_generation_event(&view, &ranked.population, &cache, hits, misses, hv_ref);
+            stopped = observer(view) == SearchControl::Stop;
         }
 
         let mut result = OptimizationResult::from_history(history, sampled, cache.len());
@@ -287,53 +228,94 @@ impl Nsga2Optimizer {
     }
 }
 
-/// Build the observer's snapshot: the population's deduplicated first
-/// front under constraint-dominance. Only runs when an observer is
-/// installed (cohorts are small, so the extra sort is negligible next to
-/// a generation's evaluations).
-fn generation_view(
-    generation: u64,
-    sampled: usize,
-    population: &[Genome],
-    cache: &HashMap<Genome, Evaluation>,
-) -> GenerationView {
-    let obj: Vec<Vec<f64>> = population
-        .iter()
-        .map(|g| cache[g].objectives.clone())
-        .collect();
-    let viol: Vec<f64> = population
-        .iter()
-        .map(|g| cache[g].total_violation())
-        .collect();
-    let fronts = constrained_non_dominated_sort(&obj, &viol);
-    let mut front: Vec<(Genome, Evaluation)> = Vec::new();
-    if let Some(first) = fronts.first() {
-        for &i in first {
-            if !front.iter().any(|(g, _)| *g == population[i]) {
-                front.push((population[i].clone(), cache[&population[i]].clone()));
+/// A population sorted once under constraint-dominance. That one sort
+/// feeds every consumer of a generation: the next generation's
+/// tournament (rank and crowding), the observer's [`GenerationView`] and
+/// the `generation` trace event.
+struct Ranked {
+    population: Vec<Genome>,
+    fronts: Vec<Vec<usize>>,
+    /// Front index per member.
+    rank: Vec<usize>,
+    /// Crowding distance per member, within its front.
+    crowd: Vec<f64>,
+}
+
+impl Ranked {
+    fn new(population: Vec<Genome>, cache: &HashMap<Genome, Evaluation>) -> Self {
+        let (obj, viol) = objectives_and_violations(&population, cache);
+        let _span = telemetry::span(Stage::SearchSort);
+        let fronts = constrained_non_dominated_sort(&obj, &viol);
+        let mut rank = vec![0usize; obj.len()];
+        let mut crowd = vec![0.0f64; obj.len()];
+        for (r, front) in fronts.iter().enumerate() {
+            let d = crowding_distance(&obj, front);
+            for (k, &i) in front.iter().enumerate() {
+                rank[i] = r;
+                crowd[i] = d[k];
             }
         }
+        Self {
+            population,
+            fronts,
+            rank,
+            crowd,
+        }
     }
-    GenerationView {
-        generation,
-        sampled,
-        front,
+
+    /// The observer's snapshot: the first front, deduplicated by genome.
+    fn view(
+        &self,
+        generation: u64,
+        sampled: usize,
+        cache: &HashMap<Genome, Evaluation>,
+    ) -> GenerationView {
+        let mut front: Vec<(Genome, Evaluation)> = Vec::new();
+        if let Some(first) = self.fronts.first() {
+            for &i in first {
+                let g = &self.population[i];
+                if !front.iter().any(|(f, _)| f == g) {
+                    front.push((g.clone(), cache[g].clone()));
+                }
+            }
+        }
+        GenerationView {
+            generation,
+            sampled,
+            front,
+        }
     }
 }
 
-/// Pad one coordinate of the hypervolume reference point: 10% beyond the
-/// initial population's worst value (sign-safe) plus an absolute epsilon,
-/// so boundary points still contribute area.
-fn pad_reference(worst: f64) -> f64 {
-    worst + 0.1 * worst.abs() + 1e-9
+/// Objective vectors and total violations of `genomes`, in order.
+fn objectives_and_violations(
+    genomes: &[Genome],
+    cache: &HashMap<Genome, Evaluation>,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
+    genomes
+        .iter()
+        .map(|g| (cache[g].objectives.clone(), cache[g].total_violation()))
+        .unzip()
 }
 
-/// Emit one per-generation trace event. A cheap no-op when telemetry is
-/// off; when tracing, re-derives the population's feasible count and first
-/// front (outside the budget-relevant path — cohort sizes are ≤ a few
-/// hundred).
+/// The 2-D hypervolume reference point for `objectives` (a run's initial
+/// population): 10% beyond the worst value per objective (sign-safe)
+/// plus an absolute epsilon, so boundary points still contribute area.
+fn reference_point<'a>(objectives: impl Iterator<Item = &'a Vec<f64>>) -> [f64; 2] {
+    let mut worst = [f64::NEG_INFINITY; 2];
+    for o in objectives {
+        worst[0] = worst[0].max(o[0]);
+        worst[1] = worst[1].max(o[1]);
+    }
+    worst.map(|w| w + 0.1 * w.abs() + 1e-9)
+}
+
+/// Emit one per-generation trace event; a cheap no-op when telemetry is
+/// off. `front` counts the observer's view (the unique first front);
+/// `hv` and `best_obj{k}` cover that front's feasible members and are
+/// left out when none is feasible, so an infeasible plan never sets them.
 fn emit_generation_event(
-    generation: u64,
+    view: &GenerationView,
     population: &[Genome],
     cache: &HashMap<Genome, Evaluation>,
     hits: usize,
@@ -343,30 +325,31 @@ fn emit_generation_event(
     if !telemetry::enabled() {
         return;
     }
-    let obj: Vec<Vec<f64>> = population
+    let feasible = population
         .iter()
-        .map(|g| cache[g].objectives.clone())
-        .collect();
-    let viol: Vec<f64> = population
+        .filter(|g| cache[*g].total_violation() <= 0.0)
+        .count();
+    let front: Vec<Vec<f64>> = view
+        .front
         .iter()
-        .map(|g| cache[g].total_violation())
+        .filter(|(_, e)| e.total_violation() <= 0.0)
+        .map(|(_, e)| e.objectives.clone())
         .collect();
-    let feasible = viol.iter().filter(|&&v| v <= 0.0).count();
-    let fronts = constrained_non_dominated_sort(&obj, &viol);
     let mut event = telemetry::Event::new("generation")
-        .u64("gen", generation)
+        .u64("gen", view.generation)
         .u64("cohort", population.len() as u64)
         .u64("cache_hits", hits as u64)
         .u64("cache_misses", misses as u64)
         .u64("feasible", feasible as u64)
-        .u64("front", fronts.first().map_or(0, Vec::len) as u64);
-    if let Some(reference) = hv_ref {
-        event = event.f64("hv", hypervolume_2d(&obj, &reference));
-    }
-    let n_obj = obj.first().map_or(0, Vec::len);
-    for k in 0..n_obj {
-        let best = obj.iter().map(|o| o[k]).fold(f64::INFINITY, f64::min);
-        event = event.f64(&format!("best_obj{k}"), best);
+        .u64("front", view.front.len() as u64);
+    if let Some(first) = front.first() {
+        if let Some(reference) = hv_ref {
+            event = event.f64("hv", hypervolume_2d(&front, &reference));
+        }
+        for k in 0..first.len() {
+            let best = front.iter().map(|o| o[k]).fold(f64::INFINITY, f64::min);
+            event = event.f64(&format!("best_obj{k}"), best);
+        }
     }
     event.emit();
 }
@@ -404,30 +387,11 @@ fn random_genome(dims: &[usize], rng: &mut ChaCha12Rng) -> Genome {
     dims.iter().map(|&d| rng.gen_range(0..d) as u16).collect()
 }
 
-/// Per-individual `(front rank, crowding distance)` lookup tables.
-fn rank_and_crowding(obj: &[Vec<f64>], fronts: &[Vec<usize>]) -> (Vec<usize>, Vec<f64>) {
-    let n = obj.len();
-    let mut rank = vec![0usize; n];
-    let mut crowd = vec![0.0f64; n];
-    for (r, front) in fronts.iter().enumerate() {
-        let d = crowding_distance(obj, front);
-        for (k, &i) in front.iter().enumerate() {
-            rank[i] = r;
-            crowd[i] = d[k];
-        }
-    }
-    (rank, crowd)
-}
-
 /// Binary tournament on (rank asc, crowding desc).
-fn tournament(
-    population: &[Genome],
-    rank: &[usize],
-    crowd: &[f64],
-    rng: &mut ChaCha12Rng,
-) -> usize {
-    let i = rng.gen_range(0..population.len());
-    let j = rng.gen_range(0..population.len());
+fn tournament(ranked: &Ranked, rng: &mut ChaCha12Rng) -> usize {
+    let (rank, crowd) = (&ranked.rank, &ranked.crowd);
+    let i = rng.gen_range(0..ranked.population.len());
+    let j = rng.gen_range(0..ranked.population.len());
     if rank[i] < rank[j] || (rank[i] == rank[j] && crowd[i] > crowd[j]) {
         i
     } else {
@@ -512,24 +476,13 @@ pub(crate) fn sample_unique_genomes(
     rng: &mut ChaCha12Rng,
 ) -> Vec<Genome> {
     let space: usize = dims.iter().product();
-    if space <= n {
-        return (0..space)
-            .map(|i| {
-                let mut idx = i;
-                let mut g = vec![0u16; dims.len()];
-                for d in (0..dims.len()).rev() {
-                    g[d] = (idx % dims[d]) as u16;
-                    idx /= dims[d];
-                }
-                g
-            })
-            .collect();
-    }
     let mut indices: Vec<usize> = (0..space).collect();
-    indices.shuffle(rng);
+    if space > n {
+        indices.shuffle(rng);
+        indices.truncate(n);
+    }
     indices
         .into_iter()
-        .take(n)
         .map(|i| {
             let mut idx = i;
             let mut g = vec![0u16; dims.len()];
@@ -579,7 +532,7 @@ mod tests {
             seed: 1,
             ..Nsga2Config::default()
         })
-        .run(&problem);
+        .run_controlled(&problem, &mut |_| SearchControl::Continue);
 
         // True front: genomes with g1 = g2 = 0 (21 points).
         let front = result.pareto_front();
@@ -606,7 +559,7 @@ mod tests {
             seed: 11,
             ..Nsga2Config::default()
         })
-        .run(&problem);
+        .run_controlled(&problem, &mut |_| SearchControl::Continue);
 
         let front = result.pareto_front();
         assert!(!front.is_empty());
@@ -639,7 +592,7 @@ mod tests {
                 seed: 5,
                 ..Nsga2Config::default()
             })
-            .run(&p)
+            .run_controlled(&p, &mut |_| SearchControl::Continue)
             .history
             .into_iter()
             .map(|t| (t.genome, t.objectives))
@@ -657,7 +610,7 @@ mod tests {
             seed: 2,
             ..Nsga2Config::default()
         })
-        .run(&problem);
+        .run_controlled(&problem, &mut |_| SearchControl::Continue);
         assert_eq!(result.sampled_trials, 100);
         assert!(result.unique_evaluations <= 100);
         assert_eq!(result.history.len(), 100);
@@ -673,7 +626,7 @@ mod tests {
                 seed,
                 ..Nsga2Config::default()
             })
-            .run(&problem)
+            .run_controlled(&problem, &mut |_| SearchControl::Continue)
             .history
         };
         assert_eq!(run(7), run(7));
@@ -690,7 +643,7 @@ mod tests {
             seed: 3,
             ..Nsga2Config::default()
         })
-        .run(&problem);
+        .run_controlled(&problem, &mut |_| SearchControl::Continue);
         assert_eq!(result.sampled_trials, 200);
         assert!(result.unique_evaluations <= 9, "space only has 9 points");
     }
@@ -704,7 +657,7 @@ mod tests {
             seed: 3,
             ..Nsga2Config::default()
         })
-        .run(&problem);
+        .run_controlled(&problem, &mut |_| SearchControl::Continue);
         assert_eq!(result.cache_hits + result.cache_misses, 200);
         assert_eq!(result.cache_misses, result.unique_evaluations);
         assert!(
@@ -725,7 +678,7 @@ mod tests {
             seed: 4,
             ..Nsga2Config::default()
         })
-        .run(&problem);
+        .run_controlled(&problem, &mut |_| SearchControl::Continue);
         let initial: Vec<Vec<f64>> = result.history[..20]
             .iter()
             .map(|t| t.objectives.clone())
@@ -775,8 +728,11 @@ mod tests {
             ..Nsga2Config::default()
         });
         let mut views: Vec<GenerationView> = Vec::new();
-        let observed = opt.run_observed(&problem, &mut |v| views.push(v));
-        let plain = opt.run(&problem);
+        let observed = opt.run_controlled(&problem, &mut |v| {
+            views.push(v);
+            SearchControl::Continue
+        });
+        let plain = opt.run_controlled(&problem, &mut |_| SearchControl::Continue);
         assert_eq!(observed.history, plain.history, "observer changed the run");
 
         // gen 0 plus one view per offspring generation, monotone sampled.
@@ -806,6 +762,88 @@ mod tests {
     }
 
     #[test]
+    fn generation_events_describe_the_feasible_unique_front() {
+        use crate::pareto::dominates;
+        use mgopt_telemetry::{parse::parse_line, MemorySink};
+
+        // Low penalty genes (g1 < 4) are infeasible, so infeasible genomes
+        // dominate the feasible ones with the same g0.
+        let problem = FnProblem::new(vec![21, 8], 2, |g| {
+            let x = g[0] as f64 / 20.0;
+            let penalty = g[1] as f64 * 0.05;
+            vec![x + penalty, 1.0 - x + penalty]
+        })
+        .with_constraints(1, |g| vec![(4.0 - g[1] as f64).max(0.0)]);
+        // Telemetry is process-wide and other tests may emit while this one
+        // traces; no other test in this crate runs a population of 12.
+        const POPULATION: usize = 12;
+        let opt = Nsga2Optimizer::new(Nsga2Config {
+            population_size: POPULATION,
+            max_trials: 120,
+            seed: 3,
+            ..Nsga2Config::default()
+        });
+        let (sink, lines) = MemorySink::new();
+        telemetry::install_sink(Box::new(sink));
+        telemetry::set_enabled(true);
+        let mut views: Vec<GenerationView> = Vec::new();
+        let result = opt.run_controlled(&problem, &mut |v| {
+            views.push(v);
+            SearchControl::Continue
+        });
+        telemetry::set_enabled(false);
+        telemetry::take_sink();
+
+        let initial = result.history[..POPULATION].iter();
+        let reference = reference_point(initial.map(|t| &t.objectives));
+
+        let lines = lines.lock().unwrap_or_else(|e| e.into_inner());
+        let events: Vec<_> = lines
+            .iter()
+            .map(|l| parse_line(l).expect("well-formed event"))
+            .filter(|e| e.kind == "generation" && e.uint("cohort") == Some(POPULATION as u64))
+            .collect();
+        assert_eq!(events.len(), views.len());
+        for (e, v) in events.iter().zip(&views) {
+            assert_eq!(e.uint("gen"), Some(v.generation));
+            assert_eq!(e.uint("front"), Some(v.front.len() as u64));
+            let feasible: Vec<Vec<f64>> = v
+                .front
+                .iter()
+                .filter(|(_, ev)| ev.is_feasible())
+                .map(|(_, ev)| ev.objectives.clone())
+                .collect();
+            let hv = e.num("hv").map(f64::to_bits);
+            if feasible.is_empty() {
+                assert_eq!(
+                    hv, None,
+                    "gen {}: hv without a feasible front",
+                    v.generation
+                );
+                assert_eq!(e.num("best_obj0"), None);
+            } else {
+                assert_eq!(
+                    hv,
+                    Some(hypervolume_2d(&feasible, &reference).to_bits()),
+                    "gen {}",
+                    v.generation
+                );
+                for k in 0..2 {
+                    let best = feasible.iter().map(|o| o[k]).fold(f64::INFINITY, f64::min);
+                    assert_eq!(e.num(&format!("best_obj{k}")), Some(best));
+                }
+            }
+        }
+        // The search met infeasible genomes that dominate its final front,
+        // so a population-wide `hv` would have counted them.
+        let last = &views.last().expect("at least one view").front;
+        assert!(result.history.iter().any(|t| !t.is_feasible()
+            && last
+                .iter()
+                .any(|(_, ev)| dominates(&t.objectives, &ev.objectives))));
+    }
+
+    #[test]
     fn controlled_stop_truncates_to_a_bit_identical_prefix() {
         let problem = convex_problem();
         let opt = Nsga2Optimizer::new(Nsga2Config {
@@ -814,7 +852,7 @@ mod tests {
             seed: 5,
             ..Nsga2Config::default()
         });
-        let full = opt.run(&problem);
+        let full = opt.run_controlled(&problem, &mut |_| SearchControl::Continue);
 
         // Stop after two generations (gen 0 + one offspring cohort).
         let mut seen = 0u64;

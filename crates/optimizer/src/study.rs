@@ -10,7 +10,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::exhaustive::exhaustive_search;
-use crate::nsga2::{Nsga2Config, Nsga2Optimizer};
+use crate::nsga2::{Nsga2Config, Nsga2Optimizer, SearchControl};
 use crate::pareto::non_dominated_trials;
 use crate::problem::{Problem, Trial};
 use crate::random_search::random_search;
@@ -137,7 +137,8 @@ impl Study {
         // mgopt-lint: allow(determinism) — wall_seconds is a reporting artifact; fronts never depend on it
         let start = Instant::now();
         let mut result = match &self.sampler {
-            Sampler::Nsga2(cfg) => Nsga2Optimizer::new(cfg.clone()).run(problem),
+            Sampler::Nsga2(cfg) => Nsga2Optimizer::new(cfg.clone())
+                .run_controlled(problem, &mut |_| SearchControl::Continue),
             Sampler::Random { n_trials, seed } => random_search(problem, *n_trials, *seed),
             Sampler::Exhaustive => exhaustive_search(problem),
         };

@@ -23,6 +23,7 @@ pub mod degradation;
 pub mod hydrogen;
 pub mod pumped_hydro;
 pub mod rainflow;
+// mgopt-lint: allow(orphan_module) — `SimpleBattery` is the fixed-bound battery fixture of cosim's bus and engine unit tests
 pub mod simple;
 
 pub use clc::{ClcBattery, ClcParams};

@@ -44,6 +44,7 @@ pub mod clearsky;
 pub mod climate;
 pub mod cloud;
 pub mod decomposition;
+// mgopt-lint: allow(orphan_module) — the CSV seam for measured weather years (NSRDB / WIND Toolkit exports) in place of the synthetic generator
 pub mod io;
 pub mod location;
 pub mod math;

@@ -18,7 +18,6 @@
 //! scheduling policy study.
 
 pub mod hpc;
-pub mod io;
 pub mod patterns;
 
 pub use hpc::{HpcWorkload, HpcWorkloadParams};

@@ -29,7 +29,7 @@ use microgrid_opt::core::wire::{
     ResponseFrame, StudyBudget, StudyRequest, WIRE_VERSION,
 };
 use microgrid_opt::core::FleetScenario;
-use microgrid_opt::optimizer::{Nsga2Config, Nsga2Optimizer};
+use microgrid_opt::optimizer::{Nsga2Config, Nsga2Optimizer, SearchControl};
 use microgrid_opt::prelude::*;
 use microgrid_opt::server::{pipe, ConnectionOutcome, Server, ServerConfig};
 
@@ -82,7 +82,7 @@ fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
         ..Nsga2Config::default()
     });
     let mut last: Vec<PlanPoint> = Vec::new();
-    optimizer.run_observed(&problem, &mut |view| {
+    optimizer.run_controlled(&problem, &mut |view| {
         last = view
             .front
             .iter()
@@ -97,6 +97,7 @@ fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
                 violation: eval.total_violation(),
             })
             .collect();
+        SearchControl::Continue
     });
     last
 }
