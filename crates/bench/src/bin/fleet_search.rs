@@ -94,16 +94,16 @@ impl Problem for ScalarFallback<'_> {
 use mgopt_bench::min_ms;
 
 /// A copy of `fleet` whose members are clones: the same prepared inputs,
-/// empty per-site result tables.
+/// empty per-site result tables and an empty plan-peak memo.
 fn cold_copy(fleet: &PreparedFleet) -> PreparedFleet {
-    PreparedFleet {
-        names: fleet.names.clone(),
-        members: fleet
+    PreparedFleet::new(
+        fleet.names.clone(),
+        fleet
             .members
             .iter()
             .map(|m| Arc::new(PreparedScenario::clone(m)))
             .collect(),
-    }
+    )
 }
 
 /// A search over a prepared fleet.

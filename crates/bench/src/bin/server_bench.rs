@@ -382,20 +382,19 @@ fn main() {
     // Multi-connection phase: same 8 studies, one shared daemon, one
     // connection per study (each submitted twice), plus a long streamed
     // victim study cancelled after its first generation.
-    // The 1 kW cap keeps every victim generation a real walk, so the
-    // cancel lands mid-study: no plan's summed site peaks meet it, so no
-    // plan can be answered from the per-site result tables. An uncapped
-    // or loosely capped victim is answered from them and can finish first.
-    let victim = StudyRequest {
-        peak_cap_kw: Some(1.0),
-        ..mgopt_bench::paper_study(999, population, max_trials * 10, true)
-    };
+    // The victim walks every plan it evaluates, so the cancel lands
+    // mid-study: each sample's victim has a fleet of its own (a scenario
+    // seed no other study here prepares) and no plan meets its 1 kW cap.
+    // An uncapped or loosely capped victim, or one on a fleet other
+    // capped studies searched, is answered from the per-site tables and
+    // the plan-peak memo and can finish first.
     let mut multi_ms = f64::INFINITY;
     let mut multi_peak = 0usize;
     let mut multi_queue_peak = 0usize;
     let mut multi_cancelled_done = 0usize;
     let mut multi_agreement = true;
-    for _ in 0..samples {
+    for sample in 0..samples {
+        let victim = mgopt_bench::victim_study(999 + sample as u64, population, max_trials * 10);
         let run = run_multi(&studies, &expected, max_concurrent, &victim);
         multi_ms = multi_ms.min(run.ms);
         multi_peak = multi_peak.max(run.in_flight_peak);

@@ -169,14 +169,13 @@ fn main() -> ExitCode {
         .map(|k| mgopt_bench::paper_study(k, population, max_trials, false))
         .collect();
     let expected: Vec<Vec<PlanPoint>> = studies.iter().map(mgopt_bench::standalone_front).collect();
-    // The 1 kW cap keeps every victim generation a real walk, so the
-    // cancel lands mid-study: no plan's summed site peaks meet it, so no
-    // plan can be answered from the per-site result tables. An uncapped
-    // or loosely capped victim is answered from them and can finish first.
-    let victim = StudyRequest {
-        peak_cap_kw: Some(1.0),
-        ..mgopt_bench::paper_study(999, population, max_trials * 10, true)
-    };
+    // The victim walks every plan it evaluates, so the cancel lands
+    // mid-study: its fleet is its own (no other study here prepares
+    // scenario seed 999) and no plan meets its 1 kW cap. An uncapped or
+    // loosely capped victim, or one on a fleet other capped studies
+    // searched, is answered from the per-site tables and the plan-peak
+    // memo and can finish first.
+    let victim = mgopt_bench::victim_study(999, population, max_trials * 10);
 
     let t0 = Instant::now();
     let ready = Arc::new(Barrier::new(CONNECTIONS));

@@ -18,7 +18,7 @@
 
 use std::process::ExitCode;
 
-use mgopt_telemetry::parse::{parse_line, TraceEvent};
+use mgopt_telemetry::parse::{parse_line, FieldValue, TraceEvent};
 use mgopt_units::stats::percentile;
 
 /// Required numeric fields per known event kind. `sampler` additionally
@@ -43,6 +43,7 @@ fn required_fields(kind: &str) -> &'static [&'static str] {
             "rows",
             "walked_rows",
             "table_hits",
+            "peak_hits",
             "prepare_ms",
             "kernel_ms",
             "wall_ms",
@@ -82,6 +83,9 @@ fn check_event(ev: &TraceEvent) -> Result<(), String> {
     if ev.kind == "sampler" && ev.str("kind").is_none() {
         return Err("event `sampler` missing string field `kind`".into());
     }
+    if ev.kind == "fleet_eval" && capped(ev).is_none() {
+        return Err("event `fleet_eval` missing boolean field `capped`".into());
+    }
     // Daemon audit events correlate by request id; an error event without
     // its code is unactionable.
     if matches!(
@@ -97,6 +101,15 @@ fn check_event(ev: &TraceEvent) -> Result<(), String> {
     Ok(())
 }
 
+/// A `fleet_eval` event's `capped` flag: whether its cohort ran under a
+/// peak-import cap.
+fn capped(ev: &TraceEvent) -> Option<bool> {
+    match ev.fields.get("capped") {
+        Some(FieldValue::Bool(b)) => Some(*b),
+        _ => None,
+    }
+}
+
 /// Aggregated engine-pass stats for one event kind.
 #[derive(Default)]
 struct EngineAgg {
@@ -108,6 +121,12 @@ struct EngineAgg {
     /// Fleet (plan, site) lookups, and those the per-site table answered.
     lookups: u64,
     table_hits: u64,
+    /// Plans of capped fleet cohorts, and those the plan-peak memo
+    /// answered and the plan walk stepped; the summed-site-peak bound
+    /// settled the rest.
+    capped_plans: u64,
+    peak_hits: u64,
+    capped_walked: u64,
     chunks: u64,
     simd_rows: u64,
     simd_remainder_rows: u64,
@@ -125,6 +144,13 @@ impl EngineAgg {
         self.walked_rows += ev.uint("walked_rows").unwrap_or(rows);
         self.lookups += ev.uint("plans").unwrap_or(0) * ev.uint("sites").unwrap_or(0);
         self.table_hits += ev.uint("table_hits").unwrap_or(0);
+        if capped(ev) == Some(true) {
+            // A capped cohort walks whole plans: every site, every step.
+            let plan_rows = ev.uint("sites").unwrap_or(0) * ev.uint("steps").unwrap_or(0);
+            self.capped_plans += ev.uint("plans").unwrap_or(0);
+            self.peak_hits += ev.uint("peak_hits").unwrap_or(0);
+            self.capped_walked += ev.uint("walked_rows").unwrap_or(0) / plan_rows.max(1);
+        }
         self.chunks += ev.uint("chunks").unwrap_or(0);
         // Optional (added with the SIMD kernel) — older traces summarize
         // without a lane-utilization line.
@@ -164,6 +190,24 @@ impl EngineAgg {
                 self.table_hits as f64 / self.lookups as f64 * 1e2,
                 self.table_hits,
                 self.lookups
+            );
+        }
+        if self.capped_plans > 0 {
+            let share = |n: u64| n as f64 / self.capped_plans as f64 * 1e2;
+            // Saturating: a trace is outside input and may not add up.
+            let bound = self
+                .capped_plans
+                .saturating_sub(self.peak_hits + self.capped_walked);
+            println!(
+                "  {:<12} {} capped plans: {:.1}% settled by summed site peaks ({bound}), \
+                 {:.1}% by the plan-peak memo ({}), {:.1}% walked ({})",
+                "  capped", // indented sublabel under the engine row
+                self.capped_plans,
+                share(bound),
+                share(self.peak_hits),
+                self.peak_hits,
+                share(self.capped_walked),
+                self.capped_walked
             );
         }
         let vectorized = self.simd_rows + self.simd_remainder_rows;

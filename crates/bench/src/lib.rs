@@ -36,7 +36,7 @@
 use std::path::PathBuf;
 
 use mgopt_core::wire::{FleetSpec, PlanPoint, StudyBudget, StudyRequest};
-use mgopt_core::{FleetProblem, PreparedScenario, ScenarioConfig};
+use mgopt_core::{FleetProblem, FleetScenario, PreparedScenario, ScenarioConfig};
 use mgopt_microgrid::CompositionSpace;
 use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, SearchControl};
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
@@ -229,6 +229,26 @@ pub fn paper_study(
     }
 }
 
+/// A long streamed study for a client to cancel mid-flight: the bins'
+/// 8-point space on the paper sites at `scenario_seed` (also its search
+/// seed), under a 1 kW peak cap. Give each victim a scenario seed no
+/// other study in its process prepares. Then every plan it evaluates
+/// takes the plan walk, so it is still walking when the cancel arrives:
+/// no stored plan peak of its fleet exists for the memo to answer, no
+/// 8-point plan's summed site peaks meet the cap, and NSGA-II never
+/// evaluates a genome twice.
+pub fn victim_study(scenario_seed: u64, population_size: usize, max_trials: usize) -> StudyRequest {
+    let mut fleet = FleetScenario::paper();
+    for m in &mut fleet.members {
+        m.scenario.seed = scenario_seed;
+    }
+    StudyRequest {
+        fleet: FleetSpec::Inline(fleet),
+        peak_cap_kw: Some(1.0),
+        ..paper_study(scenario_seed, population_size, max_trials, true)
+    }
+}
+
 /// The front a standalone run (no daemon) produces for `study`: the
 /// problem, peak cap and NSGA-II budget the daemon builds for it, so a
 /// daemon's `Done` front must equal this one bit for bit.
@@ -362,6 +382,7 @@ pub fn write_artifact<T: Serialize>(name: &str, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgopt_optimizer::Problem;
 
     #[test]
     fn space_respects_fast_mode_env() {
@@ -432,6 +453,25 @@ mod tests {
         let free = standalone_front(&study(None));
         assert!(!free.is_empty());
         assert!(free.iter().all(|p| p.violation == 0.0), "{free:?}");
+    }
+
+    #[test]
+    fn no_victim_plan_meets_its_cap() {
+        // Every 8-point plan on the victim fleets the bins use breaks the
+        // 1 kW cap, so its summed site peaks, which bound its concurrent
+        // peak from above, break it too.
+        for seed in [999, 1_000] {
+            let study = victim_study(seed, 8, 16);
+            let fleet = study.resolved_scenario().expect("valid study").prepare();
+            let problem = FleetProblem::new(&fleet).with_peak_cap_kw(1.0);
+            let plans: Vec<Vec<u16>> = (0..64u16).map(|k| vec![k / 8, k % 8]).collect();
+            for (plan, e) in plans.iter().zip(problem.evaluate_batch_constrained(&plans)) {
+                assert!(
+                    e.total_violation() > 0.0,
+                    "seed {seed}: plan {plan:?} meets 1 kW"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,17 @@
 //! pair walked by one study is a lookup for the next. Eviction drops the
 //! table with the entry.
 //!
+//! The cache also keeps one plan-peak memo ([`PeakMemo`]) per fleet that
+//! [`FleetScenario::prepare_shared`](crate::FleetScenario::prepare_shared)
+//! prepared through it, keyed by the members' canonical keys in order, so
+//! a plan one capped study walked is a lookup for the next study on the
+//! same fleet. It holds at most `capacity` memos and evicts the least
+//! recently used, independently of the scenario entries: a memo stays
+//! valid when a member is evicted and prepared again, because preparation
+//! is deterministic. Each memo takes at most about 1.06 MiB
+//! ([`PEAK_MEMO_CAPACITY`](mgopt_microgrid::PEAK_MEMO_CAPACITY) peaks), so
+//! all of them at most `capacity` × 1.06 MiB.
+//!
 //! Every lookup bumps [`Counter::PrepCacheHits`] or
 //! [`Counter::PrepCacheMisses`], surfacing the hit rate in the
 //! `MGOPT_TRACE` counter snapshot.
@@ -30,6 +41,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use mgopt_microgrid::PeakMemo;
 use mgopt_telemetry::{self as telemetry, Counter};
 
 use crate::scenario::{PreparedScenario, ScenarioConfig};
@@ -57,8 +69,17 @@ struct Slot {
     last_used: u64,
 }
 
+/// One fleet's plan-peak memo, under its members' canonical keys.
+struct FleetSlot {
+    keys: Vec<String>,
+    memo: Arc<PeakMemo>,
+    last_used: u64,
+}
+
 struct Inner {
     slots: HashMap<String, Slot>,
+    /// At most `capacity` fleet memos; a short list, scanned.
+    fleets: Vec<FleetSlot>,
     tick: u64,
 }
 
@@ -77,6 +98,7 @@ impl PreparedCache {
             inner: Mutex::new(Inner {
                 // mgopt-lint: allow(determinism) — victim choice is min_by_key over unique ticks, order-independent
                 slots: HashMap::new(),
+                fleets: Vec::new(),
                 tick: 0,
             }),
         }
@@ -104,25 +126,34 @@ impl PreparedCache {
     /// The returned [`Arc`] is yours regardless of later evictions — a
     /// study holding it is never invalidated under load.
     pub fn get_or_prepare(&self, config: &ScenarioConfig) -> (Arc<PreparedScenario>, bool) {
-        let key = scenario_cache_key(config);
+        self.get_or_prepare_keyed(&scenario_cache_key(config), config)
+    }
+
+    /// [`get_or_prepare`](Self::get_or_prepare) with `config`'s canonical
+    /// key already computed.
+    pub(crate) fn get_or_prepare_keyed(
+        &self,
+        key: &str,
+        config: &ScenarioConfig,
+    ) -> (Arc<PreparedScenario>, bool) {
         let (cell, hit) = {
             let mut inner = self.inner.lock().unwrap();
             inner.tick += 1;
             let tick = inner.tick;
-            if let Some(slot) = inner.slots.get_mut(&key) {
+            if let Some(slot) = inner.slots.get_mut(key) {
                 slot.last_used = tick;
                 (Arc::clone(&slot.cell), true)
             } else {
                 let cell = Arc::new(OnceLock::new());
                 inner.slots.insert(
-                    key.clone(),
+                    key.to_string(),
                     Slot {
                         cell: Arc::clone(&cell),
                         last_used: tick,
                     },
                 );
                 if inner.slots.len() > self.capacity {
-                    evict_lru(&mut inner, &key);
+                    evict_lru(&mut inner, key);
                 }
                 (cell, false)
             }
@@ -137,11 +168,44 @@ impl PreparedCache {
         );
         let _unwind = RemoveIfUnprepared {
             inner: &self.inner,
-            key: &key,
+            key,
             cell: &cell,
         };
         let prepared = Arc::clone(cell.get_or_init(|| Arc::new(config.prepare())));
         (prepared, hit)
+    }
+
+    /// The plan-peak memo of the fleet whose members have the canonical
+    /// keys `keys`, in order: empty on first use, then shared by every
+    /// call with the same keys until it is the least recently used of
+    /// more than `capacity` fleets.
+    pub(crate) fn peak_memo(&self, keys: Vec<String>) -> Arc<PeakMemo> {
+        // Every step below leaves the list valid, so a poisoned lock is too.
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(slot) = inner.fleets.iter_mut().find(|slot| slot.keys == keys) {
+            slot.last_used = tick;
+            return Arc::clone(&slot.memo);
+        }
+        if inner.fleets.len() >= self.capacity {
+            let lru = inner
+                .fleets
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, slot)| slot.last_used)
+                .map(|(i, _)| i);
+            if let Some(lru) = lru {
+                inner.fleets.swap_remove(lru);
+            }
+        }
+        let memo = Arc::default();
+        inner.fleets.push(FleetSlot {
+            keys,
+            memo: Arc::clone(&memo),
+            last_used: tick,
+        });
+        memo
     }
 }
 
@@ -283,6 +347,27 @@ mod tests {
         let _ = cache.get_or_prepare(&tiny(2));
         let (_, hit) = cache.get_or_prepare(&tiny(1));
         assert!(hit, "good seeds still share the cache");
+    }
+
+    #[test]
+    fn fleet_memos_are_shared_per_member_keys_in_order_and_evicted_lru() {
+        let cache = PreparedCache::new(2);
+        let keys = |k: &[&str]| k.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ab = cache.peak_memo(keys(&["a", "b"]));
+        assert!(Arc::ptr_eq(&ab, &cache.peak_memo(keys(&["a", "b"]))));
+        let ba = cache.peak_memo(keys(&["b", "a"]));
+        assert!(!Arc::ptr_eq(&ab, &ba), "member order is part of the key");
+        // Touch `a, b`: `b, a` is now the least recently used.
+        let _ = cache.peak_memo(keys(&["a", "b"]));
+        let ac = cache.peak_memo(keys(&["a", "c"]));
+        assert!(!Arc::ptr_eq(&ab, &ac));
+        assert!(Arc::ptr_eq(&ab, &cache.peak_memo(keys(&["a", "b"]))));
+        assert!(Arc::ptr_eq(&ac, &cache.peak_memo(keys(&["a", "c"]))));
+        assert!(
+            !Arc::ptr_eq(&ba, &cache.peak_memo(keys(&["b", "a"]))),
+            "the LRU memo was evicted"
+        );
+        assert_eq!(cache.inner.lock().unwrap().fleets.len(), 2);
     }
 
     #[test]

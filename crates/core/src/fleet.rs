@@ -24,10 +24,10 @@
 
 use std::sync::Arc;
 
-use mgopt_microgrid::{Composition, FleetEvaluator, FleetResult, FleetSite};
+use mgopt_microgrid::{Composition, FleetEvaluator, FleetResult, FleetSite, PeakMemo};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::PreparedCache;
+use crate::cache::{scenario_cache_key, PreparedCache};
 use crate::scenario::{PreparedScenario, ScenarioConfig};
 
 /// One named member of a fleet scenario.
@@ -71,32 +71,38 @@ impl FleetScenario {
     /// advances on a single clock.
     pub fn prepare(&self) -> PreparedFleet {
         self.check_shared_clock();
-        PreparedFleet {
-            names: self.members.iter().map(|m| m.name.clone()).collect(),
-            members: self
-                .members
+        PreparedFleet::new(
+            self.names(),
+            self.members
                 .iter()
                 .map(|m| Arc::new(m.scenario.prepare()))
                 .collect(),
-        }
+        )
     }
 
     /// Like [`prepare`](Self::prepare), but member scenarios come from (and
     /// land in) a shared [`PreparedCache`] — repeated studies over the same
-    /// sites skip synthesis entirely. Returns the fleet plus the per-member
-    /// cache [`PrepStats`] for this call.
+    /// sites skip synthesis entirely — and so does the fleet's plan-peak
+    /// memo, keyed by the members' scenarios in order. Returns the fleet
+    /// plus the per-member cache [`PrepStats`] for this call.
     ///
     /// # Panics
     /// Panics exactly when [`prepare`](Self::prepare) would (empty fleet,
     /// step mismatch).
     pub fn prepare_shared(&self, cache: &PreparedCache) -> (PreparedFleet, PrepStats) {
         self.check_shared_clock();
+        let keys: Vec<String> = self
+            .members
+            .iter()
+            .map(|m| scenario_cache_key(&m.scenario))
+            .collect();
         let mut stats = PrepStats::default();
         let members = self
             .members
             .iter()
-            .map(|m| {
-                let (prepared, hit) = cache.get_or_prepare(&m.scenario);
+            .zip(&keys)
+            .map(|(m, key)| {
+                let (prepared, hit) = cache.get_or_prepare_keyed(key, &m.scenario);
                 if hit {
                     stats.hits += 1;
                 } else {
@@ -105,13 +111,16 @@ impl FleetScenario {
                 prepared
             })
             .collect();
-        (
-            PreparedFleet {
-                names: self.members.iter().map(|m| m.name.clone()).collect(),
-                members,
-            },
-            stats,
-        )
+        let fleet = PreparedFleet {
+            names: self.names(),
+            members,
+            peaks: cache.peak_memo(keys),
+        };
+        (fleet, stats)
+    }
+
+    fn names(&self) -> Vec<String> {
+        self.members.iter().map(|m| m.name.clone()).collect()
     }
 
     fn check_shared_clock(&self) {
@@ -142,15 +151,51 @@ pub struct PrepStats {
 /// several fleets from one [`PreparedCache`]) shares the heavyweight site
 /// arrays instead of copying them, and evaluation only ever takes `&self`,
 /// so any number of concurrent studies can run over one prepared fleet.
+///
+/// ## Plan-peak memo
+///
+/// Capped fleet searches ([`FleetProblem`](crate::FleetProblem) with a
+/// peak cap) store the peak concurrent grid import of every plan they
+/// walk in the fleet's [`PeakMemo`], and answer a later capped plan from
+/// it and the members' per-site tables, under any cap. A plan's peak
+/// depends only on the members' prepared inputs, in order, and the plan.
+///
+/// * **Who shares it.** [`new`](Self::new) and
+///   [`FleetScenario::prepare`] start an empty memo; clones share it, as
+///   they share the members; [`FleetScenario::prepare_shared`] hands
+///   every fleet with the same member scenarios, in order, the memo the
+///   [`PreparedCache`] keeps for them.
+/// * **Edit a new fleet.** The memo cannot see `members`: never replace
+///   or reorder the members of a fleet a capped search has evaluated.
+///   Build another with [`new`](Self::new).
+/// * **Memory bound.** The memo allocates on its first stored peak and
+///   holds at most [`PEAK_MEMO_CAPACITY`](mgopt_microgrid::PEAK_MEMO_CAPACITY)
+///   peaks, about 1.06 MiB; plans beyond that walk every time.
 #[derive(Debug, Clone)]
 pub struct PreparedFleet {
     /// Member names, in evaluation order.
     pub names: Vec<String>,
     /// Prepared member scenarios, in evaluation order (shared, read-only).
     pub members: Vec<Arc<PreparedScenario>>,
+    peaks: Arc<PeakMemo>,
 }
 
 impl PreparedFleet {
+    /// A fleet of prepared members, in evaluation order, with an empty
+    /// plan-peak memo.
+    pub fn new(names: Vec<String>, members: Vec<Arc<PreparedScenario>>) -> Self {
+        Self {
+            names,
+            members,
+            peaks: Arc::default(),
+        }
+    }
+
+    /// The fleet's plan-peak memo.
+    pub(crate) fn peak_memo(&self) -> &PeakMemo {
+        &self.peaks
+    }
+
     /// Number of member sites.
     pub fn n_sites(&self) -> usize {
         self.members.len()

@@ -175,17 +175,21 @@ impl MultiFidelityProblem for CompositionProblem<'_> {
 ///
 /// Cohorts evaluate in **one fleet pass** per generation, and single
 /// genomes as a cohort of one: [`FleetEvaluator::evaluate_tabled`] over
-/// each member's per-site result table (see [`PreparedScenario`]). The
-/// tables are shared with every earlier cohort, of this study or of any
-/// other study on the same prepared members.
+/// each member's per-site result table (see [`PreparedScenario`]) and,
+/// capped, the fleet's plan-peak memo (see [`PreparedFleet`]). Tables and
+/// memo are shared with every earlier cohort, of this study or of any
+/// other study on the same prepared fleet.
 ///
 /// * **Uncapped**, only (site, composition) pairs no earlier cohort has
 ///   walked are walked, each once, and every plan is summed from the
 ///   tables. So a warm daemon answers most cohorts with few or no walks.
 /// * **Capped**, a plan whose pairs are all in the tables and whose
 ///   per-site peak imports sum to at most the cap is answered from them,
-///   feasible. Every other plan walks all of its sites step-aligned, for
-///   its concurrent peak, and fills the tables.
+///   feasible. A plan an earlier capped cohort walked, under any cap, is
+///   answered from the tables and its stored concurrent peak. Every other
+///   plan walks all of its sites step-aligned, for its concurrent peak,
+///   and fills the tables and the memo. So a daemon walks each capped
+///   plan of a fleet once, while the memo has room.
 ///
 /// Objectives and violations equal a plan walk's bit for bit.
 pub struct FleetProblem<'a> {
@@ -296,8 +300,9 @@ impl<'a> FleetProblem<'a> {
             .iter()
             .map(|m| (&m.config.space, m.site_table_or_init()))
             .collect();
+        let capped = self.peak_cap_kw.map(|cap| (cap, self.fleet.peak_memo()));
         self.evaluator()
-            .evaluate_tabled(genomes, &tables, self.peak_cap_kw)
+            .evaluate_tabled(genomes, &tables, capped)
             .into_iter()
             .map(|(r, violation)| Evaluation {
                 objectives: vec![r.fleet.operational_t_per_day, r.fleet.embodied_t],

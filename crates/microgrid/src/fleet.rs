@@ -27,11 +27,16 @@
 //! answered per site: [`FleetEvaluator::evaluate_tabled`] keeps one
 //! [`SiteTable`] per member, indexed by composition index. Each slot also
 //! holds the site's own peak import, and under a concurrent-import cap
-//! those peaks settle most plans without a walk: summed in site order,
-//! they bound every step's concurrent sum, so a plan whose summed peaks
-//! meet the cap meets it exactly. Uncapped cohorts walk only the (site,
-//! composition) pairs the table has not seen; capped cohorts walk only
-//! the plans the table cannot settle, and that plan walk fills the table.
+//! those peaks settle most first-time feasible plans without a walk:
+//! summed in site order, they bound every step's concurrent sum, so a
+//! plan whose summed peaks meet the cap meets it exactly. A plan's
+//! concurrent peak itself depends only on the fleet's prepared inputs
+//! and the plan, so the fleet's [`PeakMemo`] stores it for every plan
+//! the plan walk steps, and a later capped cohort, under any cap,
+//! answers that plan from the tables and the memo. Uncapped cohorts walk
+//! only the (site, composition) pairs the tables have not seen; capped
+//! cohorts walk only the plans neither the bound nor the memo settles,
+//! and that plan walk fills the tables and the memo.
 //!
 //! ## Agreement guarantee
 //!
@@ -39,13 +44,15 @@
 //! engine on each site independently: every site runs the batch walk on
 //! its own candidates, block boundaries only pause it, and a candidate's
 //! lane never reads another lane. Table-backed results are therefore the
-//! plan walk's results, bit for bit, and a plan the table settles under a
-//! cap has the violation the plan walk would report, `0.0`.
+//! plan walk's results, bit for bit. A plan the bound settles under a cap
+//! has the violation the plan walk would report, `0.0`, and a plan the
+//! memo answers has the plan walk's own peak, put through
+//! [`FleetMetrics::peak_cap_violation_kw`].
 //! `tests/fleet_agreement.rs` and `tests/site_table.rs` pin this exactly,
 //! and `tests/fleet_agreement.rs` pins fleet totals to the cosim
 //! [`Environment`](mgopt_cosim) oracle at ≤1e-9 relative.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
 use mgopt_units::TimeSeries;
@@ -140,6 +147,95 @@ impl SiteTable {
     }
 }
 
+/// The most plan peaks one [`PeakMemo`] stores; plans walked once it is
+/// full are not stored, and walk again when asked again. A stored peak
+/// takes 16 bytes plus one control byte in std's hash table, which keeps
+/// at least one bucket in eight free, so a full memo holds at most
+/// 65,536 buckets: 65,536 × 17 B + 16 B ≈ 1.06 MiB (while the table
+/// grows to that size, the half-size table it replaces is held too).
+pub const PEAK_MEMO_CAPACITY: usize = 32_768;
+
+/// A fleet's plan-peak memo: the peak concurrent grid import of every
+/// plan the step-aligned plan walk has stepped, keyed by the plan's
+/// composition indices (one mixed-radix `u64` over the sites' space
+/// sizes; a plan whose key overflows is not stored).
+///
+/// A plan's concurrent peak depends only on the fleet's prepared inputs
+/// and the plan, so, like a [`SiteTable`] on one member's inputs, the
+/// memo is only valid next to the fleet it was filled for, in its member
+/// order. It is shared across studies behind one lock that each cohort
+/// takes twice: once to look plans up, once to store the plans it
+/// walked. Two studies that race to store a plan stored bit-identical
+/// peaks. Lookups are keyed only, so the map's order never shows.
+///
+/// Memory: empty until the first store, at most [`PEAK_MEMO_CAPACITY`]
+/// peaks (about 1.06 MiB) once full.
+#[derive(Debug)]
+pub struct PeakMemo {
+    peaks: Mutex<std::collections::HashMap<u64, f64>>,
+    capacity: usize,
+}
+
+impl Default for PeakMemo {
+    /// An empty memo of [`PEAK_MEMO_CAPACITY`] peaks.
+    fn default() -> Self {
+        Self::with_capacity(PEAK_MEMO_CAPACITY)
+    }
+}
+
+impl PeakMemo {
+    /// An empty memo that stores at most `capacity` peaks.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            // mgopt-lint: allow(determinism) — plan peaks are looked up and stored by key only, never iterated
+            peaks: Mutex::new(std::collections::HashMap::new()),
+            capacity,
+        }
+    }
+
+    /// The stored peaks. Every update is one insert, which leaves the map
+    /// valid, so a lock a panicking study poisoned is still good.
+    fn peaks(&self) -> MutexGuard<'_, std::collections::HashMap<u64, f64>> {
+        self.peaks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Store walked plans' peaks under their keys while there is room;
+    /// a plan without a key is skipped.
+    fn store(&self, walked: impl Iterator<Item = (Option<u64>, f64)>) {
+        let mut peaks = self.peaks();
+        for (key, peak) in walked {
+            if peaks.len() >= self.capacity {
+                return;
+            }
+            if let Some(key) = key {
+                peaks.insert(key, peak);
+            }
+        }
+    }
+
+    /// A plan's key: its composition indices as one mixed-radix number
+    /// over the sites' space sizes, exact and so one-to-one, or `None`
+    /// when it overflows a `u64`.
+    fn key(plan: &[u16], tables: &[(&CompositionSpace, &SiteTable)]) -> Option<u64> {
+        plan.iter()
+            .zip(tables)
+            .try_fold(0u64, |key, (&g, (_, table))| {
+                key.checked_mul(table.len() as u64)?
+                    .checked_add(u64::from(g))
+            })
+    }
+}
+
+/// How a capped cohort answers one plan.
+enum Source {
+    /// From the tables alone: its summed site peaks meet the cap.
+    Bound,
+    /// From the tables and the memo's stored concurrent peak.
+    Memo(f64),
+    /// Through the plan walk.
+    Walk,
+}
+
 /// Fleet-level aggregates of one plan, over the simulated window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
@@ -153,7 +249,8 @@ pub struct FleetMetrics {
     /// over time of the per-step sum of site imports, folded from the
     /// walks' step-aligned block buffer. `None` when tracking was
     /// disabled via [`FleetEvaluator::with_peak_tracking`], and for a plan
-    /// [`FleetEvaluator::evaluate_tabled`] answered from its tables.
+    /// [`FleetEvaluator::evaluate_tabled`] answered from its tables alone
+    /// (uncapped, or settled by the summed site peaks).
     pub peak_concurrent_import_kw: Option<f64>,
     /// Grid import per site, MWh (site order of the evaluator).
     pub site_import_mwh: Vec<f64>,
@@ -365,7 +462,8 @@ impl<'a> FleetEvaluator<'a> {
         let out: Vec<FleetResult> = nested.into_iter().flatten().collect();
 
         let walked = plans.len() * self.sites.len();
-        self.emit_fleet_eval(trace, plans.len(), n, plans.len().div_ceil(CHUNK), walked);
+        let chunks = plans.len().div_ceil(CHUNK);
+        self.emit_fleet_eval(trace, plans.len(), n, chunks, walked, None);
         out
     }
 
@@ -375,32 +473,38 @@ impl<'a> FleetEvaluator<'a> {
     ///
     /// Each plan is given as one composition index per site (a fleet
     /// genome); `tables` pairs each site, in site order, with its
-    /// [`CompositionSpace`] and [`SiteTable`]. Each answer pairs the plan's
-    /// result with its cap violation, kW (`None` without a cap).
+    /// [`CompositionSpace`] and [`SiteTable`]; `capped` pairs the cap, kW,
+    /// with the fleet's [`PeakMemo`]. Each answer pairs the plan's result
+    /// with its cap violation, kW (`None` without a cap).
     ///
     /// * **Uncapped**, only the indices a site's table lacks are walked —
     ///   once each, in first-seen order, in chunks of one site's
     ///   compositions, all (site, chunk) walks as one parallel pass — and
     ///   every plan is answered from the tables through
-    ///   [`FleetMetrics::from_sites`].
-    /// * **Capped**, a plan whose pairs are all in the tables and whose
-    ///   site peaks, summed in site order, are at most the cap is answered
-    ///   from the tables with violation `0.0`. IEEE round-to-nearest
-    ///   addition is monotone, so that sum bounds every step's concurrent
-    ///   sum from above, and so the concurrent peak too. Every other plan
-    ///   takes the plan walk with peak tracking, and the walk fills the
-    ///   tables with every pair it walks.
+    ///   [`FleetMetrics::from_sites`]. The memo is not consulted.
+    /// * **Capped**, a plan whose pairs are all in the tables is answered
+    ///   without a walk in two cases. When its site peaks, summed in site
+    ///   order, are at most the cap, it is feasible with violation `0.0`:
+    ///   IEEE round-to-nearest addition is monotone, so that sum bounds
+    ///   every step's concurrent sum from above, and so the concurrent
+    ///   peak too. Otherwise, when the memo holds its concurrent peak,
+    ///   that peak's [`FleetMetrics::peak_cap_violation_kw`] is its
+    ///   violation. Every other plan takes the plan walk with peak
+    ///   tracking, which fills the tables with every pair it walks and
+    ///   the memo with every plan's peak, while the memo has room.
     ///
     /// Objectives and violations equal those of
     /// [`evaluate_plans`](Self::evaluate_plans) with peak tracking and
-    /// [`FleetMetrics::peak_cap_violation_kw`], bit for bit. A plan
-    /// answered from the tables carries no SoC traces and no concurrent
-    /// peak. The cap, not [`with_peak_tracking`](Self::with_peak_tracking),
-    /// decides whether plans are walked with peak tracking. One
-    /// `fleet_eval` event reports the cohort.
+    /// [`FleetMetrics::peak_cap_violation_kw`], bit for bit, whatever cap
+    /// filled the memo. A plan answered from the tables carries no SoC
+    /// traces, and a concurrent peak only when the memo gave it. The cap,
+    /// not [`with_peak_tracking`](Self::with_peak_tracking), decides
+    /// whether plans are walked with peak tracking. One `fleet_eval`
+    /// event reports the cohort.
     ///
     /// The caller must pair each site with the table of *that* site's
-    /// prepared inputs and config: the table cannot tell.
+    /// prepared inputs and config, and the cap with the memo of *this*
+    /// fleet: neither can tell.
     ///
     /// # Panics
     /// Panics when `tables` does not match the sites, when a table's size
@@ -410,7 +514,7 @@ impl<'a> FleetEvaluator<'a> {
         &self,
         plans: &[Vec<u16>],
         tables: &[(&CompositionSpace, &SiteTable)],
-        peak_cap_kw: Option<f64>,
+        capped: Option<(f64, &PeakMemo)>,
     ) -> Vec<(FleetResult, Option<f64>)> {
         assert_eq!(
             tables.len(),
@@ -436,37 +540,56 @@ impl<'a> FleetEvaluator<'a> {
         let demand_kwh = self.demand_kwh(n);
         let trace = PassTrace::start();
 
-        // The positions of the plans to walk, and the (site, index) pairs
-        // and chunks walked.
-        let (to_walk, walked, chunks) = match peak_cap_kw {
-            None => {
-                let (walked, chunks) = self.fill_unseen(plans, tables, n, &demand_kwh);
-                (Vec::new(), walked, chunks)
-            }
-            Some(cap) => {
-                let to_walk: Vec<usize> = (0..plans.len())
-                    .filter(|&p| !Self::settled(&plans[p], tables, cap))
-                    .collect();
-                let walked = to_walk.len() * self.sites.len();
-                let chunks = to_walk.len().div_ceil(CHUNK);
-                (to_walk, walked, chunks)
-            }
+        let Some((cap, memo)) = capped else {
+            let (walked, chunks) = self.fill_unseen(plans, tables, n, &demand_kwh);
+            let out = plans
+                .iter()
+                .map(|plan| (Self::from_tables(plan, tables, None), None))
+                .collect();
+            self.emit_fleet_eval(trace, plans.len(), n, chunks, walked, None);
+            return out;
         };
-        let walks = self.walk_and_fill(plans, &to_walk, tables, n, &demand_kwh);
-        let mut walks = to_walk.into_iter().zip(walks).peekable();
+
+        let sources: Vec<Source> = {
+            let peaks = memo.peaks();
+            plans
+                .iter()
+                .map(|plan| match Self::summed_site_peaks(plan, tables) {
+                    Some(bound) if bound <= cap => Source::Bound,
+                    Some(_) => PeakMemo::key(plan, tables)
+                        .and_then(|key| peaks.get(&key).copied())
+                        .map_or(Source::Walk, Source::Memo),
+                    None => Source::Walk,
+                })
+                .collect()
+        };
+        let to_walk: Vec<usize> = (0..plans.len())
+            .filter(|&p| matches!(sources[p], Source::Walk))
+            .collect();
+        let peak_hits = sources
+            .iter()
+            .filter(|source| matches!(source, Source::Memo(_)))
+            .count();
+        let mut walks = self
+            .walk_and_fill(plans, &to_walk, tables, memo, n, &demand_kwh)
+            .into_iter();
         let out = plans
             .iter()
-            .enumerate()
-            .map(|(p, plan)| match walks.next_if(|(q, _)| *q == p) {
-                Some((_, r)) => {
-                    let violation = peak_cap_kw.map(|cap| r.fleet.peak_cap_violation_kw(cap));
-                    (r, violation)
-                }
-                None => (Self::from_tables(plan, tables), peak_cap_kw.map(|_| 0.0)),
+            .zip(sources)
+            .map(|(plan, source)| {
+                let r = match source {
+                    Source::Bound => return (Self::from_tables(plan, tables, None), Some(0.0)),
+                    Source::Memo(peak) => Self::from_tables(plan, tables, Some(peak)),
+                    Source::Walk => walks.next().expect("one walk per walked plan"),
+                };
+                let violation = r.fleet.peak_cap_violation_kw(cap);
+                (r, Some(violation))
             })
             .collect();
 
-        self.emit_fleet_eval(trace, plans.len(), n, chunks, walked);
+        let walked = to_walk.len() * self.sites.len();
+        let chunks = to_walk.len().div_ceil(CHUNK);
+        self.emit_fleet_eval(trace, plans.len(), n, chunks, walked, Some(peak_hits));
         out
     }
 
@@ -516,23 +639,24 @@ impl<'a> FleetEvaluator<'a> {
         (unseen.iter().map(Vec::len).sum(), chunks)
     }
 
-    /// `true` when the tables settle `plan` under `cap`: every pair is in
-    /// them, and the site peaks, summed in site order, are at most `cap`.
-    fn settled(plan: &[u16], tables: &[(&CompositionSpace, &SiteTable)], cap: f64) -> bool {
+    /// The plan's site peaks summed in site order, when every pair is in
+    /// the tables: an upper bound on its concurrent peak.
+    fn summed_site_peaks(plan: &[u16], tables: &[(&CompositionSpace, &SiteTable)]) -> Option<f64> {
         plan.iter()
             .zip(tables)
             .map(|(&g, (_, table))| table.get(usize::from(g)).map(|e| e.peak_import_kw))
-            .sum::<Option<f64>>()
-            .is_some_and(|bound| bound <= cap)
+            .sum()
     }
 
     /// The plans at `positions` through the plan walk with peak tracking,
-    /// in that order, filling the tables with every pair walked.
+    /// in that order, filling the tables with every pair walked and the
+    /// memo with every plan's concurrent peak while it has room.
     fn walk_and_fill(
         &self,
         plans: &[Vec<u16>],
         positions: &[usize],
         tables: &[(&CompositionSpace, &SiteTable)],
+        memo: &PeakMemo,
         n: usize,
         demand_kwh: &[f64],
     ) -> Vec<FleetResult> {
@@ -562,14 +686,26 @@ impl<'a> FleetEvaluator<'a> {
                         );
                     }
                 }
+                memo.store(chunk.iter().zip(&results).map(|(&p, result)| {
+                    let peak = result.fleet.peak_concurrent_import_kw;
+                    (
+                        PeakMemo::key(&plans[p], tables),
+                        peak.expect("the plan walk tracks peaks"),
+                    )
+                }));
                 results
             })
             .collect();
         nested.into_iter().flatten().collect()
     }
 
-    /// A plan's answer from the tables, which hold every pair it needs.
-    fn from_tables(plan: &[u16], tables: &[(&CompositionSpace, &SiteTable)]) -> FleetResult {
+    /// A plan's answer from the tables, which hold every pair it needs,
+    /// with its concurrent peak when known.
+    fn from_tables(
+        plan: &[u16],
+        tables: &[(&CompositionSpace, &SiteTable)],
+        peak_concurrent_import_kw: Option<f64>,
+    ) -> FleetResult {
         let per_site: Vec<AnnualResult> = plan
             .iter()
             .zip(tables)
@@ -587,7 +723,7 @@ impl<'a> FleetEvaluator<'a> {
             })
             .collect();
         FleetResult {
-            fleet: FleetMetrics::from_sites(&per_site, None),
+            fleet: FleetMetrics::from_sites(&per_site, peak_concurrent_import_kw),
             per_site,
         }
     }
@@ -620,6 +756,8 @@ impl<'a> FleetEvaluator<'a> {
     /// sites × steps whether walked or not, `walked_rows` the rows the
     /// walk stepped (`walked` site compositions × steps), and
     /// `table_hits` the (plan, site) lookups answered without a walk.
+    /// `peak_hits` is `None` for an uncapped cohort, and else the number
+    /// of plans the memo answered: `capped` tells the two apart.
     fn emit_fleet_eval(
         &self,
         trace: Option<PassTrace>,
@@ -627,6 +765,7 @@ impl<'a> FleetEvaluator<'a> {
         steps: usize,
         chunks: usize,
         walked: usize,
+        peak_hits: Option<usize>,
     ) {
         let Some(t) = trace else {
             return;
@@ -640,6 +779,8 @@ impl<'a> FleetEvaluator<'a> {
             .u64("rows", (lookups * steps) as u64)
             .u64("walked_rows", (walked * steps) as u64)
             .u64("table_hits", (lookups - walked) as u64)
+            .bool("capped", peak_hits.is_some())
+            .u64("peak_hits", peak_hits.unwrap_or(0) as u64)
             .bool("simd", self.backend == BatchBackend::Simd)
             .u64(
                 "simd_rows",
@@ -1114,7 +1255,7 @@ mod tests {
             let walked = fleet.evaluate_tabled(
                 &plans,
                 &[(&space, &by_plan[0]), (&space, &by_plan[1])],
-                Some(1.0),
+                Some((1.0, &PeakMemo::default())),
             );
             assert!(walked
                 .iter()
@@ -1139,6 +1280,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_full_memo_stores_no_more_and_its_answers_stay_exact() {
+        let (h, b, lh, lb) = two_sites();
+        let cfg = SimConfig::default();
+        let fleet = FleetEvaluator::new(vec![
+            FleetSite {
+                name: "houston",
+                data: &h,
+                load: &lh,
+                cfg: &cfg,
+            },
+            FleetSite {
+                name: "berkeley",
+                data: &b,
+                load: &lb,
+                cfg: &cfg,
+            },
+        ]);
+        let space = CompositionSpace::tiny();
+        let tables = [SiteTable::new(27), SiteTable::new(27)];
+        let tables = [(&space, &tables[0]), (&space, &tables[1])];
+        let memo = PeakMemo::with_capacity(3);
+        // 9 distinct plans, all walked under the first cap, which no
+        // plan meets.
+        let plans: Vec<Vec<u16>> = (0..9u16).map(|k| vec![k, (k * 5 + 1) % 27]).collect();
+        let walks = fleet.evaluate_plans(
+            &plans
+                .iter()
+                .map(|p| vec![space.at(usize::from(p[0])), space.at(usize::from(p[1]))])
+                .collect::<Vec<_>>(),
+        );
+        let peaks: Vec<f64> = walks
+            .iter()
+            .map(|r| r.fleet.peak_concurrent_import_kw.expect("tracked"))
+            .collect();
+        let min_peak = peaks.iter().copied().fold(f64::INFINITY, f64::min);
+        let first = fleet.evaluate_tabled(&plans, &tables, Some((min_peak * 0.5, &memo)));
+        assert_eq!(memo.peaks().len(), 3, "the memo stops at its capacity");
+        // The stored plans are the first three walked, under their keys.
+        for (plan, &peak) in plans.iter().zip(&peaks).take(3) {
+            let key = PeakMemo::key(plan, &tables).expect("fits a u64");
+            assert_eq!(memo.peaks()[&key].to_bits(), peak.to_bits());
+        }
+
+        // Under any other cap, stored plans and walked ones answer alike.
+        for cap in [min_peak * 0.5, peaks[4], 2.0 * peaks[0]] {
+            let got = fleet.evaluate_tabled(&plans, &tables, Some((cap, &memo)));
+            assert_eq!(memo.peaks().len(), 3);
+            for ((r, violation), want) in got.iter().zip(&walks) {
+                assert_eq!(
+                    r.fleet.operational_t_per_day,
+                    want.fleet.operational_t_per_day
+                );
+                assert_eq!(r.fleet.embodied_t, want.fleet.embodied_t);
+                assert_eq!(
+                    violation.map(f64::to_bits),
+                    Some(want.fleet.peak_cap_violation_kw(cap).to_bits()),
+                    "cap {cap}"
+                );
+            }
+        }
+        assert!(first.iter().all(|(_, v)| v.is_some_and(|v| v > 0.0)));
+    }
+
+    #[test]
+    fn plan_keys_are_mixed_radix_and_overflow_to_none() {
+        let spaces = [CompositionSpace::tiny(), CompositionSpace::paper()];
+        let tables = [
+            SiteTable::new(spaces[0].len()),
+            SiteTable::new(spaces[1].len()),
+        ];
+        let pairs = [(&spaces[0], &tables[0]), (&spaces[1], &tables[1])];
+        let n = spaces[1].len() as u64;
+        assert_eq!(PeakMemo::key(&[0, 0], &pairs), Some(0));
+        assert_eq!(PeakMemo::key(&[0, 5], &pairs), Some(5));
+        assert_eq!(PeakMemo::key(&[2, 5], &pairs), Some(2 * n + 5));
+        assert_eq!(PeakMemo::key(&[26, 1_088], &pairs), Some(27 * n - 1));
+        // Five 65,536-point sites: the plan space passes 2^64.
+        let big = SiteTable::new(65_536);
+        let five = vec![(&spaces[0], &big); 5];
+        assert_eq!(PeakMemo::key(&[0, 0, 0, 0, 1], &five), Some(1));
+        assert_eq!(PeakMemo::key(&[1, 0, 0, 0, 0], &five), None);
     }
 
     #[test]

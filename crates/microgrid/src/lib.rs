@@ -69,7 +69,10 @@ pub use batch::{
 };
 pub use composition::{Composition, CompositionSpace};
 pub use embodied::EmbodiedDb;
-pub use fleet::{FleetEvaluator, FleetMetrics, FleetResult, FleetSite, SiteEntry, SiteTable};
+pub use fleet::{
+    FleetEvaluator, FleetMetrics, FleetResult, FleetSite, PeakMemo, SiteEntry, SiteTable,
+    PEAK_MEMO_CAPACITY,
+};
 pub use metrics::{AnnualMetrics, AnnualResult};
 pub use policy::{shift_load_carbon_aware, DispatchPolicy};
 pub use simd::{BatchBackend, F64x4, LANES};

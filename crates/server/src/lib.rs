@@ -76,7 +76,8 @@
 //! means real queue pressure. Prepared sites come from the
 //! shared [`PreparedCache`] keyed by the full scenario config, so
 //! concurrent studies over the same sites share one
-//! `Arc<PreparedScenario>` and never re-prepare. Search results depend
+//! `Arc<PreparedScenario>` and never re-prepare, and capped studies over
+//! the same fleet share its plan-peak memo. Search results depend
 //! only on `(fleet, budget, seed)` — never on interleaving, queueing,
 //! or which connection carried the request — because evaluation is
 //! re-entrant over shared read-only data and every study owns its
@@ -121,7 +122,7 @@ use mgopt_core::wire::{
     self, ErrorCode, FrontUpdate, PlanPoint, Request, RequestFrame, Response, ResponseFrame,
     StudyAccepted, StudyCancelled, StudyDone, StudyQueued, StudyRequest, WireError, WIRE_VERSION,
 };
-use mgopt_core::{scenario_key_hash, PreparedCache, PreparedFleet};
+use mgopt_core::{scenario_key_hash, PreparedCache};
 use mgopt_optimizer::{GenerationView, Nsga2Config, Nsga2Optimizer, SearchControl};
 use mgopt_telemetry::{self as telemetry, Stage};
 use serde::Value;
@@ -514,7 +515,7 @@ impl Server {
                 .iter()
                 .map(|(genome, eval)| PlanPoint {
                     genome: genome.clone(),
-                    plan: plan_of(&fleet, genome),
+                    plan: problem.plan(genome),
                     objectives: eval.objectives.clone(),
                     violation: eval.total_violation(),
                 })
@@ -619,15 +620,6 @@ fn retire(registry: &CancelRegistry, id: &str, cancel: &AtomicBool) -> bool {
     let mut reg = registry.lock().unwrap_or_else(|e| e.into_inner());
     reg.remove(id);
     cancel.load(Ordering::SeqCst)
-}
-
-/// Decode one genome into its fleet plan.
-fn plan_of(fleet: &PreparedFleet, genome: &[u16]) -> Vec<mgopt_microgrid::Composition> {
-    genome
-        .iter()
-        .zip(&fleet.members)
-        .map(|(&g, m)| m.config.space.at(g as usize))
-        .collect()
 }
 
 /// Best-effort extraction of the `id` from a line that failed strict

@@ -51,7 +51,8 @@
 //! JSON object per line. Kinds currently written: `trace_start`,
 //! `batch_eval` and `fleet_eval` (engine passes: candidates, steps,
 //! chunks, rows, prepare/kernel/wall ms; `fleet_eval` also splits its
-//! rows into walked rows and per-site table hits), `generation` (NSGA-II: cohort,
+//! rows into walked rows and per-site table hits, and marks capped
+//! cohorts with the plans their plan-peak memo answered), `generation` (NSGA-II: cohort,
 //! cache hits/misses, feasible count, front size, 2-D hypervolume, best
 //! objectives), `rung` (successive halving) and `sampler` (exhaustive /
 //! random cohorts). `trace_report` in `mgopt-bench` summarizes and
@@ -389,9 +390,9 @@ pub enum Counter {
     /// Candidate-rows the fleet engine walked (site compositions ×
     /// steps). A plan walk steps every plan's sites. The table path
     /// steps, uncapped, only the site compositions its tables lacked and,
-    /// capped, only the plans its tables could not settle, so this can
-    /// be far below the rows the cohorts requested (`fleet_eval`'s
-    /// `rows`).
+    /// capped, only the plans neither its tables nor its plan-peak memo
+    /// could settle, so this can be far below the rows the cohorts
+    /// requested (`fleet_eval`'s `rows`).
     FleetRows,
     /// NSGA-II memo-cache hits (sampled genomes answered from the cache).
     CacheHits,

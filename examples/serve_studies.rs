@@ -73,17 +73,32 @@ fn main() {
         peak_cap_kw: None,
         stream: true,
     };
+    // The exploratory study's own fleet: the paper sites at a scenario
+    // seed no other study here prepares.
+    let mut exploratory_fleet = FleetScenario::paper();
+    for m in &mut exploratory_fleet.members {
+        m.scenario.seed = 999;
+    }
     let requests = vec![
         // A deliberately oversized streamed budget: this study is going
         // to be cancelled after its first generation, demonstrating the
-        // cooperative-cancellation lifecycle. No plan's summed site peaks
-        // meet its 1 kW cap, so no plan can be answered from the per-site
-        // result tables: it walks every plan each generation and is still
-        // running when the cancel arrives. An uncapped or loosely capped
-        // one is answered from the tables and could finish first.
+        // cooperative-cancellation lifecycle. It walks every plan it
+        // evaluates, so it is still running when the cancel arrives: on
+        // a fleet of its own no stored plan peak can answer it; on its
+        // 8-point space (0 or 4 turbines, 0 or 16 MW solar, 0 or 22.5 MWh
+        // battery) every plan imports, so no plan's summed site peaks
+        // meet the 1 kW cap; and NSGA-II never evaluates a genome twice.
+        // The tiny grid would not do: its plans with 10 turbines and
+        // 60 MWh at both sites import nothing and meet any cap.
         (
             "exploratory",
             StudyRequest {
+                fleet: FleetSpec::Inline(exploratory_fleet),
+                space: Some(CompositionSpace {
+                    wind_choices: vec![0, 4],
+                    solar_choices_kw: vec![0.0, 16_000.0],
+                    battery_choices_kwh: vec![0.0, 22_500.0],
+                }),
                 budget: StudyBudget {
                     max_trials: max_trials * 4,
                     ..budget(42)

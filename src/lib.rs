@@ -88,8 +88,10 @@
 //! ([`microgrid::SiteTable`]), shared by every study on that member.
 //! Uncapped, each (site, composition) pair is walked once. Capped, a
 //! plan whose per-site peak imports sum to at most the cap is feasible
-//! without a walk, and only the other plans take the step-aligned plan
-//! walk, which fills the table (`tests/site_table.rs` pins both
+//! without a walk, a plan an earlier capped cohort walked is answered
+//! from the fleet's plan-peak memo ([`microgrid::PeakMemo`]) under any
+//! cap, and only the other plans take the step-aligned plan walk, which
+//! fills the table and the memo (`tests/site_table.rs` pins all three
 //! bit-identical to the plan walk).
 //!
 //! ## Observability

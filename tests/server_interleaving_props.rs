@@ -17,6 +17,7 @@
 //! `Done`).
 
 use std::io::{BufRead, BufReader, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 
@@ -27,7 +28,7 @@ use microgrid_opt::core::wire::{
     StudyBudget, StudyRequest, WIRE_VERSION,
 };
 use microgrid_opt::core::PreparedCache;
-use microgrid_opt::prelude::{CompositionSpace, Server, ServerConfig};
+use microgrid_opt::prelude::{CompositionSpace, FleetScenario, Server, ServerConfig};
 
 /// One prepared-scenario cache for the whole test binary: both the
 /// concurrent and the sequential daemon hand out the same `Arc`s, so the
@@ -172,6 +173,19 @@ fn run_split(studies: &[StudyRequest]) -> Vec<Vec<PlanPoint>> {
         .collect()
 }
 
+/// The paper fleet at a scenario seed no other study in this binary
+/// prepares, a new one per call: every case shares one prepared cache,
+/// and with it the plan-peak memo of every fleet an earlier case searched.
+fn victim_fleet() -> FleetScenario {
+    static NEXT_SEED: AtomicU64 = AtomicU64::new(2_000);
+    let seed = NEXT_SEED.fetch_add(1, Ordering::Relaxed);
+    let mut fleet = FleetScenario::paper();
+    for m in &mut fleet.members {
+        m.scenario.seed = seed;
+    }
+    fleet
+}
+
 /// Fire `studies` plus a long streamed victim concurrently, cancel the
 /// victim after its first `Front`, and return the non-victim fronts plus
 /// the victim's terminal frames (which must be exactly one `Cancelled`).
@@ -196,12 +210,15 @@ fn run_with_cancelled_victim(
         writeln!(writer, "{}", encode_request(&frame)).unwrap();
     };
     // ~50 generations of budget: a cancel sent after the first streamed
-    // front always lands before the victim finishes on its own. The 1 kW
-    // cap keeps every generation a real walk: no plan's summed site peaks
-    // meet it, so no plan can be answered from the shared per-site tables,
-    // which answer uncapped and loosely capped studies in far less time
-    // than a cancel takes to arrive.
+    // front always lands before the victim finishes on its own. Every plan
+    // it evaluates takes the plan walk, so every generation with a new
+    // plan is a real walk: on a fleet of its own no stored plan peak can
+    // answer it, no 8-point plan's summed site peaks meet its 1 kW cap,
+    // and NSGA-II never evaluates a genome twice. The shared tables and
+    // memo answer uncapped, loosely capped and repeated studies in far
+    // less time than a cancel takes to arrive.
     let mut victim = study(victim_seed, 8, 392, Some(1.0));
+    victim.fleet = FleetSpec::Inline(victim_fleet());
     victim.stream = true;
     send(&mut writer, "victim", Request::Study(victim));
     for (k, s) in studies.iter().enumerate() {

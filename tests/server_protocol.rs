@@ -88,11 +88,7 @@ fn standalone_front(study: &StudyRequest) -> Vec<PlanPoint> {
             .iter()
             .map(|(genome, eval)| PlanPoint {
                 genome: genome.clone(),
-                plan: genome
-                    .iter()
-                    .zip(&fleet.members)
-                    .map(|(&g, m)| m.config.space.at(g as usize))
-                    .collect(),
+                plan: problem.plan(genome),
                 objectives: eval.objectives.clone(),
                 violation: eval.total_violation(),
             })
@@ -413,12 +409,22 @@ fn concurrent_cache_eviction_never_corrupts_results() {
 /// A study big enough that a `Cancel` sent after its first streamed
 /// `Front` always lands before it finishes (cancellation is checked at
 /// every generation boundary, and this budget spans ~50 generations).
-/// Its 1 kW peak cap keeps every generation a real walk: no plan's summed
-/// site peaks meet it, so no plan can be answered from the per-site
-/// result tables. An uncapped or loosely capped study is answered from
-/// them and can finish before a cancel arrives.
+/// Every plan it evaluates takes the plan walk, so every generation with
+/// a new plan is a real walk. It searches a fleet of its own: the paper
+/// sites at a scenario seed no other study here prepares, so no stored
+/// plan peak can answer it. Under its 1 kW cap no 8-point plan's summed
+/// site peaks meet the cap, so the per-site tables settle nothing, and
+/// NSGA-II never evaluates a genome twice. An uncapped or loosely capped
+/// study, or one on a fleet that other capped studies searched, is
+/// answered from the tables and the plan-peak memo and can finish before
+/// a cancel arrives.
 fn long_study(seed: u64) -> StudyRequest {
+    let mut fleet = FleetScenario::paper();
+    for m in &mut fleet.members {
+        m.scenario.seed = 1_000 + seed;
+    }
     let mut s = tiny_study(seed);
+    s.fleet = FleetSpec::Inline(fleet);
     s.budget.max_trials = 400;
     s.peak_cap_kw = Some(1.0);
     s

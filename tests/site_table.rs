@@ -14,8 +14,14 @@
 //!   plans' peaks, and for a cap exactly equal to one plan's summed site
 //!   peaks. On filled tables, exactly the plans whose summed site peaks
 //!   exceed the cap walk.
-//! * Every capped cohort emits one `fleet_eval`, and a repeated cohort
-//!   under a loose cap walks nothing.
+//! * Every capped cohort emits one `fleet_eval`, and a repeated capped
+//!   cohort walks nothing, under a tight cap as under a loose one.
+//! * Plans walked under one cap and answered from the fleet's plan-peak
+//!   memo under another equal a fresh plan walk plus
+//!   `peak_cap_violation_kw`, bit for bit, at either lane width; only the
+//!   plans the summed site peaks cannot settle come from the memo.
+//! * Two fleets that differ only in one member's scenario seed never
+//!   share a peak, even from one prepared cache.
 //! * A capped and an uncapped problem on one fleet share its tables and
 //!   read the same bits in either order.
 //! * Two threads racing over one fresh fleet's tables get the same bits.
@@ -91,12 +97,12 @@ fn policies() -> Vec<DispatchPolicy> {
     ]
 }
 
-/// A fresh fleet (empty tables) of the first `members.len()` pool sites,
-/// each with the given space and policy.
+/// A fresh fleet (empty tables and plan-peak memo) of the first
+/// `members.len()` pool sites, each with the given space and policy.
 fn fresh_fleet(members: &[(CompositionSpace, DispatchPolicy)]) -> PreparedFleet {
-    PreparedFleet {
-        names: (0..members.len()).map(|k| format!("site{k}")).collect(),
-        members: pool()
+    PreparedFleet::new(
+        (0..members.len()).map(|k| format!("site{k}")).collect(),
+        pool()
             .iter()
             .zip(members)
             .map(|(base, (space, policy))| {
@@ -106,7 +112,7 @@ fn fresh_fleet(members: &[(CompositionSpace, DispatchPolicy)]) -> PreparedFleet 
                 Arc::new(m)
             })
             .collect(),
-    }
+    )
 }
 
 /// One evaluation's objective bits and, under a cap, its violation bits.
@@ -172,10 +178,20 @@ fn summed_site_peaks(fleet: &PreparedFleet, cohort: &[Genome]) -> Vec<f64> {
         .collect()
 }
 
+/// The counts of one captured `fleet_eval` event.
+#[derive(Debug, Clone, Copy)]
+struct FleetEval {
+    rows: u64,
+    walked_rows: u64,
+    table_hits: u64,
+    peak_hits: u64,
+    /// Plans × sites.
+    lookups: u64,
+}
+
 /// Run `f` with tracing into a memory sink; returns its value and the
-/// captured `fleet_eval` events' `(rows, walked_rows, table_hits,
-/// plans × sites)`.
-fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<(u64, u64, u64, u64)>) {
+/// captured `fleet_eval` events.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<FleetEval>) {
     let (sink, lines) = MemorySink::new();
     telemetry::install_sink(Box::new(sink));
     telemetry::reset_stats();
@@ -194,12 +210,13 @@ fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<(u64, u64, u64, u64)>) {
                 ev.uint(k)
                     .unwrap_or_else(|| panic!("fleet_eval without {k}"))
             };
-            (
-                u("rows"),
-                u("walked_rows"),
-                u("table_hits"),
-                u("plans") * u("sites"),
-            )
+            FleetEval {
+                rows: u("rows"),
+                walked_rows: u("walked_rows"),
+                table_hits: u("table_hits"),
+                peak_hits: u("peak_hits"),
+                lookups: u("plans") * u("sites"),
+            }
         })
         .collect();
     (out, events)
@@ -262,16 +279,83 @@ proptest! {
             }
         }
 
-        // On filled tables, exactly the plans whose summed site peaks
-        // exceed the cap take the plan walk.
-        let (_, events) = traced(|| {
-            FleetProblem::new(&warm)
-                .with_peak_cap_kw(cap)
-                .evaluate_batch_constrained(&cohort)
-        });
+        // On filled tables and an empty plan-peak memo, exactly the plans
+        // whose summed site peaks exceed the cap take the plan walk. Once
+        // they have (on `warm`, above), the memo answers each of them.
+        let filled = fresh_fleet(&members);
+        FleetProblem::new(&filled).evaluate_batch_constrained(&cohort);
         let over = sums.iter().filter(|&&sum| sum > cap).count() as u64;
+        for (fleet, walked, peak_hits) in [(&filled, over, 0), (&warm, 0, over)] {
+            let (_, events) = traced(|| {
+                FleetProblem::new(fleet)
+                    .with_peak_cap_kw(cap)
+                    .evaluate_batch_constrained(&cohort)
+            });
+            prop_assert_eq!(events.len(), 1, "one fleet_eval per cohort");
+            prop_assert_eq!(events[0].walked_rows, walked * members.len() as u64 * 8_760);
+            prop_assert_eq!(events[0].peak_hits, peak_hits);
+        }
+    }
+
+    #[test]
+    fn memo_answers_under_another_cap_equal_the_plan_walk_bitwise(
+        members in prop::collection::vec(
+            (prop::sample::select(small_spaces()), prop::sample::select(policies())),
+            1..=3,
+        ),
+        raw in prop::collection::vec(prop::collection::vec(0u16..1_000, 3), 1..40),
+        cap_kinds in (0usize..4, 0usize..4),
+        widths in (0usize..2, 0usize..2),
+    ) {
+        let _guard = lock();
+        let fleet = fresh_fleet(&members);
+        let dims = FleetProblem::new(&fleet).dims().to_vec();
+        let cohort: Vec<Genome> = raw
+            .iter()
+            .map(|g| dims.iter().zip(g).map(|(&d, &x)| x % d as u16).collect())
+            .collect();
+        // The reference: a fresh plan walk, which reads no table or memo.
+        let walks = plan_walk(&FleetProblem::new(&fleet), &cohort);
+        let peaks: Vec<f64> = walks
+            .iter()
+            .map(|r| r.fleet.peak_concurrent_import_kw.expect("tracked"))
+            .collect();
+        let (lo, hi) = peaks
+            .iter()
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        let cap = |kind: usize| {
+            match kind {
+                0 => lo * 0.5,        // below every plan's peak
+                1 => peaks[0],        // one plan's peak
+                2 => 0.5 * (lo + hi), // between the peaks
+                _ => 2.0 * hi,        // above every peak
+            }
+            .max(1e-3)
+        };
+        let width = |w: usize| [BatchBackend::Scalar, BatchBackend::Simd][w];
+        let problem = |cap: f64, w: usize| {
+            FleetProblem::new(&fleet)
+                .with_backend(width(w))
+                .with_peak_cap_kw(cap)
+        };
+
+        // Fresh tables: the first cap walks every plan, filling the memo.
+        let (first, second) = (cap(cap_kinds.0), cap(cap_kinds.1));
+        let want: Vec<Bits> = walks.iter().map(|r| result_bits(r, Some(first))).collect();
+        prop_assert_eq!(bits(&problem(first, widths.0).evaluate_batch_constrained(&cohort)), want);
+
+        // The second cap walks nothing: the summed site peaks settle the
+        // plans that meet it, and the memo answers every other one.
+        let (got, events) = traced(|| problem(second, widths.1).evaluate_batch_constrained(&cohort));
+        let want: Vec<Bits> = walks.iter().map(|r| result_bits(r, Some(second))).collect();
+        prop_assert_eq!(bits(&got), want);
+        let over = summed_site_peaks(&fleet, &cohort)
+            .iter()
+            .filter(|&&sum| sum > second)
+            .count() as u64;
         prop_assert_eq!(events.len(), 1, "one fleet_eval per cohort");
-        prop_assert_eq!(events[0].1, over * members.len() as u64 * 8_760);
+        prop_assert_eq!(events[0].walked_rows, 0);
+        prop_assert_eq!(events[0].peak_hits, over);
     }
 
     #[test]
@@ -310,10 +394,11 @@ proptest! {
         prop_assert_eq!(bits(&again), want);
         prop_assert_eq!(telemetry::counter_value(Counter::FleetRows), 0);
         prop_assert_eq!(events.len(), 1, "one fleet_eval per cohort");
-        let (rows, walked, hits, lookups) = events[0];
-        prop_assert_eq!(walked, 0);
-        prop_assert_eq!(hits, lookups);
-        prop_assert_eq!(rows, lookups * 8_760);
+        let e = events[0];
+        prop_assert_eq!(e.walked_rows, 0);
+        prop_assert_eq!(e.table_hits, e.lookups);
+        prop_assert_eq!(e.rows, e.lookups * 8_760);
+        prop_assert_eq!(e.peak_hits, 0, "uncapped cohorts never read the memo");
     }
 }
 
@@ -360,26 +445,87 @@ fn capped_cohorts_emit_one_fleet_eval_each_and_repeats_walk_nothing() {
         evals.push(tight.evaluate_constrained(&cohort[0]));
         evals.extend(loose.evaluate_batch_constrained(&cohort));
         evals.extend(loose.evaluate_batch_constrained(&cohort));
+        evals.extend(tight.evaluate_batch_constrained(&cohort));
         evals
     });
-    assert_eq!(evals.len(), 37);
-    assert_eq!(events.len(), 4, "one fleet_eval per cohort");
-    for ((rows, walked, hits, lookups), plans) in events.iter().zip([12u64, 1, 12, 12]) {
-        assert_eq!(*lookups, plans * 2);
-        assert_eq!(*rows, lookups * 8_760);
-        assert!(walked <= rows);
-        assert_eq!(hits + walked / 8_760, *lookups);
+    assert_eq!(evals.len(), 49);
+    assert_eq!(
+        bits(&evals[..12]),
+        bits(&evals[37..]),
+        "a repeat reads the same"
+    );
+    assert_eq!(events.len(), 5, "one fleet_eval per cohort");
+    for (e, plans) in events.iter().zip([12u64, 1, 12, 12, 12]) {
+        assert_eq!(e.lookups, plans * 2);
+        assert_eq!(e.rows, e.lookups * 8_760);
+        assert!(e.walked_rows <= e.rows);
+        assert_eq!(e.table_hits + e.walked_rows / 8_760, e.lookups);
     }
     // The first cohort met empty tables, so every plan walked, and its
-    // walk filled every pair the cohort holds.
-    assert_eq!(events[0].1, events[0].0);
-    for (_, walked, hits, lookups) in &events[2..] {
-        assert_eq!(
-            (*walked, hits),
-            (0, lookups),
-            "loose cap: answered from the tables"
-        );
+    // walk filled every pair the cohort holds and every plan's peak.
+    assert_eq!(events[0].walked_rows, events[0].rows);
+    assert_eq!(events[0].peak_hits, 0);
+    // Repeats walk nothing: loose, the summed site peaks settle every
+    // plan; tight, the memo answers the plans they cannot settle.
+    for e in &events[1..] {
+        assert_eq!((e.walked_rows, e.table_hits), (0, e.lookups), "{e:?}");
     }
+    let over = summed_site_peaks(&fleet, &cohort)
+        .iter()
+        .filter(|&&sum| sum > 3_500.0)
+        .count() as u64;
+    assert!(over > 0, "the tight cap bites");
+    let peak_hits: Vec<u64> = events.iter().map(|e| e.peak_hits).collect();
+    assert_eq!(peak_hits, [0, 1, 0, 0, over]);
+}
+
+#[test]
+fn fleets_differing_in_one_members_seed_never_share_a_peak() {
+    let _guard = lock();
+    let cache = PreparedCache::new(8);
+    let scenario = |berkeley_seed: u64| {
+        let mut f = FleetScenario::paper();
+        for m in &mut f.members {
+            m.scenario.space = small_spaces()[1].clone();
+        }
+        f.members[1].scenario.seed = berkeley_seed;
+        f
+    };
+    let (a, _) = scenario(42).prepare_shared(&cache);
+    let (b, _) = scenario(43).prepare_shared(&cache);
+    assert!(
+        Arc::ptr_eq(&a.members[0], &b.members[0]),
+        "one shared Houston member, one table"
+    );
+    let cap = 3_500.0;
+    let cohort: Vec<Genome> = (0..16u16).map(|k| vec![k % 8, (k * 3) % 8]).collect();
+    // `b`'s tables fill uncapped, which stores no peak; `a` then walks
+    // every plan under the cap, which stores all of its peaks.
+    FleetProblem::new(&b).evaluate_batch_constrained(&cohort);
+    FleetProblem::new(&a)
+        .with_peak_cap_kw(cap)
+        .evaluate_batch_constrained(&cohort);
+
+    // `b` reads none of `a`'s peaks: the plans its summed site peaks
+    // cannot settle walk, with `b`'s own bits.
+    let problem = FleetProblem::new(&b).with_peak_cap_kw(cap);
+    let (got, events) = traced(|| problem.evaluate_batch_constrained(&cohort));
+    assert_eq!(bits(&got), plan_walk_bits(&problem, &cohort));
+    let over = summed_site_peaks(&b, &cohort)
+        .iter()
+        .filter(|&&sum| sum > cap)
+        .count() as u64;
+    assert!(over > 0, "the cap bites");
+    assert_eq!(events[0].peak_hits, 0);
+    assert_eq!(events[0].walked_rows, over * 2 * 8_760);
+
+    // The same scenario through the same cache gets `a`'s memo back.
+    let (again, _) = scenario(42).prepare_shared(&cache);
+    let problem = FleetProblem::new(&again).with_peak_cap_kw(cap);
+    let (got, events) = traced(|| problem.evaluate_batch_constrained(&cohort));
+    assert_eq!(bits(&got), plan_walk_bits(&problem, &cohort));
+    assert_eq!(events[0].walked_rows, 0);
+    assert!(events[0].peak_hits > 0);
 }
 
 #[test]
@@ -418,7 +564,7 @@ fn capped_and_uncapped_problems_share_one_fleets_tables_in_either_order() {
         });
         assert_eq!(bits(&c), plan_walk_bits(&capped, &cohort));
         assert_eq!(bits(&u), plan_walk_bits(&uncapped, &cohort));
-        let walked: Vec<u64> = events.iter().map(|e| e.1).collect();
+        let walked: Vec<u64> = events.iter().map(|e| e.walked_rows).collect();
         if capped_first {
             // The capped walk filled every pair the uncapped cohort needs.
             assert_eq!(walked, [rows, 0]);

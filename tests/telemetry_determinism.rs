@@ -180,3 +180,87 @@ fn padded_lane_rows_are_reported_as_remainder_rows() {
         );
     }
 }
+
+/// A capped fleet search reads the same traced or not, and its
+/// `fleet_eval` events are marked capped and count the plans the
+/// plan-peak memo answered: none in a first search (NSGA-II never
+/// evaluates a genome twice), and in a repeat on the same fleet the plans
+/// the summed site peaks cannot settle, with nothing walked.
+#[test]
+fn capped_fleet_trace_counts_memo_hits_without_perturbing_results() {
+    let _guard = lock();
+    let mut scenario = FleetScenario::paper();
+    for m in &mut scenario.members {
+        m.scenario.space = tiny_scenario().config.space;
+    }
+    let prepared = scenario.prepare();
+    // Fresh tables and memo, on the same prepared inputs.
+    let cold = || {
+        PreparedFleet::new(
+            prepared.names.clone(),
+            prepared
+                .members
+                .iter()
+                .map(|m| std::sync::Arc::new(PreparedScenario::clone(m)))
+                .collect(),
+        )
+    };
+    let search = |fleet: &PreparedFleet| {
+        let problem = FleetProblem::new(fleet).with_peak_cap_kw(3_500.0);
+        Study::new(Sampler::Nsga2(Nsga2Config {
+            population_size: 12,
+            max_trials: 48,
+            seed: 9,
+            ..Nsga2Config::default()
+        }))
+        .optimize(&problem)
+    };
+
+    telemetry::set_enabled(false);
+    let off = search(&cold());
+
+    let fleet = cold();
+    let (sink, lines) = MemorySink::new();
+    telemetry::install_sink(Box::new(sink));
+    telemetry::set_enabled(true);
+    let first = search(&fleet);
+    let mark = lines.lock().unwrap().len();
+    let again = search(&fleet);
+    telemetry::set_enabled(false);
+    telemetry::take_sink();
+
+    assert_eq!(
+        off.history, first.history,
+        "enabled trace perturbed a capped search"
+    );
+    assert_eq!(
+        off.history, again.history,
+        "the memo perturbed a capped search"
+    );
+    let captured = lines.lock().unwrap();
+    // (peak_hits, walked_rows) summed over one search's fleet_eval events.
+    let totals = |lines: &[String]| {
+        lines
+            .iter()
+            .map(|l| telemetry::parse::parse_line(l).expect("captured event parses"))
+            .filter(|ev| ev.kind == "fleet_eval")
+            .fold((0, 0), |(hits, walked), ev| {
+                assert_eq!(
+                    ev.fields.get("capped"),
+                    Some(&telemetry::parse::FieldValue::Bool(true))
+                );
+                (
+                    hits + ev.uint("peak_hits").expect("fleet_eval carries peak_hits"),
+                    walked
+                        + ev.uint("walked_rows")
+                            .expect("fleet_eval carries walked_rows"),
+                )
+            })
+    };
+    let (hits, walked) = totals(&captured[..mark]);
+    assert_eq!(hits, 0, "a first search found stored peaks");
+    assert!(walked > 0);
+    let (hits, walked) = totals(&captured[mark..]);
+    assert_eq!(walked, 0, "a repeated search walked");
+    assert!(hits > 0, "the cap settles every plan by summed site peaks");
+}
