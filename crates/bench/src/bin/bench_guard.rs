@@ -384,14 +384,15 @@ fn main() {
         check_scaling("fleet_search", &a.scaling, &mut check);
         // Telemetry section: sanity-only (no overhead gating — enabled-run
         // timing is too noisy for a CI floor). An instrumented fleet
-        // search must have walked the fleet kernel and seen cache traffic.
+        // search must have walked the fleet kernel, sorted its cohorts and
+        // seen cache traffic.
         if let Some(t) = a.telemetry {
-            check(
-                t.stages
-                    .iter()
-                    .any(|s| s.name == "fleet.kernel" && s.calls > 0),
-                "fleet_search: telemetry section has no fleet.kernel spans".into(),
-            );
+            for stage in ["fleet.kernel", "search.sort"] {
+                check(
+                    t.stages.iter().any(|s| s.name == stage && s.calls > 0),
+                    format!("fleet_search: telemetry section has no {stage} spans"),
+                );
+            }
             check(
                 t.stages.iter().all(|s| s.total_ms >= 0.0 && s.calls > 0),
                 "fleet_search: malformed telemetry stage row".into(),

@@ -34,7 +34,7 @@ pub use exhaustive::exhaustive_search;
 pub use nsga2::{GenerationView, Nsga2Config, Nsga2Optimizer, SearchControl};
 pub use pareto::{
     constrained_dominates, constrained_non_dominated_sort, crowding_distance, dominates,
-    fast_non_dominated_sort, non_dominated_indices,
+    fast_non_dominated_sort, non_dominated_indices, Objectives,
 };
 pub use problem::{Evaluation, FnProblem, Genome, Problem, Trial};
 pub use pruning::{successive_halving, MultiFidelityProblem, SuccessiveHalvingConfig};

@@ -7,6 +7,13 @@
 //!   genetic run samples 350+ genomes with repeats; duplicate genomes are
 //!   evaluated once and both *sampled* and *unique* counts are reported —
 //!   speedups in §4.4 are computed from unique evaluations.
+//! * **Flat state.** Each unique genome lives once in an arena under a
+//!   dense `u32` id (first-seen order): its genes, objectives and
+//!   violations are rows of flat row-major tables, and the memo hashes
+//!   each sampled genome once to find its id. Populations, children and
+//!   the combined cohort move as ids, and each cohort is ranked by
+//!   gathering its objective rows into one matrix for
+//!   [`constrained_non_dominated_sort`].
 //! * **Parallelism.** Each generation's unseen genomes are evaluated with
 //!   rayon (`par_iter`), mirroring the paper's Hydra/Optuna
 //!   parallelization across cores.
@@ -20,8 +27,8 @@
 //!   every infeasible one and infeasible points are layered by total
 //!   violation. Unconstrained problems see the exact original behavior.
 
-// mgopt-lint: allow(determinism) — memo cache is keyed get/insert/extend only, never iterated
-use std::collections::HashMap;
+// mgopt-lint: allow(determinism) — the memo is keyed entry lookups only, never iterated
+use std::collections::hash_map::{Entry, HashMap};
 
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
 use rand::seq::SliceRandom;
@@ -31,7 +38,7 @@ use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::pareto::{
-    constrained_non_dominated_sort, crowding_distance, crowding_order, hypervolume_2d,
+    constrained_non_dominated_sort, crowding_distance, crowding_order, hypervolume_2d, Objectives,
 };
 use crate::problem::{Evaluation, Genome, Problem, Trial};
 use crate::study::OptimizationResult;
@@ -143,26 +150,27 @@ impl Nsga2Optimizer {
             .clamp(0.0, 1.0);
         let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0x4e59_a211);
 
-        // mgopt-lint: allow(determinism) — memo cache is keyed get/insert/extend only, never iterated
-        let mut cache: HashMap<Genome, Evaluation> = HashMap::new();
+        let mut arena = Arena::new(problem);
         let mut history: Vec<Trial> = Vec::new();
         let mut sampled = 0usize;
         let mut cache_hits = 0usize;
         let mut cache_misses = 0usize;
 
-        // Initial population: unique random genomes where possible.
-        let mut population: Vec<Genome> = Vec::with_capacity(cfg.population_size);
+        // Initial population: unique random genomes where possible. Every
+        // genome interned so far is in the population, so "seen" means
+        // "already a member".
+        let mut population: Vec<u32> = Vec::with_capacity(cfg.population_size);
         let mut guard = 0;
         while population.len() < cfg.population_size {
-            let g = random_genome(&dims, &mut rng);
+            let (id, seen) = arena.intern(random_genome(&dims, &mut rng));
             guard += 1;
-            if guard < 20 * cfg.population_size && population.contains(&g) {
+            if guard < 20 * cfg.population_size && seen {
                 continue;
             }
-            population.push(g);
+            population.push(id);
         }
         sampled += population.len();
-        let (hits, misses) = evaluate_batch(problem, &population, &mut cache, &mut history);
+        let (hits, misses) = evaluate_batch(problem, &population, &mut arena, &mut history);
         cache_hits += hits;
         cache_misses += misses;
 
@@ -172,60 +180,171 @@ impl Nsga2Optimizer {
         // (the workspace's `hypervolume_2d` metric); computed only when a
         // trace is being collected.
         let hv_ref = (telemetry::enabled() && problem.n_objectives() == 2)
-            .then(|| reference_point(population.iter().map(|g| &cache[g].objectives)));
+            .then(|| reference_point(population.iter().map(|&id| arena.objectives(id))));
         let mut generation = 0u64;
-        let mut ranked = Ranked::new(population, &cache);
-        let view = ranked.view(generation, sampled, &cache);
-        emit_generation_event(&view, &ranked.population, &cache, hits, misses, hv_ref);
+        let mut ranked = Ranked::new(population, &arena);
+        let view = ranked.view(generation, sampled, &arena);
+        emit_generation_event(&view, &ranked.population, &arena, hits, misses, hv_ref);
         let mut stopped = observer(view) == SearchControl::Stop;
 
         while !stopped && sampled < cfg.max_trials {
             // Offspring generation.
-            let parents = &ranked.population;
             let n_children = cfg.population_size.min(cfg.max_trials - sampled).max(1);
-            let mut children: Vec<Genome> = Vec::with_capacity(n_children);
+            let mut children: Vec<u32> = Vec::with_capacity(n_children);
             while children.len() < n_children {
-                let a = tournament(&ranked, &mut rng);
-                let b = tournament(&ranked, &mut rng);
+                let a = arena.genome(ranked.population[tournament(&ranked, &mut rng)]);
+                let b = arena.genome(ranked.population[tournament(&ranked, &mut rng)]);
                 let (mut c1, mut c2) = if rng.gen::<f64>() < cfg.crossover_prob {
-                    uniform_crossover(&parents[a], &parents[b], &mut rng)
+                    uniform_crossover(a, b, &mut rng)
                 } else {
-                    (parents[a].clone(), parents[b].clone())
+                    (a.to_vec(), b.to_vec())
                 };
                 mutate(&mut c1, &dims, mutation_prob, &mut rng);
                 mutate(&mut c2, &dims, mutation_prob, &mut rng);
-                children.push(c1);
+                children.push(arena.intern(c1).0);
                 if children.len() < n_children {
-                    children.push(c2);
+                    children.push(arena.intern(c2).0);
                 }
             }
             sampled += children.len();
-            let (hits, misses) = evaluate_batch(problem, &children, &mut cache, &mut history);
+            let (hits, misses) = evaluate_batch(problem, &children, &mut arena, &mut history);
             cache_hits += hits;
             cache_misses += misses;
 
-            // Environmental selection over parents + children.
+            // Environmental selection over parents + children. Ids are
+            // unique per genome, so `dedup` drops exactly the adjacent
+            // repeated genomes.
             let mut combined = ranked.population;
             combined.extend(children);
-            combined.dedup_by(|a, b| a == b);
-            let (comb_obj, comb_viol) = objectives_and_violations(&combined, &cache);
+            combined.dedup();
+            let (matrix, violations) = arena.gather(&combined);
+            let points = Objectives::new(&matrix, arena.n_obj);
             let sort_span = telemetry::span(Stage::SearchSort);
-            let comb_fronts = constrained_non_dominated_sort(&comb_obj, &comb_viol);
-            let survivors =
-                select_next_population(&combined, &comb_obj, &comb_fronts, cfg.population_size);
+            let fronts = constrained_non_dominated_sort(points, &violations);
+            let survivors = select_next_population(&combined, points, &fronts, cfg.population_size);
             drop(sort_span);
             generation += 1;
-            ranked = Ranked::new(survivors, &cache);
-            let view = ranked.view(generation, sampled, &cache);
-            emit_generation_event(&view, &ranked.population, &cache, hits, misses, hv_ref);
+            ranked = Ranked::new(survivors, &arena);
+            let view = ranked.view(generation, sampled, &arena);
+            emit_generation_event(&view, &ranked.population, &arena, hits, misses, hv_ref);
             stopped = observer(view) == SearchControl::Stop;
         }
 
-        let mut result = OptimizationResult::from_history(history, sampled, cache.len());
+        let mut result = OptimizationResult::from_history(history, sampled, arena.len());
         result.cache_hits = cache_hits;
         result.cache_misses = cache_misses;
         result
     }
+}
+
+/// Every unique genome a search has sampled, once, under a dense `u32` id
+/// in first-seen order. Each id owns one row of four flat row-major
+/// tables: its genes, its objectives, its per-constraint violations and
+/// its total violation. Ids from `total_violation.len()` on are interned
+/// but not yet evaluated.
+#[derive(Default)]
+struct Arena {
+    /// Genome → id; hashed once per sampled genome.
+    // mgopt-lint: allow(determinism) — keyed entry lookups only, never iterated
+    memo: HashMap<Genome, u32>,
+    n_genes: usize,
+    genes: Vec<u16>,
+    n_obj: usize,
+    objectives: Vec<f64>,
+    n_con: usize,
+    violations: Vec<f64>,
+    total_violation: Vec<f64>,
+}
+
+impl Arena {
+    fn new(problem: &dyn Problem) -> Self {
+        Self {
+            n_genes: problem.dims().len(),
+            n_obj: problem.n_objectives(),
+            n_con: problem.n_constraints(),
+            ..Self::default()
+        }
+    }
+
+    /// Number of interned genomes.
+    fn len(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// The id of `genome` and whether it was interned before. A new genome
+    /// takes the next id and waits for [`Arena::evaluate_pending`].
+    fn intern(&mut self, genome: Genome) -> (u32, bool) {
+        let next = u32::try_from(self.len()).expect("fewer than 2^32 genomes");
+        match self.memo.entry(genome) {
+            Entry::Occupied(e) => (*e.get(), true),
+            Entry::Vacant(e) => {
+                self.genes.extend_from_slice(e.key());
+                e.insert(next);
+                (next, false)
+            }
+        }
+    }
+
+    /// Number of interned genomes awaiting evaluation.
+    fn pending(&self) -> usize {
+        self.len() - self.total_violation.len()
+    }
+
+    /// Evaluate every pending genome in one batched pass, in id
+    /// (first-seen) order. The problem is called even when none is
+    /// pending, so it sees one batch per sampled cohort.
+    ///
+    /// # Panics
+    /// Panics when an evaluation's objective or violation count differs
+    /// from the problem's [`Problem::n_objectives`] or
+    /// [`Problem::n_constraints`].
+    fn evaluate_pending(&mut self, problem: &dyn Problem) {
+        let pending: Vec<Genome> = (self.total_violation.len()..self.len())
+            .map(|id| self.genome(id as u32).to_vec())
+            .collect();
+        for e in problem.evaluate_batch_constrained(&pending) {
+            assert_eq!(e.objectives.len(), self.n_obj, "objective count");
+            assert_eq!(e.violations.len(), self.n_con, "violation count");
+            self.objectives.extend_from_slice(&e.objectives);
+            self.violations.extend_from_slice(&e.violations);
+            self.total_violation.push(e.total_violation());
+        }
+    }
+
+    fn genome(&self, id: u32) -> &[u16] {
+        row(&self.genes, self.n_genes, id)
+    }
+
+    fn objectives(&self, id: u32) -> &[f64] {
+        row(&self.objectives, self.n_obj, id)
+    }
+
+    fn evaluation(&self, id: u32) -> Evaluation {
+        Evaluation {
+            objectives: self.objectives(id).to_vec(),
+            violations: row(&self.violations, self.n_con, id).to_vec(),
+        }
+    }
+
+    /// The objective rows (one row-major matrix) and total violations of
+    /// `ids`, in order.
+    fn gather(&self, ids: &[u32]) -> (Vec<f64>, Vec<f64>) {
+        let mut matrix = Vec::with_capacity(ids.len() * self.n_obj);
+        for &id in ids {
+            matrix.extend_from_slice(self.objectives(id));
+        }
+        let violations = ids
+            .iter()
+            .map(|&id| self.total_violation[id as usize])
+            .collect();
+        (matrix, violations)
+    }
+}
+
+/// Row `id` of a row-major `table` whose rows hold `width` values.
+fn row<T>(table: &[T], width: usize, id: u32) -> &[T] {
+    let start = id as usize * width;
+    &table[start..start + width]
 }
 
 /// A population sorted once under constraint-dominance. That one sort
@@ -233,7 +352,8 @@ impl Nsga2Optimizer {
 /// tournament (rank and crowding), the observer's [`GenerationView`] and
 /// the `generation` trace event.
 struct Ranked {
-    population: Vec<Genome>,
+    /// Member ids, in population order.
+    population: Vec<u32>,
     fronts: Vec<Vec<usize>>,
     /// Front index per member.
     rank: Vec<usize>,
@@ -242,17 +362,17 @@ struct Ranked {
 }
 
 impl Ranked {
-    fn new(population: Vec<Genome>, cache: &HashMap<Genome, Evaluation>) -> Self {
-        let (obj, viol) = objectives_and_violations(&population, cache);
+    fn new(population: Vec<u32>, arena: &Arena) -> Self {
+        let (matrix, violations) = arena.gather(&population);
+        let points = Objectives::new(&matrix, arena.n_obj);
         let _span = telemetry::span(Stage::SearchSort);
-        let fronts = constrained_non_dominated_sort(&obj, &viol);
-        let mut rank = vec![0usize; obj.len()];
-        let mut crowd = vec![0.0f64; obj.len()];
+        let fronts = constrained_non_dominated_sort(points, &violations);
+        let mut rank = vec![0usize; population.len()];
+        let mut crowd = vec![0.0f64; population.len()];
         for (r, front) in fronts.iter().enumerate() {
-            let d = crowding_distance(&obj, front);
-            for (k, &i) in front.iter().enumerate() {
+            for (&i, d) in front.iter().zip(crowding_distance(points, front)) {
                 rank[i] = r;
-                crowd[i] = d[k];
+                crowd[i] = d;
             }
         }
         Self {
@@ -264,21 +384,20 @@ impl Ranked {
     }
 
     /// The observer's snapshot: the first front, deduplicated by genome.
-    fn view(
-        &self,
-        generation: u64,
-        sampled: usize,
-        cache: &HashMap<Genome, Evaluation>,
-    ) -> GenerationView {
-        let mut front: Vec<(Genome, Evaluation)> = Vec::new();
+    fn view(&self, generation: u64, sampled: usize, arena: &Arena) -> GenerationView {
+        let mut ids: Vec<u32> = Vec::new();
         if let Some(first) = self.fronts.first() {
             for &i in first {
-                let g = &self.population[i];
-                if !front.iter().any(|(f, _)| f == g) {
-                    front.push((g.clone(), cache[g].clone()));
+                let id = self.population[i];
+                if !ids.contains(&id) {
+                    ids.push(id);
                 }
             }
         }
+        let front = ids
+            .into_iter()
+            .map(|id| (arena.genome(id).to_vec(), arena.evaluation(id)))
+            .collect();
         GenerationView {
             generation,
             sampled,
@@ -287,21 +406,10 @@ impl Ranked {
     }
 }
 
-/// Objective vectors and total violations of `genomes`, in order.
-fn objectives_and_violations(
-    genomes: &[Genome],
-    cache: &HashMap<Genome, Evaluation>,
-) -> (Vec<Vec<f64>>, Vec<f64>) {
-    genomes
-        .iter()
-        .map(|g| (cache[g].objectives.clone(), cache[g].total_violation()))
-        .unzip()
-}
-
 /// The 2-D hypervolume reference point for `objectives` (a run's initial
 /// population): 10% beyond the worst value per objective (sign-safe)
 /// plus an absolute epsilon, so boundary points still contribute area.
-fn reference_point<'a>(objectives: impl Iterator<Item = &'a Vec<f64>>) -> [f64; 2] {
+fn reference_point<'a>(objectives: impl Iterator<Item = &'a [f64]>) -> [f64; 2] {
     let mut worst = [f64::NEG_INFINITY; 2];
     for o in objectives {
         worst[0] = worst[0].max(o[0]);
@@ -316,8 +424,8 @@ fn reference_point<'a>(objectives: impl Iterator<Item = &'a Vec<f64>>) -> [f64; 
 /// left out when none is feasible, so an infeasible plan never sets them.
 fn emit_generation_event(
     view: &GenerationView,
-    population: &[Genome],
-    cache: &HashMap<Genome, Evaluation>,
+    population: &[u32],
+    arena: &Arena,
     hits: usize,
     misses: usize,
     hv_ref: Option<[f64; 2]>,
@@ -327,13 +435,13 @@ fn emit_generation_event(
     }
     let feasible = population
         .iter()
-        .filter(|g| cache[*g].total_violation() <= 0.0)
+        .filter(|&&id| arena.total_violation[id as usize] <= 0.0)
         .count();
-    let front: Vec<Vec<f64>> = view
+    let front: Vec<&[f64]> = view
         .front
         .iter()
         .filter(|(_, e)| e.total_violation() <= 0.0)
-        .map(|(_, e)| e.objectives.clone())
+        .map(|(_, e)| e.objectives.as_slice())
         .collect();
     let mut event = telemetry::Event::new("generation")
         .u64("gen", view.generation)
@@ -354,32 +462,27 @@ fn emit_generation_event(
     event.emit();
 }
 
-/// Evaluate genomes not in the cache (one batched pass), extending the
-/// history with one trial per *sampled* genome (duplicates repeat their
-/// cached objectives, matching how Optuna counts trials). Returns this
-/// batch's `(cache_hits, cache_misses)` — hits count genomes answered
-/// from the cache or deduplicated within the batch.
+/// Evaluate the arena's pending genomes (one batched pass) and extend the
+/// history with one trial per *sampled* id in `batch` (duplicates repeat
+/// their memoized evaluation, matching how Optuna counts trials). Returns
+/// this batch's `(cache_hits, cache_misses)` — hits count genomes answered
+/// from the memo or deduplicated within the batch.
 fn evaluate_batch(
     problem: &dyn Problem,
-    genomes: &[Genome],
-    cache: &mut HashMap<Genome, Evaluation>,
+    batch: &[u32],
+    arena: &mut Arena,
     history: &mut Vec<Trial>,
 ) -> (usize, usize) {
-    let mut unseen: Vec<Genome> = Vec::new();
-    for g in genomes {
-        if !cache.contains_key(g) && !unseen.contains(g) {
-            unseen.push(g.clone());
-        }
-    }
-    let misses = unseen.len();
-    let hits = genomes.len() - misses;
+    let misses = arena.pending();
+    let hits = batch.len() - misses;
     telemetry::add(Counter::CacheHits, hits as u64);
     telemetry::add(Counter::CacheMisses, misses as u64);
-    let evaluations = problem.evaluate_batch_constrained(&unseen);
-    cache.extend(unseen.into_iter().zip(evaluations));
-    for g in genomes {
-        history.push(Trial::from_evaluation(g.clone(), cache[g].clone()));
-    }
+    arena.evaluate_pending(problem);
+    history.extend(
+        batch
+            .iter()
+            .map(|&id| Trial::from_evaluation(arena.genome(id).to_vec(), arena.evaluation(id))),
+    );
     (hits, misses)
 }
 
@@ -399,9 +502,9 @@ fn tournament(ranked: &Ranked, rng: &mut ChaCha12Rng) -> usize {
     }
 }
 
-fn uniform_crossover(a: &Genome, b: &Genome, rng: &mut ChaCha12Rng) -> (Genome, Genome) {
-    let mut c1 = a.clone();
-    let mut c2 = b.clone();
+fn uniform_crossover(a: &[u16], b: &[u16], rng: &mut ChaCha12Rng) -> (Genome, Genome) {
+    let mut c1 = a.to_vec();
+    let mut c2 = b.to_vec();
     for d in 0..a.len() {
         if rng.gen::<bool>() {
             c1[d] = b[d];
@@ -433,28 +536,28 @@ fn mutate(g: &mut Genome, dims: &[usize], prob: f64, rng: &mut ChaCha12Rng) {
     }
 }
 
-/// NSGA-II environmental selection: fill by fronts, break the last front by
-/// crowding distance.
+/// NSGA-II environmental selection over a cohort of ids: fill by fronts,
+/// break the last front by crowding distance. `points` and `fronts` index
+/// the cohort.
 fn select_next_population(
-    combined: &[Genome],
-    obj: &[Vec<f64>],
+    cohort: &[u32],
+    points: Objectives<'_>,
     fronts: &[Vec<usize>],
     target: usize,
-) -> Vec<Genome> {
-    let mut next: Vec<Genome> = Vec::with_capacity(target);
+) -> Vec<u32> {
+    let mut next: Vec<u32> = Vec::with_capacity(target);
     for front in fronts {
         if next.len() >= target {
             break;
         }
         if next.len() + front.len() <= target {
-            next.extend(front.iter().map(|&i| combined[i].clone()));
+            next.extend(front.iter().map(|&i| cohort[i]));
         } else {
-            let d = crowding_distance(obj, front);
+            let d = crowding_distance(points, front);
             let mut order: Vec<usize> = (0..front.len()).collect();
             order.sort_by(|&a, &b| crowding_order(d[a], d[b]));
-            for &k in order.iter().take(target - next.len()) {
-                next.push(combined[front[k]].clone());
-            }
+            let room = target - next.len();
+            next.extend(order.iter().take(room).map(|&k| cohort[front[k]]));
             break;
         }
     }
@@ -462,7 +565,7 @@ fn select_next_population(
     // repeating front members (keeps invariants simple).
     let mut k = 0;
     while next.len() < target && !next.is_empty() {
-        next.push(next[k % next.len()].clone());
+        next.push(next[k % next.len()]);
         k += 1;
     }
     next
@@ -515,12 +618,36 @@ mod tests {
     fn truncating_a_front_with_an_infinite_objective_does_not_panic() {
         // The infinite objective spans the front infinitely, so the
         // interior member's crowding distance is `inf / inf`: NaN.
-        let obj = vec![vec![0.0, 3.0], vec![1.0, 2.0], vec![f64::INFINITY, 1.0]];
-        assert!(crowding_distance(&obj, &[0, 1, 2])[1].is_nan());
-        let combined: Vec<Genome> = (0..3u16).map(|k| vec![k]).collect();
-        let next = select_next_population(&combined, &obj, &[vec![0, 1, 2]], 2);
+        let obj = [0.0, 3.0, 1.0, 2.0, f64::INFINITY, 1.0];
+        let points = Objectives::new(&obj, 2);
+        assert!(crowding_distance(points, &[0, 1, 2])[1].is_nan());
+        let fronts = constrained_non_dominated_sort(points, &[0.0; 3]);
+        assert_eq!(fronts, vec![vec![0, 1, 2]]);
+        let next = select_next_population(&[10, 11, 12], points, &fronts, 2);
         // The NaN distance ranks after both boundary members.
-        assert_eq!(next, vec![vec![0], vec![2]]);
+        assert_eq!(next, vec![10, 12]);
+    }
+
+    #[test]
+    fn a_nan_objective_does_not_panic_the_search() {
+        // Crowding sorts each objective with NaN after every number, so a
+        // genome whose objective is NaN ranks and survives like any other.
+        let problem = FnProblem::new(vec![10, 10], 2, |g| {
+            if g[0] == 3 {
+                vec![f64::NAN, 1.0]
+            } else {
+                vec![g[0] as f64, 9.0 - g[0] as f64 + g[1] as f64]
+            }
+        });
+        let result = Nsga2Optimizer::new(Nsga2Config {
+            population_size: 20,
+            max_trials: 200,
+            seed: 1,
+            ..Nsga2Config::default()
+        })
+        .run_controlled(&problem, &mut |_| SearchControl::Continue);
+        assert_eq!(result.sampled_trials, 200);
+        assert!(result.history.iter().any(|t| t.objectives[0].is_nan()));
     }
 
     #[test]
@@ -795,7 +922,7 @@ mod tests {
         telemetry::take_sink();
 
         let initial = result.history[..POPULATION].iter();
-        let reference = reference_point(initial.map(|t| &t.objectives));
+        let reference = reference_point(initial.map(|t| t.objectives.as_slice()));
 
         let lines = lines.lock().unwrap_or_else(|e| e.into_inner());
         let events: Vec<_> = lines

@@ -1,6 +1,23 @@
 //! Pareto-dominance tooling: non-dominated sorting (plain and
 //! constraint-aware), crowding distance, quality indicators (hypervolume,
 //! IGD), and recovery metrics.
+//!
+//! Sorting and crowding run on [`Objectives`], a row-major objective
+//! matrix, through one kernel, [`constrained_non_dominated_sort`]. It keeps
+//! the "dominates" relation as an n × ⌈n/64⌉ bit matrix: row `i` has bit
+//! `j` set when point `i` dominates point `j`.
+//!
+//! **Front-order contract.** Front 0 lists its members in ascending index
+//! order. Each later front lists its members in the order they are
+//! released: walking the previous front in its own order, and each of its
+//! members' dominated points in ascending index order, a point joins the
+//! front when its last dominator is removed. NSGA-II's environmental
+//! selection and crowding read fronts in this order (ties in a crowding
+//! sort keep it, and a truncated front is cut in it), so the order decides
+//! which genomes survive and, through the tournament, every history the
+//! search samples. The bit rows walk set bits in ascending order, which is
+//! the order in which Deb's original per-point lists are built, so the
+//! kernel keeps the fronts and their member order of that formulation.
 
 use std::cmp::Ordering;
 
@@ -35,77 +52,179 @@ pub fn constrained_dominates(a: &[f64], a_violation: f64, b: &[f64], b_violation
     }
 }
 
-/// [`fast_non_dominated_sort`] under constraint-dominance: all feasible
-/// fronts precede every infeasible point, and infeasible points layer by
-/// total violation. `violations[i]` is point `i`'s total magnitude.
-pub fn constrained_non_dominated_sort(points: &[Vec<f64>], violations: &[f64]) -> Vec<Vec<usize>> {
-    assert_eq!(points.len(), violations.len());
-    sort_by_dominance(points.len(), |i, j| {
-        constrained_dominates(&points[i], violations[i], &points[j], violations[j])
-    })
+/// A borrowed row-major objective matrix: row `i` holds point `i`'s
+/// objective vector.
+#[derive(Debug, Clone, Copy)]
+pub struct Objectives<'a> {
+    values: &'a [f64],
+    n_obj: usize,
+}
+
+impl<'a> Objectives<'a> {
+    /// View `values` as consecutive rows of `n_obj` objectives.
+    ///
+    /// # Panics
+    /// Panics when `n_obj` is zero or does not divide `values.len()`.
+    pub fn new(values: &'a [f64], n_obj: usize) -> Self {
+        assert!(n_obj > 0, "an objective row needs at least one column");
+        assert_eq!(values.len() % n_obj, 0, "ragged objective matrix");
+        Self { values, n_obj }
+    }
+
+    /// Number of points (rows).
+    pub fn len(&self) -> usize {
+        self.values.len() / self.n_obj
+    }
+
+    /// `true` when the matrix has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Number of objectives (columns).
+    pub fn n_obj(&self) -> usize {
+        self.n_obj
+    }
+
+    /// Point `i`'s objective vector.
+    pub fn row(&self, i: usize) -> &'a [f64] {
+        &self.values[i * self.n_obj..(i + 1) * self.n_obj]
+    }
+}
+
+/// NSGA-II's fast non-dominated sort under constraint-dominance: all
+/// feasible fronts precede every infeasible point, and infeasible points
+/// layer by total violation. `violations[i]` is point `i`'s total
+/// magnitude.
+///
+/// This is the crate's one dominance-sort kernel; see the module docs for
+/// its bit matrix and the member order of its fronts. Each row is built
+/// whole, 64 points per word: one sweep over the word's block of every
+/// objective column sets the bits where point `i` is better and where it
+/// is worse, and [`constrained_dominates`]'s cases combine those masks
+/// with the block's feasibility. The masks also say which points dominate
+/// `i`, so its dominator count is a popcount and no bit is written into
+/// another point's row.
+pub fn constrained_non_dominated_sort(
+    points: Objectives<'_>,
+    violations: &[f64],
+) -> Vec<Vec<usize>> {
+    let n = points.len();
+    assert_eq!(n, violations.len());
+    let words = n.div_ceil(64);
+    // Column-major copy: a block of one objective is contiguous.
+    let columns: Vec<f64> = (0..points.n_obj())
+        .flat_map(|k| (0..n).map(move |j| points.row(j)[k]))
+        .collect();
+    // Bit `j % 64` of word `j / 64`: point `j` is infeasible.
+    let infeasible: Vec<u64> = violations
+        .chunks(64)
+        .map(|block| block_mask(block, |v| v > 0.0))
+        .collect();
+    // Row `i`, bit `j`: point `i` dominates point `j`.
+    let mut dominated = vec![0u64; n * words];
+    // Per point, how many points dominate it.
+    let mut count = vec![0u32; n];
+    for i in 0..n {
+        let v = violations[i];
+        for w in 0..words {
+            let block = w * 64..n.min(w * 64 + 64);
+            let infeasible = infeasible[w];
+            let feasible = !infeasible & (u64::MAX >> (64 - block.len()));
+            // `over`: the block's points `i` dominates; `under`: those
+            // dominating `i`.
+            let (over, under) = if v > 0.0 {
+                let violations = &violations[block];
+                (
+                    infeasible & block_mask(violations, |u| v < u),
+                    feasible | (infeasible & block_mask(violations, |u| u < v)),
+                )
+            } else {
+                // A NaN coordinate sets neither mask, so, as in
+                // `dominates`, it never blocks dominance.
+                let (mut better, mut worse) = (0u64, 0u64);
+                for column in columns.chunks_exact(n) {
+                    let (x, block) = (column[i], &column[block.clone()]);
+                    better |= block_mask(block, |y| x < y);
+                    worse |= block_mask(block, |y| x > y);
+                }
+                (
+                    infeasible | (feasible & better & !worse),
+                    feasible & worse & !better,
+                )
+            };
+            dominated[i * words + w] = over;
+            count[i] += under.count_ones();
+        }
+    }
+
+    let mut fronts: Vec<Vec<usize>> = Vec::new();
+    let mut current: Vec<usize> = (0..n).filter(|&i| count[i] == 0).collect();
+    while !current.is_empty() {
+        let mut next = Vec::new();
+        for &i in &current {
+            for (w, &word) in dominated[i * words..][..words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    count[j] -= 1;
+                    if count[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+        }
+        fronts.push(std::mem::replace(&mut current, next));
+    }
+    fronts
+}
+
+/// Bit `b` set where `test(block[b])` holds (`block` holds at most 64
+/// values).
+fn block_mask(block: &[f64], test: impl Fn(f64) -> bool) -> u64 {
+    let mut bits = 0u64;
+    for (b, &value) in block.iter().enumerate() {
+        bits |= u64::from(test(value)) << b;
+    }
+    bits
 }
 
 /// Indices of the non-dominated points (the Pareto front).
-pub fn non_dominated_indices(points: &[Vec<f64>]) -> Vec<usize> {
+pub fn non_dominated_indices<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     (0..points.len())
         .filter(|&i| {
             !points
                 .iter()
                 .enumerate()
-                .any(|(j, other)| j != i && dominates(other, &points[i]))
+                .any(|(j, other)| j != i && dominates(other.as_ref(), points[i].as_ref()))
         })
         .collect()
 }
 
 /// NSGA-II fast non-dominated sort: partitions indices into fronts
 /// (front 0 = Pareto-optimal, front 1 = optimal after removing front 0, …).
-pub fn fast_non_dominated_sort(points: &[Vec<f64>]) -> Vec<Vec<usize>> {
-    sort_by_dominance(points.len(), |i, j| dominates(&points[i], &points[j]))
+/// It is [`constrained_non_dominated_sort`] with every point feasible.
+pub fn fast_non_dominated_sort(points: Objectives<'_>) -> Vec<Vec<usize>> {
+    constrained_non_dominated_sort(points, &vec![0.0; points.len()])
 }
 
-/// The fast non-dominated sort skeleton over an arbitrary (strict, acyclic)
-/// dominance relation.
-fn sort_by_dominance(n: usize, dom: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
-    let mut domination_count = vec![0usize; n];
-    let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n];
-
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if dom(i, j) {
-                dominated_by[i].push(j);
-                domination_count[j] += 1;
-            } else if dom(j, i) {
-                dominated_by[j].push(i);
-                domination_count[i] += 1;
-            }
-        }
-    }
-
-    let mut fronts: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in &dominated_by[i] {
-                domination_count[j] -= 1;
-                if domination_count[j] == 0 {
-                    next.push(j);
-                }
-            }
-        }
-        fronts.push(std::mem::take(&mut current));
-        current = next;
-    }
-    fronts
+/// The ascending order crowding distance sorts one objective by:
+/// [`f64::partial_cmp`], with NaN after every number. `-0.0` ties with
+/// `0.0`.
+fn objective_order(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 /// NSGA-II crowding distance for the members of one front.
 ///
 /// Returns one distance per front member (same order as `front`); boundary
-/// points get `f64::INFINITY`. An objective whose span over the front is
-/// infinite gives the interior members `inf / inf`, a NaN distance, which
-/// selection ranks after every number.
-pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
+/// points get `f64::INFINITY`. Each objective's sort is stable over
+/// `front`'s order, and puts NaN values last. An objective whose span over
+/// the front is infinite or NaN gives the interior members a NaN distance,
+/// which selection ranks after every number.
+pub fn crowding_distance(points: Objectives<'_>, front: &[usize]) -> Vec<f64> {
     let m = front.len();
     if m == 0 {
         return Vec::new();
@@ -113,21 +232,15 @@ pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
     if m <= 2 {
         return vec![f64::INFINITY; m];
     }
-    let n_obj = points[front[0]].len();
     let mut distance = vec![0.0f64; m];
-
-    // Indexing is clearer than an iterator here: `obj` selects a column
-    // across `points` through two levels of indirection.
-    #[allow(clippy::needless_range_loop)]
-    for obj in 0..n_obj {
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by(|&a, &b| {
-            points[front[a]][obj]
-                .partial_cmp(&points[front[b]][obj])
-                .expect("NaN objective")
-        });
-        let lo = points[front[order[0]]][obj];
-        let hi = points[front[order[m - 1]]][obj];
+    let mut order: Vec<usize> = Vec::with_capacity(m);
+    for obj in 0..points.n_obj() {
+        let value = |k: usize| points.row(front[k])[obj];
+        order.clear();
+        order.extend(0..m);
+        order.sort_by(|&a, &b| objective_order(value(a), value(b)));
+        let lo = value(order[0]);
+        let hi = value(order[m - 1]);
         distance[order[0]] = f64::INFINITY;
         distance[order[m - 1]] = f64::INFINITY;
         let span = hi - lo;
@@ -135,9 +248,7 @@ pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
             continue;
         }
         for k in 1..(m - 1) {
-            let prev = points[front[order[k - 1]]][obj];
-            let next = points[front[order[k + 1]]][obj];
-            distance[order[k]] += (next - prev) / span;
+            distance[order[k]] += (value(order[k + 1]) - value(order[k - 1])) / span;
         }
     }
     distance
@@ -147,8 +258,8 @@ pub fn crowding_distance(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
 /// descending by [`f64::total_cmp`], with a NaN distance after every
 /// number, whatever its sign bit.
 ///
-/// A NaN distance comes from an infinite objective span and says nothing
-/// about isolation, so it never outranks a number. Distances that are
+/// A NaN distance comes from an infinite or NaN objective span and says
+/// nothing about isolation, so it never outranks a number. Distances that are
 /// numbers are sums of non-negative terms starting at `+0.0`, never
 /// `-0.0`, so among them this is the plain `>` order.
 pub(crate) fn crowding_order(a: f64, b: f64) -> Ordering {
@@ -160,11 +271,11 @@ pub(crate) fn crowding_order(a: f64, b: f64) -> Ordering {
 
 /// Exact hypervolume of a 2-objective front w.r.t. a reference point
 /// (minimization; points beyond the reference are clipped out).
-pub fn hypervolume_2d(points: &[Vec<f64>], reference: &[f64; 2]) -> f64 {
+pub fn hypervolume_2d<P: AsRef<[f64]>>(points: &[P], reference: &[f64; 2]) -> f64 {
     let front = non_dominated_indices(points);
     let mut pts: Vec<(f64, f64)> = front
         .iter()
-        .map(|&i| (points[i][0], points[i][1]))
+        .map(|&i| (points[i].as_ref()[0], points[i].as_ref()[1]))
         .filter(|&(x, y)| x < reference[0] && y < reference[1])
         .collect();
     pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN objective"));
@@ -268,8 +379,108 @@ pub fn non_dominated_trials(trials: &[Trial]) -> Vec<Trial> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `rows` as a row-major matrix and its column count (1 when empty).
+    pub(crate) fn flat(rows: &[Vec<f64>]) -> (Vec<f64>, usize) {
+        (rows.concat(), rows.first().map_or(1, Vec::len))
+    }
+
+    /// [`fast_non_dominated_sort`] over rows.
+    pub(crate) fn sort_rows(rows: &[Vec<f64>]) -> Vec<Vec<usize>> {
+        let (m, k) = flat(rows);
+        fast_non_dominated_sort(Objectives::new(&m, k))
+    }
+
+    /// [`constrained_non_dominated_sort`] over rows.
+    fn constrained_sort_rows(rows: &[Vec<f64>], violations: &[f64]) -> Vec<Vec<usize>> {
+        let (m, k) = flat(rows);
+        constrained_non_dominated_sort(Objectives::new(&m, k), violations)
+    }
+
+    /// [`crowding_distance`] over rows.
+    pub(crate) fn crowding_rows(rows: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
+        let (m, k) = flat(rows);
+        crowding_distance(Objectives::new(&m, k), front)
+    }
+
+    /// The reference sort the kernel must reproduce: Deb's fast
+    /// non-dominated sort over an arbitrary (strict, acyclic) dominance
+    /// relation, with one list of dominated points per point.
+    pub(crate) fn sort_by_dominance(
+        n: usize,
+        dom: impl Fn(usize, usize) -> bool,
+    ) -> Vec<Vec<usize>> {
+        let mut domination_count = vec![0usize; n];
+        let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n];
+
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if dom(i, j) {
+                    dominated_by[i].push(j);
+                    domination_count[j] += 1;
+                } else if dom(j, i) {
+                    dominated_by[j].push(i);
+                    domination_count[i] += 1;
+                }
+            }
+        }
+
+        let mut fronts: Vec<Vec<usize>> = Vec::new();
+        let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
+        while !current.is_empty() {
+            let mut next = Vec::new();
+            for &i in &current {
+                for &j in &dominated_by[i] {
+                    domination_count[j] -= 1;
+                    if domination_count[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+            fronts.push(std::mem::take(&mut current));
+            current = next;
+        }
+        fronts
+    }
+
+    /// The reference crowding distance over rows: one index sort per
+    /// objective, stable over `front`'s order, NaN last.
+    pub(crate) fn reference_crowding(points: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
+        let m = front.len();
+        if m == 0 {
+            return Vec::new();
+        }
+        if m <= 2 {
+            return vec![f64::INFINITY; m];
+        }
+        let n_obj = points[front[0]].len();
+        let mut distance = vec![0.0f64; m];
+        #[allow(clippy::needless_range_loop)]
+        for obj in 0..n_obj {
+            let mut order: Vec<usize> = (0..m).collect();
+            order.sort_by(|&a, &b| {
+                let (x, y) = (points[front[a]][obj], points[front[b]][obj]);
+                x.partial_cmp(&y)
+                    .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+            });
+            let lo = points[front[order[0]]][obj];
+            let hi = points[front[order[m - 1]]][obj];
+            distance[order[0]] = f64::INFINITY;
+            distance[order[m - 1]] = f64::INFINITY;
+            let span = hi - lo;
+            if span <= 0.0 {
+                continue;
+            }
+            for k in 1..(m - 1) {
+                let prev = points[front[order[k - 1]]][obj];
+                let next = points[front[order[k + 1]]][obj];
+                distance[order[k]] += (next - prev) / span;
+            }
+        }
+        distance
+    }
 
     #[test]
     fn crowding_order_ranks_nan_after_every_number_whatever_its_sign() {
@@ -309,7 +520,7 @@ mod tests {
             vec![5.0, 2.0], // F1
             vec![6.0, 6.0], // F2
         ];
-        let fronts = fast_non_dominated_sort(&pts);
+        let fronts = sort_rows(&pts);
         assert_eq!(fronts.len(), 3);
         assert_eq!(fronts[0], vec![0, 1]);
         assert_eq!(fronts[1], vec![2, 3]);
@@ -321,7 +532,7 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..25)
             .map(|i| vec![(i % 5) as f64, (i / 5) as f64])
             .collect();
-        let fronts = fast_non_dominated_sort(&pts);
+        let fronts = sort_rows(&pts);
         let total: usize = fronts.iter().map(|f| f.len()).sum();
         assert_eq!(total, 25);
         // Front 0 of the grid is the single point (0,0).
@@ -337,7 +548,7 @@ mod tests {
             vec![10.0, 0.0],
         ];
         let front = vec![0, 1, 2, 3];
-        let d = crowding_distance(&pts, &front);
+        let d = crowding_rows(&pts, &front);
         assert_eq!(d[0], f64::INFINITY);
         assert_eq!(d[3], f64::INFINITY);
         assert!(d[1].is_finite() && d[1] > 0.0);
@@ -347,9 +558,30 @@ mod tests {
     #[test]
     fn crowding_small_fronts_all_infinite() {
         let pts = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
-        let d = crowding_distance(&pts, &[0, 1]);
+        let d = crowding_rows(&pts, &[0, 1]);
         assert!(d.iter().all(|&x| x == f64::INFINITY));
-        assert!(crowding_distance(&pts, &[]).is_empty());
+        assert!(crowding_rows(&pts, &[]).is_empty());
+    }
+
+    #[test]
+    fn crowding_sorts_nan_objectives_last_and_ties_signed_zeros() {
+        // Objective 0 sorts [1, 3, 2, 0]: 0.0 and -0.0 tie and keep their
+        // front order, NaN goes last. Its span is NaN, so its interior
+        // members' distances turn NaN unless objective 1 bounds them.
+        let pts = vec![
+            vec![f64::NAN, 1.0],
+            vec![0.0, 3.0],
+            vec![1.0, 2.0],
+            vec![-0.0, 4.0],
+        ];
+        let d = crowding_rows(&pts, &[0, 1, 2, 3]);
+        assert_eq!(d[..2], [f64::INFINITY, f64::INFINITY]);
+        assert!(d[2].is_nan());
+        assert_eq!(d[3], f64::INFINITY);
+        // One objective: the tie keeps 0.0 (member 0) as the low boundary.
+        let line = vec![vec![0.0], vec![-0.0], vec![1.0], vec![2.0]];
+        let d = crowding_rows(&line, &[0, 1, 2, 3]);
+        assert_eq!(d, vec![f64::INFINITY, 0.5, 1.0, f64::INFINITY]);
     }
 
     #[test]
@@ -363,7 +595,7 @@ mod tests {
             vec![10.0, 0.0],
         ];
         let front = vec![0, 1, 2, 3, 4];
-        let d = crowding_distance(&pts, &front);
+        let d = crowding_rows(&pts, &front);
         assert!(d[3] > d[2], "isolated point should score higher: {d:?}");
     }
 
@@ -463,7 +695,7 @@ mod tests {
             vec![0.0, 0.0], // infeasible, violation 0.1
         ];
         let viol = vec![0.0, 0.0, 0.0, 0.3, 0.1];
-        let fronts = constrained_non_dominated_sort(&pts, &viol);
+        let fronts = constrained_sort_rows(&pts, &viol);
         assert_eq!(fronts[0], vec![0, 1]);
         assert_eq!(fronts[1], vec![2]);
         // Infeasible points layer by violation behind every feasible front.
@@ -477,10 +709,7 @@ mod tests {
             .map(|i| vec![(i % 5) as f64, (i / 5) as f64])
             .collect();
         let zeros = vec![0.0; pts.len()];
-        assert_eq!(
-            constrained_non_dominated_sort(&pts, &zeros),
-            fast_non_dominated_sort(&pts)
-        );
+        assert_eq!(constrained_sort_rows(&pts, &zeros), sort_rows(&pts));
     }
 
     #[test]
@@ -518,8 +747,32 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{flat, reference_crowding, sort_by_dominance, sort_rows};
     use super::*;
     use proptest::prelude::*;
+
+    /// A cohort for the kernel-against-reference property: 0–140 points of
+    /// 1–3 objectives drawn from a few values, so ties and duplicate rows
+    /// are common (`-0.0` ties with `0.0`, and some coordinates are NaN),
+    /// each with a total violation drawn from {0, 1.5, 3}.
+    fn cohort_strategy() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
+        let value = vec![0.0, -0.0, 1.0, 2.0, 3.0, 1.0, 2.0, f64::NAN];
+        (
+            0usize..=140,
+            1usize..=3,
+            prop::collection::vec(prop::sample::select(value), 3 * 140),
+            prop::collection::vec(prop::sample::select(vec![0.0, 0.0, 1.5, 3.0]), 140),
+        )
+            .prop_map(|(n, n_obj, cells, violations)| {
+                let rows = cells.chunks(n_obj).take(n).map(<[f64]>::to_vec).collect();
+                (rows, violations[..n].to_vec())
+            })
+    }
+
+    /// Crowding distances as bit patterns, so NaN compares equal to NaN.
+    fn bits(distances: &[f64]) -> Vec<u64> {
+        distances.iter().map(|d| d.to_bits()).collect()
+    }
 
     fn points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
         prop::collection::vec(
@@ -557,7 +810,7 @@ mod proptests {
 
         #[test]
         fn fronts_partition_and_order(pts in points_strategy()) {
-            let fronts = fast_non_dominated_sort(&pts);
+            let fronts = sort_rows(&pts);
             let total: usize = fronts.iter().map(|f| f.len()).sum();
             prop_assert_eq!(total, pts.len());
             // First front equals the non-dominated set.
@@ -566,6 +819,27 @@ mod proptests {
             let mut nd = non_dominated_indices(&pts);
             nd.sort_unstable();
             prop_assert_eq!(f0, nd);
+        }
+
+        #[test]
+        fn kernel_keeps_the_reference_fronts_member_order_and_crowding(
+            (rows, violations) in cohort_strategy()
+        ) {
+            let (matrix, n_obj) = flat(&rows);
+            let points = Objectives::new(&matrix, n_obj);
+            let n = rows.len();
+            let want = sort_by_dominance(n, |i, j| {
+                constrained_dominates(&rows[i], violations[i], &rows[j], violations[j])
+            });
+            prop_assert_eq!(constrained_non_dominated_sort(points, &violations), want.clone());
+            let plain = sort_by_dominance(n, |i, j| dominates(&rows[i], &rows[j]));
+            prop_assert_eq!(fast_non_dominated_sort(points), plain.clone());
+            for front in want.iter().chain(&plain) {
+                prop_assert_eq!(
+                    bits(&crowding_distance(points, front)),
+                    bits(&reference_crowding(&rows, front))
+                );
+            }
         }
 
         #[test]

@@ -18,7 +18,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::nsga2::sample_unique_genomes;
-use crate::pareto::{crowding_distance, crowding_order, fast_non_dominated_sort};
+use crate::pareto::{crowding_distance, crowding_order, fast_non_dominated_sort, Objectives};
 use crate::problem::{Genome, Problem, Trial};
 use crate::study::OptimizationResult;
 
@@ -97,10 +97,12 @@ impl SuccessiveHalvingResult {
 /// Rank a cohort's objective vectors: best-first by (front rank asc,
 /// crowding desc).
 fn rank_cohort(objectives: &[Vec<f64>]) -> Vec<usize> {
-    let fronts = fast_non_dominated_sort(objectives);
+    let matrix = objectives.concat();
+    let points = Objectives::new(&matrix, objectives.first().map_or(1, Vec::len));
+    let fronts = fast_non_dominated_sort(points);
     let mut order: Vec<usize> = Vec::with_capacity(objectives.len());
     for front in &fronts {
-        let d = crowding_distance(objectives, front);
+        let d = crowding_distance(points, front);
         let mut members: Vec<(usize, f64)> = front.iter().copied().zip(d).collect();
         members.sort_by(|a, b| crowding_order(a.1, b.1));
         order.extend(members.into_iter().map(|(i, _)| i));

@@ -77,32 +77,6 @@ impl OptimizationResult {
     pub fn pareto_front(&self) -> Vec<Trial> {
         non_dominated_trials(&self.history)
     }
-
-    /// Best trial for a single objective index, among the *feasible*
-    /// trials — histories of constrained problems record every sampled
-    /// violation, and a cap-breaking genome must not win on an objective.
-    /// When nothing sampled was feasible, falls back to the
-    /// constraint-dominance ordering: least-violating first, objective as
-    /// the tiebreak.
-    pub fn best_by(&self, objective: usize) -> Option<&Trial> {
-        let cmp = |a: &&Trial, b: &&Trial| {
-            a.objectives[objective]
-                .partial_cmp(&b.objectives[objective])
-                .expect("NaN objective")
-        };
-        self.history
-            .iter()
-            .filter(|t| t.is_feasible())
-            .min_by(cmp)
-            .or_else(|| {
-                self.history.iter().min_by(|a, b| {
-                    a.total_violation()
-                        .partial_cmp(&b.total_violation())
-                        .expect("NaN violation")
-                        .then_with(|| cmp(a, b))
-                })
-            })
-    }
 }
 
 /// An optimization study (Optuna parity: a sampler plus bookkeeping).
@@ -115,16 +89,6 @@ impl Study {
     /// Create a study with the given sampler.
     pub fn new(sampler: Sampler) -> Self {
         Self { sampler }
-    }
-
-    /// The paper's configuration: NSGA-II, 350 trials, population 50.
-    pub fn paper_nsga2(seed: u64) -> Self {
-        Self::new(Sampler::Nsga2(Nsga2Config {
-            population_size: 50,
-            max_trials: 350,
-            seed,
-            ..Nsga2Config::default()
-        }))
     }
 
     /// The sampler in use.
@@ -170,7 +134,13 @@ mod tests {
 
     #[test]
     fn nsga2_study_runs_with_paper_settings() {
-        let result = Study::paper_nsga2(1).optimize(&problem());
+        // The config default is the paper's budget: population 50, 350
+        // trials.
+        let result = Study::new(Sampler::Nsga2(Nsga2Config {
+            seed: 1,
+            ..Nsga2Config::default()
+        }))
+        .optimize(&problem());
         assert_eq!(result.sampled_trials, 350);
         assert!(result.unique_evaluations <= 99, "space has 99 points");
         assert!(!result.pareto_front().is_empty());
@@ -188,47 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn best_by_objective() {
-        let result = Study::new(Sampler::Exhaustive).optimize(&problem());
-        let best0 = result.best_by(0).unwrap();
-        assert_eq!(best0.genome[0], 0);
-        let best1 = result.best_by(1).unwrap();
-        assert_eq!(best1.objectives[1], 0.0);
-    }
-
-    #[test]
-    fn best_by_prefers_feasible_trials() {
-        use crate::problem::FnProblem;
-        // Constraint g0 >= 2: the unconstrained objective-0 optimum
-        // (g0 = 0) is infeasible and must not be reported as best.
-        let p = FnProblem::new(vec![11, 9], 2, |g| {
-            vec![g[0] as f64, (10 - g[0]) as f64 + g[1] as f64]
-        })
-        .with_constraints(1, |g| vec![(2.0 - g[0] as f64).max(0.0)]);
-        let result = Study::new(Sampler::Exhaustive).optimize(&p);
-        let best = result.best_by(0).unwrap();
-        assert!(best.is_feasible());
-        assert_eq!(best.genome[0], 2);
-        // All-infeasible history: least-violating wins even with the worst
-        // objective (same ordering the front's constraint-dominance uses),
-        // with the objective only breaking violation ties.
-        let impossible = FnProblem::new(vec![3], 1, |g| vec![g[0] as f64])
-            .with_constraints(1, |g| vec![10.0 - g[0] as f64]);
-        let result = Study::new(Sampler::Exhaustive).optimize(&impossible);
-        let best = result.best_by(0).unwrap();
-        assert!(!best.is_feasible());
-        assert_eq!(best.genome[0], 2, "least-violating, not objective-best");
-        let front = result.pareto_front();
-        assert!(front.iter().any(|t| t.genome == best.genome));
-        let tied =
-            FnProblem::new(vec![3], 1, |g| vec![g[0] as f64]).with_constraints(1, |_| vec![1.0]);
-        let result = Study::new(Sampler::Exhaustive).optimize(&tied);
-        assert_eq!(result.best_by(0).unwrap().genome[0], 0);
-    }
-
-    #[test]
     fn pareto_front_trials_mutually_non_dominated() {
-        let result = Study::paper_nsga2(2).optimize(&problem());
+        let result = Study::new(Sampler::Nsga2(Nsga2Config {
+            seed: 2,
+            ..Nsga2Config::default()
+        }))
+        .optimize(&problem());
         let front = result.pareto_front();
         for a in &front {
             for b in &front {

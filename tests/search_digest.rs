@@ -3,11 +3,16 @@
 //! The search tests elsewhere check properties of a front (feasible,
 //! non-dominated, close to exhaustive truth), so a change to selection or
 //! sorting that picks different survivors can pass them all. This test
-//! hashes every sampled trial of four searches — the genome, the objective
-//! bits and the violation bits — with FNV-1a, and compares the digest with
-//! a constant recorded before NSGA-II's entry points and sorts were
-//! consolidated. Each search runs through `run_controlled` twice, once
-//! untraced and once with a trace sink installed, and both must match.
+//! hashes every sampled trial of seven searches — the genome, the
+//! objective bits and the violation bits — with FNV-1a, and compares the
+//! digest with a recorded constant. The first four were recorded before
+//! NSGA-II's entry points and sorts were consolidated. The last three run
+//! the daemon's budget (population 50, 350 trials) and a population of 80,
+//! so their combined cohorts reach 100 and 160 members, past one and two
+//! 64-bit words of the dominance sort's bit rows; they were recorded
+//! before the sort moved onto bit rows. Each search runs through
+//! `run_controlled` twice, once untraced and once with a trace sink
+//! installed, and both must match.
 
 use std::sync::Mutex;
 
@@ -20,12 +25,15 @@ use microgrid_opt::telemetry::{self, MemorySink};
 /// Telemetry state is process-global; serialize the tests that flip it.
 static TELEMETRY: Mutex<()> = Mutex::new(());
 
-/// The four recorded searches: `(name, digest)`.
-const DIGESTS: [(&str, u64); 4] = [
+/// The recorded searches: `(name, digest)`.
+const DIGESTS: [(&str, u64); 7] = [
     ("fn-unconstrained", 0x09dc_07d6_e5e4_d2d5),
     ("fn-constrained", 0xb87b_5285_9fb4_25da),
     ("paper-tiny-uncapped", 0x6b62_c00f_7cb5_10aa),
     ("paper-tiny-capped", 0x49be_a4d4_bdef_d386),
+    ("paper-tiny-uncapped-daemon-budget", 0x7609_b634_bcb6_ba0d),
+    ("paper-tiny-capped-daemon-budget", 0x94f0_5d4c_afb6_5a7a),
+    ("fn-unconstrained-pop80", 0xbe80_3790_7c9d_ed0a),
 ];
 
 /// Minimize `(x + p, 1 - x + p)` over a 21 x 8 x 8 grid, where `x` comes
@@ -78,7 +86,7 @@ fn digest(result: &OptimizationResult) -> u64 {
 }
 
 /// Digest of every recorded search, in [`DIGESTS`] order.
-fn digests(fleet: &PreparedFleet) -> [u64; 4] {
+fn digests(fleet: &PreparedFleet) -> [u64; 7] {
     let unconstrained = FnProblem::new(vec![21, 8, 8], 2, convex);
     let constrained = FnProblem::new(vec![21, 8, 8], 2, convex)
         .with_constraints(1, |g| vec![(g[0] as f64 - 10.0).max(0.0)]);
@@ -92,6 +100,14 @@ fn digests(fleet: &PreparedFleet) -> [u64; 4] {
             200,
             3,
         ),
+        search(&FleetProblem::new(fleet), 50, 350, 3),
+        search(
+            &FleetProblem::new(fleet).with_peak_cap_kw(3_500.0),
+            50,
+            350,
+            3,
+        ),
+        search(&unconstrained, 80, 640, 7),
     ]
 }
 
