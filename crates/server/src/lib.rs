@@ -55,6 +55,9 @@
 //! * A request line longer than [`ServerConfig::max_frame_bytes`] is
 //!   answered with an `Oversized` error; the rest of the line is
 //!   discarded and the connection keeps serving from the next newline.
+//! * A line whose arrays and objects nest more than 128 deep is answered
+//!   with one `MalformedFrame` error, and the connection keeps serving.
+//!   Decoding a line takes time linear in its length.
 //! * `Ping` answers `Pong`; `Shutdown` stops reading, drains in-flight
 //!   studies, answers `Bye`, and closes the connection (and, under
 //!   [`Server::serve_tcp`], stops the accept loop).
@@ -468,6 +471,12 @@ impl Server {
         let plan_space = fleet.members.iter().fold(1u64, |acc, m| {
             acc.saturating_mul(m.config.space.len() as u64)
         });
+        // The key hash encodes a whole scenario: pay for it only when the
+        // event is recorded.
+        let fleet_key = match scenario.members.first() {
+            Some(m) if telemetry::enabled() => scenario_key_hash(&m.scenario),
+            _ => 0,
+        };
         telemetry::Event::new("study_start")
             .str("id", id)
             .u64("sites", fleet.n_sites() as u64)
@@ -475,13 +484,7 @@ impl Server {
             .u64("prep_hits", u64::from(stats.hits))
             .u64("prep_misses", u64::from(stats.misses))
             .f64("prep_ms", prep_ms)
-            .u64(
-                "fleet_key",
-                scenario
-                    .members
-                    .first()
-                    .map_or(0, |m| scenario_key_hash(&m.scenario)),
-            )
+            .u64("fleet_key", fleet_key)
             .emit();
         send(
             writer,
@@ -846,6 +849,7 @@ mod tests {
         assert_eq!(salvage_id(r#"{"v":9,"id":"abc","req":"Nope"}"#), "abc");
         assert_eq!(salvage_id("not json"), "");
         assert_eq!(salvage_id(r#"{"id":7}"#), "");
+        assert_eq!(salvage_id(&"[".repeat(100_000)), "");
     }
 
     /// Compile-time pin: one `Server` must be shareable across connection

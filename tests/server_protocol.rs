@@ -322,6 +322,27 @@ fn structured_errors_never_kill_the_connection() {
     h.shutdown();
 }
 
+/// A line nested far past the parser's 128-level cap, yet far under the
+/// frame bound (200,000 bytes), is one `MalformedFrame` error: it must not
+/// overflow the stack of the thread reading the connection.
+#[test]
+fn a_deeply_nested_line_is_one_malformed_frame() {
+    let mut h = Harness::start(ServerConfig::default());
+    let depth = 100_000;
+    h.send_raw(&format!("{}{}", "[".repeat(depth), "]".repeat(depth)));
+    let f = h.recv();
+    assert_eq!(f.id, "");
+    let Response::Error(e) = f.resp else {
+        panic!("want error, got {:?}", f.resp)
+    };
+    assert_eq!(e.code, ErrorCode::MalformedFrame);
+    // The next frame answers the Ping: the line drew no second error.
+    h.send(&frame("after", Request::Ping));
+    let f = h.recv();
+    assert_eq!((f.id.as_str(), f.resp), ("after", Response::Pong));
+    h.shutdown();
+}
+
 #[test]
 fn mid_stream_disconnect_degrades_gracefully() {
     let server = Arc::new(Server::new(ServerConfig::default()));

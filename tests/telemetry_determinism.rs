@@ -264,3 +264,67 @@ fn capped_fleet_trace_counts_memo_hits_without_perturbing_results() {
     assert_eq!(walked, 0, "a repeated search walked");
     assert!(hits > 0, "the cap settles every plan by summed site peaks");
 }
+
+/// A traced daemon study's `study_start` carries the digest of its first
+/// member's canonical scenario key as `fleet_key`. The daemon computes
+/// that digest only while tracing, so this pins the traced value.
+#[test]
+fn traced_study_start_carries_the_first_members_key_hash() {
+    use microgrid_opt::core::scenario_key_hash;
+    use microgrid_opt::core::wire::{
+        encode_request, resolve_preset, FleetSpec, Request, RequestFrame, StudyBudget,
+        StudyRequest, WIRE_VERSION,
+    };
+
+    let _guard = lock();
+    let frame = |id: &str, req| RequestFrame {
+        v: WIRE_VERSION,
+        id: id.into(),
+        req,
+    };
+    let study = StudyRequest {
+        fleet: FleetSpec::Preset("paper-tiny".into()),
+        space: None,
+        objectives: None,
+        budget: StudyBudget {
+            population_size: 8,
+            max_trials: 16,
+            seed: 5,
+        },
+        peak_cap_kw: None,
+        stream: false,
+    };
+    let input = format!(
+        "{}\n{}\n",
+        encode_request(&frame("keyed", Request::Study(study))),
+        encode_request(&frame("bye", Request::Shutdown)),
+    );
+    let server = Server::new(ServerConfig::default());
+
+    let (sink, lines) = MemorySink::new();
+    telemetry::install_sink(Box::new(sink));
+    telemetry::set_enabled(true);
+    let mut out = Vec::new();
+    server
+        .serve_connection(input.as_bytes(), &mut out)
+        .expect("in-memory transport");
+    telemetry::set_enabled(false);
+    telemetry::take_sink();
+
+    let captured = lines.lock().unwrap();
+    let start = captured
+        .iter()
+        .find(|l| l.contains("\"ev\":\"study_start\""))
+        .expect("no study_start event");
+    // Read the digits off the line: the trace parser reads numbers as f64,
+    // which cannot hold every 64-bit hash.
+    let traced: String = start
+        .split("\"fleet_key\":")
+        .nth(1)
+        .expect("study_start carries fleet_key")
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    let first = &resolve_preset("paper-tiny").unwrap().members[0];
+    assert_eq!(traced, scenario_key_hash(&first.scenario).to_string());
+}
