@@ -8,12 +8,13 @@
 //!
 //! Writes the artifact to the repository root (next to `ROADMAP.md`), and
 //! prints the same numbers to stdout. `MGOPT_FAST=1` shrinks the space for
-//! smoke runs (the artifact then records the reduced size).
+//! smoke runs (the artifact then records the reduced size). Then checks
+//! engine agreement and the committed `sweep` and `simd` speedup floors
+//! (`BENCH_baseline.json`), and exits 1 after printing every failed check.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use mgopt_bench::ThreadScaling;
+use mgopt_bench::{Checks, ThreadScaling};
 use mgopt_core::{sweep_all, sweep_all_scalar, sweep_all_with_backend};
 use mgopt_microgrid::BatchBackend;
 use serde::Serialize;
@@ -31,7 +32,7 @@ struct SweepBench {
     max_rel_error: f64,
     threads: usize,
     /// Whether the default batched timing above ran the 4-lane walk
-    /// (`bench_guard` requires `true`).
+    /// (pinned `true` by `simd.rs`'s `default_backend_is_the_four_lane_walk`).
     simd: bool,
     /// Batched sweep at lane width 4, median ms.
     simd_ms_median: f64,
@@ -41,7 +42,7 @@ struct SweepBench {
     /// over the same walk at width 1, like-for-like.
     simd_speedup: f64,
     /// Agreement between the two widths. The lanes-are-candidates design
-    /// makes this exactly `0.0`, not merely ≤1e-9; `bench_guard` rejects
+    /// makes this exactly `0.0`, not merely ≤1e-9; the bin fails on
     /// anything else.
     simd_max_rel_error: f64,
     /// Full batched sweep re-timed at each `MGOPT_THREADS` pool size.
@@ -72,10 +73,6 @@ fn main() {
             max_rel_error = err;
         }
     }
-    assert!(
-        max_rel_error <= 1e-9,
-        "engines disagree: max relative error {max_rel_error:e}"
-    );
 
     let mut scalar_ms = Vec::with_capacity(samples);
     let mut batched_ms = Vec::with_capacity(samples);
@@ -91,8 +88,8 @@ fn main() {
 
     // Lane width 4 vs 1, like-for-like: both timings use the batched
     // engine with the width set, alternating A/B like the main loop. The
-    // widths are pinned bit-identical, so the agreement check demands
-    // exact equality.
+    // widths are pinned bit-identical, so the agreement check below
+    // demands exact equality.
     let simd_results = sweep_all_with_backend(&scenario, BatchBackend::Simd);
     let scalar_walk_results = sweep_all_with_backend(&scenario, BatchBackend::Scalar);
     let mut simd_max_rel_error = 0.0f64;
@@ -102,10 +99,6 @@ fn main() {
             simd_max_rel_error = err;
         }
     }
-    assert_eq!(
-        simd_max_rel_error, 0.0,
-        "4-lane walk must be bit-identical to the 1-lane walk"
-    );
     let mut simd_ms = Vec::with_capacity(samples);
     let mut scalar_walk_ms = Vec::with_capacity(samples);
     for _ in 0..samples {
@@ -168,8 +161,30 @@ fn main() {
         );
     }
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench artifact");
-    std::fs::write(&path, json + "\n").expect("write BENCH_sweep.json");
-    println!("[artifact] {}", path.display());
+    mgopt_bench::write_bench_artifact("BENCH_sweep.json", &bench);
+
+    let mut checks = Checks::default();
+    checks.floor("sweep", "speedup", bench.speedup);
+    checks.floor("simd", "simd_speedup", bench.simd_speedup);
+    checks.check(
+        bench.max_rel_error <= 1e-9,
+        format!("engines disagree at {:e}", bench.max_rel_error),
+    );
+    checks.check(
+        bench.simd_max_rel_error == 0.0,
+        format!(
+            "4-lane walk not bit-identical to the 1-lane walk ({:e})",
+            bench.simd_max_rel_error
+        ),
+    );
+    checks.timings(
+        [scalar_med, batched_med, simd_med, scalar_walk_med]
+            .into_iter()
+            .chain(bench.scaling.iter().map(|p| p.ms_min)),
+    );
+    checks.check(
+        bench.steps_per_year > 0 && bench.threads >= 1,
+        "malformed steps/threads",
+    );
+    checks.finish("bench_sweep");
 }

@@ -17,13 +17,14 @@
 //!
 //! Writes the artifact to the repository root (next to `BENCH_fleet.json`)
 //! and prints the same numbers to stdout. `MGOPT_FAST=1` shrinks the
-//! per-site spaces for smoke runs.
+//! per-site spaces for smoke runs. Then checks search agreement, the
+//! telemetry section and the committed `fleet_search` speedup floor
+//! (`BENCH_baseline.json`), and exits 1 after printing every failed check.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mgopt_bench::{TelemetrySection, ThreadScaling};
+use mgopt_bench::{Checks, TelemetrySection, ThreadScaling};
 use mgopt_core::{FleetProblem, FleetScenario, PreparedFleet, PreparedScenario};
 use mgopt_microgrid::BatchBackend;
 use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, OptimizationResult, Problem, SearchControl};
@@ -33,8 +34,9 @@ use serde::Serialize;
 /// The artifact schema. `agreement` records that the batched and scalar
 /// searches produced bit-identical trial histories (same seeds, and the
 /// fleet engine's cohort results are pinned to single-plan runs). The
-/// `telemetry_*` fields are the instrumentation A/B: the same batched
-/// search re-timed with collection on, plus the collected section.
+/// `telemetry*` fields are the instrumentation A/B: `samples` batched
+/// searches with collection switched on around each, alternating with
+/// `samples` searches with it off.
 #[derive(Debug, Serialize)]
 struct FleetSearchBench {
     sites: Vec<String>,
@@ -52,7 +54,7 @@ struct FleetSearchBench {
     agreement: bool,
     threads: usize,
     /// Whether the batched timings above ran the 4-lane walk
-    /// (`bench_guard` requires `true`).
+    /// (pinned `true` by `simd.rs`'s `default_backend_is_the_four_lane_walk`).
     simd: bool,
     /// The batched search with the fleet walk at lane width 4, min ms.
     simd_ms_min: f64,
@@ -67,8 +69,12 @@ struct FleetSearchBench {
     simd_agreement: bool,
     /// Full batched search re-timed at each `MGOPT_THREADS` pool size.
     scaling: Vec<ThreadScaling>,
+    /// The batched search with collection on, min ms over `samples` runs.
     telemetry_enabled_ms_min: f64,
+    /// `telemetry_enabled_ms_min` over the min of the A/B's `samples`
+    /// runs with collection off, minus one, in percent.
     telemetry_overhead_pct: f64,
+    /// Stage totals and engine throughput over the `samples` enabled runs.
     telemetry: TelemetrySection,
 }
 
@@ -170,11 +176,6 @@ fn main() {
     let batched_run = batched(&cold_copy(&fleet));
     let scalar_run = fallback(&cold_copy(&fleet));
     let agreement = batched_run.history == scalar_run.history;
-    assert!(
-        agreement,
-        "batched and scalar fleet searches diverged — the fleet engine \
-         broke its cohort/single-plan agreement guarantee"
-    );
     let (batched_ms, scalar_ms) = ab_ms(&fleet, samples, &batched, &fallback);
     let batched_min = min_ms(&batched_ms);
     let scalar_min = min_ms(&scalar_ms);
@@ -184,10 +185,6 @@ fn main() {
     // identical seeds must reproduce the same trial history.
     let simd_agreement =
         simd(&cold_copy(&fleet)).history == scalar_walk(&cold_copy(&fleet)).history;
-    assert!(
-        simd_agreement,
-        "4-lane search diverged from the 1-lane search"
-    );
     let (simd_ms, scalar_walk_ms) = ab_ms(&fleet, samples, &simd, &scalar_walk);
     let simd_min = min_ms(&simd_ms);
     let scalar_walk_min = min_ms(&scalar_walk_ms);
@@ -202,18 +199,23 @@ fn main() {
         },
     );
 
-    // Telemetry A/B: the same batched search with collection ON (spans,
-    // counters, and events to any MGOPT_TRACE sink). The disabled-path
-    // baseline is `batched_min` above — the overhead of telemetry-off
-    // instrumentation is already inside it, and the enabled re-run bounds
-    // the cost of switching collection on.
+    // Telemetry A/B: the batched search with collection switched on
+    // around itself (spans, counters, and events to any MGOPT_TRACE sink)
+    // against the same search with it off, as many samples each and
+    // alternating like the A/Bs above. Only the enabled runs record, so
+    // the section covers exactly those.
+    let traced = |f: &PreparedFleet| {
+        telemetry::set_enabled(true);
+        let run = batched(f);
+        telemetry::set_enabled(false);
+        run
+    };
     telemetry::reset_stats();
-    telemetry::set_enabled(true);
-    let enabled_ms: Vec<f64> = (0..3).map(|_| cold_ms(&fleet, &batched)).collect();
+    let (enabled_ms, disabled_ms) = ab_ms(&fleet, samples, &traced, &batched);
     let section = mgopt_bench::collect_telemetry_section();
-    telemetry::set_enabled(false);
     let enabled_min = min_ms(&enabled_ms);
-    let overhead_pct = (enabled_min / batched_min - 1.0) * 1e2;
+    let disabled_min = min_ms(&disabled_ms);
+    let overhead_pct = (enabled_min / disabled_min - 1.0) * 1e2;
 
     let problem = FleetProblem::new(&fleet);
     let bench = FleetSearchBench {
@@ -271,8 +273,8 @@ fn main() {
         );
     }
     println!(
-        "telemetry: enabled run {enabled_min:.1} ms vs disabled {batched_min:.1} ms \
-         ({overhead_pct:+.1}% — timing noise dominates at near-zero overhead)"
+        "telemetry: enabled {enabled_min:.1} ms vs disabled {disabled_min:.1} ms \
+         ({overhead_pct:+.1}%, {samples} alternating pairs)"
     );
     for stage in &bench.telemetry.stages {
         println!(
@@ -285,8 +287,61 @@ fn main() {
         bench.telemetry.evals_per_sec
     );
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet_search.json");
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench artifact");
-    std::fs::write(&path, json + "\n").expect("write BENCH_fleet_search.json");
-    println!("[artifact] {}", path.display());
+    mgopt_bench::write_bench_artifact("BENCH_fleet_search.json", &bench);
+
+    let mut checks = Checks::default();
+    checks.floor("fleet_search", "speedup", bench.speedup);
+    checks.check(
+        bench.agreement,
+        "batched and scalar fleet searches diverged — the fleet engine \
+         broke its cohort/single-plan agreement guarantee",
+    );
+    checks.check(
+        bench.simd_agreement,
+        "4-lane search diverged from the 1-lane search",
+    );
+    checks.check(
+        (1..=bench.max_trials).contains(&bench.unique_evaluations),
+        format!(
+            "{} unique evaluations for {} trials",
+            bench.unique_evaluations, bench.max_trials
+        ),
+    );
+    checks.timings(
+        [batched_min, scalar_min, simd_min, scalar_walk_min]
+            .into_iter()
+            .chain(bench.scaling.iter().map(|p| p.ms_min)),
+    );
+    checks.check(
+        bench.sites.len() == 2
+            && bench.front_size >= 1
+            && bench.simd_speedup > 0.0
+            && bench.threads >= 1,
+        "malformed sites/front/threads",
+    );
+    // An instrumented fleet search walks the fleet kernel, sorts its
+    // cohorts and sees cache traffic.
+    let t = &bench.telemetry;
+    for stage in ["fleet.kernel", "search.sort"] {
+        checks.check(
+            t.stages.iter().any(|s| s.name == stage && s.calls > 0),
+            format!("telemetry section has no {stage} spans"),
+        );
+    }
+    checks.check(
+        t.stages.iter().all(|s| s.total_ms >= 0.0 && s.calls > 0),
+        "malformed telemetry stage row",
+    );
+    checks.check(
+        t.evals_per_sec > 0.0,
+        "telemetry evals_per_sec not positive",
+    );
+    checks.check(
+        (0.0..=1.0).contains(&t.cache_hit_rate),
+        format!(
+            "telemetry cache hit rate {} outside [0, 1]",
+            t.cache_hit_rate
+        ),
+    );
+    checks.finish("fleet_search");
 }

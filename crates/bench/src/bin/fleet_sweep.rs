@@ -12,12 +12,13 @@
 //! and prints the same numbers to stdout. `MGOPT_FAST=1` shrinks the space
 //! for smoke runs; `MGOPT_DENSE="<mw>,<mwh>"` runs the denser grid the
 //! interleaved engine makes interactive (the artifact records the actual
-//! plan count either way).
+//! plan count either way). Then checks engine agreement and the committed
+//! `fleet` floor on both speedups (`BENCH_baseline.json`), and exits 1
+//! after printing every failed check.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use mgopt_bench::ThreadScaling;
+use mgopt_bench::{Checks, ThreadScaling};
 use mgopt_core::{fleet_plans, fleet_sweep, FleetAssignment, FleetScenario};
 use mgopt_microgrid::{BatchBackend, BatchEvaluator, Composition, Evaluator};
 use serde::Serialize;
@@ -41,7 +42,7 @@ struct FleetBench {
     peak_concurrent_import_mw: f64,
     threads: usize,
     /// Whether the interleaved timings above ran the 4-lane walk
-    /// (`bench_guard` requires `true`).
+    /// (pinned `true` by `simd.rs`'s `default_backend_is_the_four_lane_walk`).
     simd: bool,
     /// Fleet sweep at lane width 4 (peak tracking off), min ms.
     simd_ms_min: f64,
@@ -51,8 +52,8 @@ struct FleetBench {
     /// the same walk at width 1 on the fleet engine, like-for-like.
     simd_speedup: f64,
     /// Agreement between the two widths over per-site metrics. Exactly
-    /// `0.0` by design (lanes are candidates); `bench_guard` rejects
-    /// anything else.
+    /// `0.0` by design (lanes are candidates); the bin fails on anything
+    /// else.
     simd_max_rel_error: f64,
     /// Full interleaved sweep re-timed at each `MGOPT_THREADS` pool size.
     scaling: Vec<ThreadScaling>,
@@ -87,10 +88,6 @@ fn main() {
             }
         }
     }
-    assert!(
-        max_rel_error <= 1e-9,
-        "fleet and batch engines disagree: max relative error {max_rel_error:e}"
-    );
     let peak_mw = fleet_results
         .iter()
         .filter_map(|r| r.fleet.peak_concurrent_import_kw)
@@ -139,8 +136,8 @@ fn main() {
     }
 
     // Lane width 4 vs 1 on the fleet engine, like-for-like (peak tracking
-    // off in both). Bit-identity lets the agreement check demand exact
-    // equality over per-site metrics.
+    // off in both). Bit-identity lets the agreement check below demand
+    // exact equality over per-site metrics.
     let simd_results = fleet
         .evaluator()
         .with_peak_tracking(false)
@@ -160,10 +157,6 @@ fn main() {
             }
         }
     }
-    assert_eq!(
-        simd_max_rel_error, 0.0,
-        "4-lane fleet walk must be bit-identical to the 1-lane walk"
-    );
     let mut simd_ms = Vec::with_capacity(samples);
     let mut scalar_walk_ms = Vec::with_capacity(samples);
     let time_backend = |backend: BatchBackend, out: &mut Vec<f64>| {
@@ -252,8 +245,43 @@ fn main() {
         );
     }
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json");
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench artifact");
-    std::fs::write(&path, json + "\n").expect("write BENCH_fleet.json");
-    println!("[artifact] {}", path.display());
+    mgopt_bench::write_bench_artifact("BENCH_fleet.json", &bench);
+
+    let mut checks = Checks::default();
+    checks.floor("fleet", "speedup", bench.speedup);
+    checks.floor("fleet", "speedup_with_peak", bench.speedup_with_peak);
+    checks.check(
+        bench.max_rel_error <= 1e-9,
+        format!(
+            "fleet and batch engines disagree at {:e}",
+            bench.max_rel_error
+        ),
+    );
+    checks.check(
+        bench.simd_max_rel_error == 0.0,
+        format!(
+            "4-lane fleet walk not bit-identical to the 1-lane walk ({:e})",
+            bench.simd_max_rel_error
+        ),
+    );
+    checks.check(
+        bench.peak_concurrent_import_mw > 0.0,
+        "concurrent peak not recorded",
+    );
+    checks.timings(
+        [
+            interleaved_min,
+            with_peak_min,
+            sequential_min,
+            simd_min,
+            scalar_walk_min,
+        ]
+        .into_iter()
+        .chain(bench.scaling.iter().map(|p| p.ms_min)),
+    );
+    checks.check(
+        bench.sites.len() == 2 && bench.simd_speedup > 0.0 && bench.threads >= 1,
+        "malformed sites/threads",
+    );
+    checks.finish("fleet_sweep");
 }

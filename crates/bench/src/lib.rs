@@ -40,7 +40,7 @@ use mgopt_core::{FleetProblem, FleetScenario, PreparedScenario, ScenarioConfig};
 use mgopt_microgrid::CompositionSpace;
 use mgopt_optimizer::{Nsga2Config, Nsga2Optimizer, SearchControl};
 use mgopt_telemetry::{self as telemetry, Counter, Stage};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// `true` when `MGOPT_FAST=1` (reduced spaces for smoke runs).
 pub fn fast_mode() -> bool {
@@ -124,7 +124,7 @@ pub fn parse_threads(v: &str) -> Result<Vec<usize>, String> {
 
 /// One point of a benchmark bin's thread-scaling sweep: the full workload
 /// re-timed with the worker pool capped at `threads_requested`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThreadScaling {
     /// Thread count asked for (an `MGOPT_THREADS` entry).
     pub threads_requested: usize,
@@ -292,7 +292,7 @@ pub fn min_ms(samples: &[f64]) -> f64 {
 }
 
 /// One stage row of a [`TelemetrySection`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetryStage {
     /// Stage name (`"batch.kernel"`, …).
     pub name: String,
@@ -302,11 +302,11 @@ pub struct TelemetryStage {
     pub total_ms: f64,
 }
 
-/// The optional `telemetry` section of BENCH artifacts: per-stage time
-/// breakdown plus engine throughput and memo-cache effectiveness from an
-/// instrumented (telemetry-enabled) run. `bench_guard` sanity-checks the
-/// section when present and tolerates artifacts without one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The `telemetry` section of `BENCH_fleet_search.json`: per-stage time
+/// breakdown plus engine throughput and memo-cache effectiveness from
+/// instrumented (telemetry-enabled) runs. `fleet_search` checks it before
+/// it exits.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetrySection {
     /// Stages with at least one recorded span.
     pub stages: Vec<TelemetryStage>,
@@ -356,12 +356,16 @@ pub fn collect_telemetry_section() -> TelemetrySection {
     }
 }
 
+/// The repository root, where the committed `BENCH_*.json` artifacts and
+/// their floors (`BENCH_baseline.json`) live.
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// Write a JSON artifact under `results/` (best effort — printing is the
 /// primary output; artifact failures only warn).
 pub fn write_artifact<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = repo_root().join("results");
     if std::fs::create_dir_all(&dir).is_err() {
         eprintln!("warning: could not create results dir");
         return;
@@ -376,6 +380,105 @@ pub fn write_artifact<T: Serialize>(name: &str, value: &T) {
             }
         }
         Err(e) => eprintln!("warning: serialization failed: {e}"),
+    }
+}
+
+/// Write a committed bench artifact (`file`, e.g. `BENCH_sweep.json`) at
+/// the repository root and print its path.
+///
+/// # Panics
+/// Panics when the artifact cannot be written: it is the bin's
+/// deliverable.
+pub fn write_bench_artifact<T: Serialize>(file: &str, value: &T) {
+    let path = repo_root().join(file);
+    let json = serde_json::to_string_pretty(value).expect("serialize bench artifact");
+    std::fs::write(&path, json + "\n").unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("[artifact] {}", path.display());
+}
+
+/// The committed speedup floor `name`: that entry's `baseline_speedup ×
+/// (1 − tolerance)` in `BENCH_baseline.json`. The `Err` names an unknown
+/// floor, or says why the file is unusable (a tolerance outside [0, 1)
+/// would make every floor vacuous or negative).
+pub fn floor(name: &str) -> Result<f64, String> {
+    let path = repo_root().join("BENCH_baseline.json");
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let baseline: Value =
+        serde_json::from_str(&text).map_err(|e| format!("BENCH_baseline.json: {e}"))?;
+    let number = |v: Option<&Value>| v.and_then(|v| f64::from_value(v).ok());
+    let tolerance = number(baseline.get("tolerance"))
+        .filter(|t| (0.0..1.0).contains(t))
+        .ok_or("BENCH_baseline.json: `tolerance` must be a number in [0, 1)")?;
+    let speedup = number(baseline.get(name).and_then(|e| e.get("baseline_speedup")))
+        .ok_or_else(|| format!("BENCH_baseline.json: no floor named `{name}`"))?;
+    Ok(speedup * (1.0 - tolerance))
+}
+
+/// The checks a bench bin makes on the numbers it measured. Every failed
+/// check is kept, so one run reports all of them, and
+/// [`Checks::finish`] ends the process.
+#[derive(Debug, Default)]
+pub struct Checks {
+    failures: Vec<String>,
+}
+
+impl Checks {
+    /// Record `msg` as a failure unless `ok`.
+    pub fn check(&mut self, ok: bool, msg: impl Into<String>) {
+        if !ok {
+            self.failures.push(msg.into());
+        }
+    }
+
+    /// Check that `speedup`, labelled `what`, reaches the committed
+    /// [`floor`] `name`.
+    pub fn floor(&mut self, name: &str, what: &str, speedup: f64) {
+        match floor(name) {
+            Ok(f) => self.check(
+                speedup >= f,
+                format!("{what} {speedup:.2} below the `{name}` floor {f:.2}"),
+            ),
+            Err(e) => self.failures.push(e),
+        }
+    }
+
+    /// Check that every timing in `ms` is positive and finite.
+    pub fn timings(&mut self, ms: impl IntoIterator<Item = f64>) {
+        let bad: Vec<f64> = ms
+            .into_iter()
+            .filter(|t| !(*t > 0.0 && t.is_finite()))
+            .collect();
+        self.check(
+            bad.is_empty(),
+            format!("timings {bad:?} ms not positive and finite"),
+        );
+    }
+
+    /// `Err` listing every failed check, one `{bin}: FAIL` line each, if
+    /// any failed.
+    pub fn result(&self, bin: &str) -> Result<(), String> {
+        if self.failures.is_empty() {
+            return Ok(());
+        }
+        let lines: Vec<String> = self
+            .failures
+            .iter()
+            .map(|f| format!("{bin}: FAIL {f}"))
+            .collect();
+        Err(lines.join("\n"))
+    }
+
+    /// Print the [`Checks::result`] and exit with status 1 if any check
+    /// failed.
+    pub fn finish(self, bin: &str) {
+        match self.result(bin) {
+            Ok(()) => println!("{bin}: all checks passed"),
+            Err(report) => {
+                eprintln!("{report}");
+                std::process::exit(1);
+            }
+        }
     }
 }
 
@@ -490,30 +593,66 @@ mod tests {
     }
 
     #[test]
-    fn thread_scaling_round_trips_through_json() {
-        let point = ThreadScaling {
-            threads_requested: 4,
-            threads_effective: 1,
-            ms_min: 12.5,
-        };
-        let json = serde_json::to_string(&point).unwrap();
-        let back: ThreadScaling = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, point);
+    fn every_committed_floor_reads_back_from_the_baseline() {
+        let text = std::fs::read_to_string(repo_root().join("BENCH_baseline.json")).unwrap();
+        let baseline: Value = serde_json::from_str(&text).unwrap();
+        let number = |v: &Value| f64::from_value(v).unwrap();
+        let tolerance = number(baseline.get("tolerance").unwrap());
+        let names = [
+            "sweep",
+            "fleet",
+            "fleet_search",
+            "simd",
+            "server",
+            "server_multi",
+        ];
+        let entries: Vec<&str> = baseline
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let floors: Vec<&str> = entries
+            .into_iter()
+            .filter(|k| !["comment", "tolerance"].contains(k))
+            .collect();
+        assert_eq!(floors, names, "a floor no bin reads, or one missing");
+        for name in names {
+            let entry = baseline.get(name).unwrap();
+            let speedup = number(entry.get("baseline_speedup").unwrap());
+            assert_eq!(floor(name), Ok(speedup * (1.0 - tolerance)), "{name}");
+        }
     }
 
     #[test]
-    fn telemetry_section_round_trips_through_json() {
-        let section = TelemetrySection {
-            stages: vec![TelemetryStage {
-                name: "batch.kernel".into(),
-                calls: 4,
-                total_ms: 12.5,
-            }],
-            evals_per_sec: 1.5e8,
-            cache_hit_rate: 0.25,
-        };
-        let json = serde_json::to_string(&section).unwrap();
-        let back: TelemetrySection = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, section);
+    fn an_unknown_floor_is_an_error_naming_it() {
+        let err = floor("no_such_floor").unwrap_err();
+        assert!(err.contains("no floor named `no_such_floor`"), "{err}");
+    }
+
+    #[test]
+    fn checks_report_every_failure_and_fail_only_on_one() {
+        let mut checks = Checks::default();
+        checks.check(true, "holds");
+        checks.floor("sweep", "speedup", f64::INFINITY);
+        checks.timings([0.5, 1e3]);
+        assert_eq!(checks.result("bin"), Ok(()));
+        checks.check(false, "first");
+        checks.floor("sweep", "speedup", f64::NAN);
+        checks.floor("no_such_floor", "speedup", f64::INFINITY);
+        checks.timings([1.0, 0.0, f64::INFINITY]);
+        checks.check(true, "holds");
+        checks.check(false, "last");
+        let report = checks.result("bin").unwrap_err();
+        let lines: Vec<&str> = report.lines().collect();
+        assert_eq!(lines.len(), 5, "{report}");
+        assert_eq!(lines[0], "bin: FAIL first");
+        assert!(lines[1].starts_with("bin: FAIL speedup NaN below the `sweep` floor"));
+        assert!(lines[2].contains("no floor named `no_such_floor`"));
+        assert_eq!(
+            lines[3],
+            "bin: FAIL timings [0.0, inf] ms not positive and finite"
+        );
+        assert_eq!(lines[4], "bin: FAIL last");
     }
 }

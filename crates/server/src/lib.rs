@@ -104,8 +104,9 @@
 //! `study_start` / `study_done` events (plus `study_queued` when it
 //! waits for admission, `study_cancelled` when it stops early, and
 //! `request_error` for every error frame; `study_start` carries the
-//! study's prepared-cache hits and misses and `prep_ms`, the wall time of
-//! its scenario preparation), and the prepared cache bumps
+//! study's prepared-cache hits and misses, `prep_ms`, the wall time of
+//! its scenario preparation, and `fleet_key`, the digest of its first
+//! member's scenario key as 16 hex digits), and the prepared cache bumps
 //! `prep_cache.hits` / `prep_cache.misses` — all on the `MGOPT_TRACE`
 //! JSONL stream, readable with `trace_report`.
 
@@ -472,10 +473,11 @@ impl Server {
             acc.saturating_mul(m.config.space.len() as u64)
         });
         // The key hash encodes a whole scenario: pay for it only when the
-        // event is recorded.
+        // event is recorded. Hex, because the trace reader holds numbers
+        // as f64, which cannot carry every 64-bit digest.
         let fleet_key = match scenario.members.first() {
-            Some(m) if telemetry::enabled() => scenario_key_hash(&m.scenario),
-            _ => 0,
+            Some(m) if telemetry::enabled() => format!("{:016x}", scenario_key_hash(&m.scenario)),
+            _ => String::new(),
         };
         telemetry::Event::new("study_start")
             .str("id", id)
@@ -484,7 +486,7 @@ impl Server {
             .u64("prep_hits", u64::from(stats.hits))
             .u64("prep_misses", u64::from(stats.misses))
             .f64("prep_ms", prep_ms)
-            .u64("fleet_key", fleet_key)
+            .str("fleet_key", &fleet_key)
             .emit();
         send(
             writer,

@@ -266,8 +266,9 @@ fn capped_fleet_trace_counts_memo_hits_without_perturbing_results() {
 }
 
 /// A traced daemon study's `study_start` carries the digest of its first
-/// member's canonical scenario key as `fleet_key`. The daemon computes
-/// that digest only while tracing, so this pins the traced value.
+/// member's canonical scenario key as `fleet_key`, 16 hex digits that the
+/// trace reader reads back. The daemon computes that digest only while
+/// tracing, so this pins the traced value.
 #[test]
 fn traced_study_start_carries_the_first_members_key_hash() {
     use microgrid_opt::core::scenario_key_hash;
@@ -314,17 +315,12 @@ fn traced_study_start_carries_the_first_members_key_hash() {
     let captured = lines.lock().unwrap();
     let start = captured
         .iter()
-        .find(|l| l.contains("\"ev\":\"study_start\""))
+        .map(|l| telemetry::parse::parse_line(l).expect("captured event parses"))
+        .find(|ev| ev.kind == "study_start")
         .expect("no study_start event");
-    // Read the digits off the line: the trace parser reads numbers as f64,
-    // which cannot hold every 64-bit hash.
-    let traced: String = start
-        .split("\"fleet_key\":")
-        .nth(1)
-        .expect("study_start carries fleet_key")
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
     let first = &resolve_preset("paper-tiny").unwrap().members[0];
-    assert_eq!(traced, scenario_key_hash(&first.scenario).to_string());
+    assert_eq!(
+        start.str("fleet_key"),
+        Some(format!("{:016x}", scenario_key_hash(&first.scenario)).as_str())
+    );
 }
