@@ -8,23 +8,36 @@
 //! and compares the digest with a constant recorded before any
 //! optimization of the preparation chain. A change to the synthesis must
 //! either leave every bit in place or update these constants on purpose.
+//!
+//! The 300-minute entries drift the time of day by five hours per step
+//! (a day is not a whole number of steps), and the 5-minute ones have 288
+//! steps per day; both were recorded before the weather generators read
+//! per-day and per-slot tables. A second test pins the fleet paths:
+//! every member of `FleetScenario::prepare` and `prepare_shared` must
+//! equal its own `ScenarioConfig::prepare()`, whether or not members share
+//! a load trace.
 
+use microgrid_opt::core::FleetMember;
 use microgrid_opt::prelude::*;
 
 /// `(site, step_minutes, seed, digest)` of `ScenarioConfig::prepare()`.
-const DIGESTS: [(SitePreset, u32, u64, u64); 12] = [
+const DIGESTS: [(SitePreset, u32, u64, u64); 16] = [
     (SitePreset::Houston, 60, 0, 0x8f6f_8d5a_3499_c0ee),
     (SitePreset::Houston, 60, 42, 0x5bfc_c453_43d6_9d94),
     (SitePreset::Houston, 60, 777, 0x1952_1b0a_1102_16a3),
     (SitePreset::Houston, 15, 0, 0x928f_cdd0_f3fe_7e98),
     (SitePreset::Houston, 15, 42, 0x5c7e_a45a_25f6_da98),
     (SitePreset::Houston, 15, 777, 0x5fae_8329_7481_2a88),
+    (SitePreset::Houston, 300, 42, 0xc410_502d_2038_574b),
+    (SitePreset::Houston, 5, 42, 0x82f8_e732_0555_857f),
     (SitePreset::Berkeley, 60, 0, 0x5f2f_51cb_3525_f275),
     (SitePreset::Berkeley, 60, 42, 0x7a9e_a701_de6e_a0e8),
     (SitePreset::Berkeley, 60, 777, 0xeba5_ac2c_daff_05a4),
     (SitePreset::Berkeley, 15, 0, 0xac6c_02e7_9224_d779),
     (SitePreset::Berkeley, 15, 42, 0x70d8_04c2_c328_9150),
     (SitePreset::Berkeley, 15, 777, 0x9189_5196_0da2_94f2),
+    (SitePreset::Berkeley, 300, 42, 0xfb8f_2a3b_0712_60a5),
+    (SitePreset::Berkeley, 5, 42, 0xcd26_e8ca_d9e0_e20e),
 ];
 
 fn config(site: SitePreset, step_minutes: u32, seed: u64) -> ScenarioConfig {
@@ -85,5 +98,86 @@ fn prepared_inputs_match_the_recorded_digests() {
             ));
         }
     }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+fn member(site: SitePreset, seed: u64, workload: WorkloadConfig) -> FleetMember {
+    FleetMember {
+        name: format!("{site:?}/{seed}/{workload:?}"),
+        scenario: ScenarioConfig {
+            workload,
+            ..config(site, 60, seed)
+        },
+    }
+}
+
+#[test]
+fn fleet_members_equal_their_own_preparation() {
+    let hpc = WorkloadConfig::PerlmutterLike { mean_kw: 1_620.0 };
+    let flat = WorkloadConfig::Constant { kw: 900.0 };
+    let fleets = [
+        (
+            "paper fleet (shared workload, step and seed)",
+            FleetScenario {
+                members: vec![
+                    member(SitePreset::Houston, 42, hpc.clone()),
+                    member(SitePreset::Berkeley, 42, hpc.clone()),
+                ],
+            },
+        ),
+        (
+            "different seeds",
+            FleetScenario {
+                members: vec![
+                    member(SitePreset::Houston, 7, hpc.clone()),
+                    member(SitePreset::Berkeley, 8, hpc.clone()),
+                    member(SitePreset::Houston, 8, hpc.clone()),
+                ],
+            },
+        ),
+        (
+            "different workloads",
+            FleetScenario {
+                members: vec![
+                    member(SitePreset::Houston, 42, flat.clone()),
+                    member(SitePreset::Berkeley, 42, hpc.clone()),
+                    member(SitePreset::Berkeley, 42, flat.clone()),
+                ],
+            },
+        ),
+    ];
+    let mut failures = Vec::new();
+    let mut check = |label: &str, path: &str, fleet: &PreparedFleet, scenario: &FleetScenario| {
+        assert_eq!(fleet.members.len(), scenario.members.len());
+        for (prepared, m) in fleet.members.iter().zip(&scenario.members) {
+            let own = digest(&m.scenario.prepare());
+            let got = digest(prepared);
+            if got != own {
+                failures.push(format!(
+                    "{label}, {path}, member {}: {got:#018x}, own prepare() {own:#018x}",
+                    m.name
+                ));
+            }
+        }
+    };
+    for (label, scenario) in &fleets {
+        check(label, "prepare", &scenario.prepare(), scenario);
+        let (shared, stats) = scenario.prepare_shared(&PreparedCache::new(8));
+        assert_eq!(stats.misses as usize, scenario.members.len(), "{label}");
+        check(label, "prepare_shared", &shared, scenario);
+    }
+    // One member already cached: the other shares its (workload, step,
+    // seed) but must still get its own load.
+    let (paper_label, paper) = &fleets[0];
+    let cache = PreparedCache::new(8);
+    let _ = cache.get_or_prepare(&paper.members[1].scenario);
+    let (warm, stats) = paper.prepare_shared(&cache);
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+    check(
+        paper_label,
+        "prepare_shared, second member cached",
+        &warm,
+        paper,
+    );
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
