@@ -7,7 +7,7 @@
 //!
 //! | Rule | Id | Contract |
 //! |------|----|----------|
-//! | R1 | `determinism` | No `Instant::now`/`SystemTime::now`/`thread_rng`, and no `HashMap`/`HashSet` import or call, in engine crates (`microgrid`, `optimizer`, `core`, `storage`, `weather`). |
+//! | R1 | `determinism` | No `Instant::now`/`SystemTime::now`/`thread_rng`, and no `HashMap`/`HashSet` import or call, in engine and prepared-input crates (`microgrid`, `optimizer`, `core`, `storage`, `weather`, `gridcarbon`, `workload`, `sam`, `units`). |
 //! | R2 | `panic_free` | No `unwrap`/`expect`/`panic!`-class macros/direct indexing in `core::wire` or `crates/server` — service paths answer with error frames. |
 //! | R3 | `env_registry` | Every `MGOPT_*` literal read anywhere has a row in the `crates/bench/src/lib.rs` env-var table, and vice versa. |
 //! | R4 | `schema_drift` | Every `ErrorCode` variant appears in the golden rejection fixtures and the `src/lib.rs` wire spec; every telemetry event/field emitted matches `trace_report`'s `required_fields` schema. |
@@ -297,8 +297,9 @@ pub fn run(ws: Workspace) -> Report {
 
 /// The fixture directories under `crates/analysis/tests/fixtures` and
 /// the one rule each must demonstrate.
-pub const FIXTURE_CASES: [(&str, Rule); 7] = [
+pub const FIXTURE_CASES: [(&str, Rule); 8] = [
     ("r1_determinism", Rule::Determinism),
+    ("r1_prep_crates", Rule::Determinism),
     ("r2_panic_free", Rule::PanicFree),
     ("r3_env_registry", Rule::EnvRegistry),
     ("r4_schema_drift", Rule::SchemaDrift),

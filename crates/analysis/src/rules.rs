@@ -7,9 +7,22 @@ use crate::report::{Finding, Rule, UnsafeSite};
 use crate::{Role, SourceFile};
 
 /// Crates whose results are bit-pinned: wall-clock reads and hash-order
-/// iteration there can perturb reproduced fronts. `bench` and
-/// `telemetry` are deliberately absent (timing is their job).
-pub const ENGINE_CRATES: [&str; 5] = ["microgrid", "optimizer", "core", "storage", "weather"];
+/// iteration there can perturb reproduced fronts. The engine and search
+/// crates, and every crate whose series `tests/prep_digest.rs` pins bit
+/// for bit (`weather`, `gridcarbon`, `workload`, `sam`, and `units`,
+/// whose calendar and series they all use). `bench` and `telemetry` are
+/// deliberately absent (timing is their job).
+pub const ENGINE_CRATES: [&str; 9] = [
+    "microgrid",
+    "optimizer",
+    "core",
+    "storage",
+    "weather",
+    "gridcarbon",
+    "workload",
+    "sam",
+    "units",
+];
 
 /// One parsed `// mgopt-lint: allow(rule) — justification` comment.
 #[derive(Debug, Clone)]

@@ -15,7 +15,13 @@
 //! forward-compatible). Exit status 1 on any violation, with line
 //! numbers. CI runs a traced example through `--check` so the event
 //! schema cannot silently rot.
+//!
+//! Output goes through one buffered, locked stdout. A reader that goes
+//! away early (`trace_report trace.jsonl | head`) ends the output quietly:
+//! the exit status is the one the trace itself earns. Any other write
+//! error prints one line to stderr and exits 1.
 
+use std::io::{self, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use mgopt_telemetry::parse::{parse_line, FieldValue, TraceEvent};
@@ -161,16 +167,17 @@ impl EngineAgg {
         self.wall_ms += ev.num("wall_ms").unwrap_or(0.0);
     }
 
-    fn print(&self, label: &str) {
+    fn print(&self, out: &mut impl Write, label: &str) -> io::Result<()> {
         if self.calls == 0 {
-            return;
+            return Ok(());
         }
         let throughput = if self.kernel_ms > 0.0 {
             self.walked_rows as f64 / (self.kernel_ms / 1e3)
         } else {
             0.0
         };
-        println!(
+        writeln!(
+            out,
             "  {label:<12} {:>6} passes {:>10} chunks {:>14} rows {:>14} walked   \
              prepare {:>9.1} ms   kernel {:>9.1} ms   wall {:>9.1} ms   {:>10.2e} walked rows/s",
             self.calls,
@@ -181,16 +188,17 @@ impl EngineAgg {
             self.kernel_ms,
             self.wall_ms,
             throughput
-        );
+        )?;
         if self.lookups > 0 {
-            println!(
+            writeln!(
+                out,
                 "  {:<12} {:>6.1}% of (plan, site) lookups answered by the per-site table \
                  ({} hits of {})",
                 "  table", // indented sublabel under the engine row
                 self.table_hits as f64 / self.lookups as f64 * 1e2,
                 self.table_hits,
                 self.lookups
-            );
+            )?;
         }
         if self.capped_plans > 0 {
             let share = |n: u64| n as f64 / self.capped_plans as f64 * 1e2;
@@ -198,7 +206,8 @@ impl EngineAgg {
             let bound = self
                 .capped_plans
                 .saturating_sub(self.peak_hits + self.capped_walked);
-            println!(
+            writeln!(
+                out,
                 "  {:<12} {} capped plans: {:.1}% settled by summed site peaks ({bound}), \
                  {:.1}% by the plan-peak memo ({}), {:.1}% walked ({})",
                 "  capped", // indented sublabel under the engine row
@@ -208,32 +217,35 @@ impl EngineAgg {
                 self.peak_hits,
                 share(self.capped_walked),
                 self.capped_walked
-            );
+            )?;
         }
         let vectorized = self.simd_rows + self.simd_remainder_rows;
         if vectorized > 0 {
-            println!(
+            writeln!(
+                out,
                 "  {:<12} {:>6.1}% of lane slots hold real rows ({} real rows, {} padded rows)",
                 "  lane util", // indented sublabel under the engine row
                 self.simd_rows as f64 / vectorized as f64 * 1e2,
                 self.simd_rows,
                 self.simd_remainder_rows
-            );
+            )?;
         }
+        Ok(())
     }
 }
 
-fn summarize(events: &[TraceEvent]) {
+fn summarize(out: &mut impl Write, events: &[TraceEvent]) -> io::Result<()> {
     let span_ms = events
         .last()
         .map(|e| e.t_ms)
         .unwrap_or(0.0)
         .max(events.first().map(|e| e.t_ms).unwrap_or(0.0));
-    println!(
+    writeln!(
+        out,
         "trace: {} events over {:.1} ms",
         events.len(),
         span_ms - events.first().map(|e| e.t_ms).unwrap_or(0.0)
-    );
+    )?;
 
     // Engine passes.
     let mut batch = EngineAgg::default();
@@ -246,26 +258,35 @@ fn summarize(events: &[TraceEvent]) {
         }
     }
     if batch.calls + fleet.calls > 0 {
-        println!("\nengine passes (stage times sum worker-thread CPU time):");
-        batch.print("batch");
-        fleet.print("fleet");
+        writeln!(
+            out,
+            "\nengine passes (stage times sum worker-thread CPU time):"
+        )?;
+        batch.print(out, "batch")?;
+        fleet.print(out, "fleet")?;
     }
 
     // Search convergence.
     let generations: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == "generation").collect();
     if !generations.is_empty() {
         let has_hv = generations.iter().any(|e| e.num("hv").is_some());
-        println!("\nsearch convergence ({} generations):", generations.len());
-        print!(
+        writeln!(
+            out,
+            "\nsearch convergence ({} generations):",
+            generations.len()
+        )?;
+        write!(
+            out,
             "  {:>5} {:>7} {:>6} {:>7} {:>9} {:>6}",
             "gen", "cohort", "hits", "misses", "feasible", "front"
-        );
+        )?;
         if has_hv {
-            print!(" {:>12}", "hv");
+            write!(out, " {:>12}", "hv")?;
         }
-        println!(" {:>14} {:>14}", "best_obj0", "best_obj1");
+        writeln!(out, " {:>14} {:>14}", "best_obj0", "best_obj1")?;
         for ev in &generations {
-            print!(
+            write!(
+                out,
                 "  {:>5} {:>7} {:>6} {:>7} {:>9} {:>6}",
                 ev.uint("gen").unwrap_or(0),
                 ev.uint("cohort").unwrap_or(0),
@@ -273,11 +294,11 @@ fn summarize(events: &[TraceEvent]) {
                 ev.uint("cache_misses").unwrap_or(0),
                 ev.uint("feasible").unwrap_or(0),
                 ev.uint("front").unwrap_or(0),
-            );
+            )?;
             if has_hv {
                 match ev.num("hv") {
-                    Some(hv) => print!(" {hv:>12.4}"),
-                    None => print!(" {:>12}", "-"),
+                    Some(hv) => write!(out, " {hv:>12.4}")?,
+                    None => write!(out, " {:>12}", "-")?,
                 }
             }
             let best = |k: &str| {
@@ -285,39 +306,43 @@ fn summarize(events: &[TraceEvent]) {
                     .map(|v| format!("{v:>14.4}"))
                     .unwrap_or_else(|| format!("{:>14}", "-"))
             };
-            println!("{}{}", best("best_obj0"), best("best_obj1"));
+            writeln!(out, "{}{}", best("best_obj0"), best("best_obj1"))?;
         }
     }
 
     // Pruning rungs.
     let rungs: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == "rung").collect();
     if !rungs.is_empty() {
-        println!("\nsuccessive-halving rungs:");
-        println!(
+        writeln!(out, "\nsuccessive-halving rungs:")?;
+        writeln!(
+            out,
             "  {:>5} {:>10} {:>8} {:>6}",
             "rung", "fidelity", "cohort", "kept"
-        );
+        )?;
         for ev in &rungs {
-            println!(
+            writeln!(
+                out,
                 "  {:>5} {:>10.4} {:>8} {:>6}",
                 ev.uint("rung").unwrap_or(0),
                 ev.num("fidelity").unwrap_or(0.0),
                 ev.uint("cohort").unwrap_or(0),
                 ev.uint("kept").unwrap_or(0),
-            );
+            )?;
         }
     }
 
     // Daemon audit log: one row per completed study, correlated by id.
     let studies: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == "study_done").collect();
     if !studies.is_empty() {
-        println!("\ndaemon studies ({}):", studies.len());
-        println!(
+        writeln!(out, "\ndaemon studies ({}):", studies.len())?;
+        writeln!(
+            out,
             "  {:<18} {:>4} {:>8} {:>7} {:>6} {:>10}",
             "id", "gens", "sampled", "unique", "front", "wall_ms"
-        );
+        )?;
         for ev in &studies {
-            println!(
+            writeln!(
+                out,
                 "  {:<18} {:>4} {:>8} {:>7} {:>6} {:>10.1}",
                 ev.str("id").unwrap_or("?"),
                 ev.uint("generations").unwrap_or(0),
@@ -325,11 +350,11 @@ fn summarize(events: &[TraceEvent]) {
                 ev.uint("unique").unwrap_or(0),
                 ev.uint("front").unwrap_or(0),
                 ev.num("wall_ms").unwrap_or(0.0),
-            );
+            )?;
         }
         let errors = events.iter().filter(|e| e.kind == "request_error").count();
         if errors > 0 {
-            println!("  plus {errors} request_error frame(s)");
+            writeln!(out, "  plus {errors} request_error frame(s)")?;
         }
     }
     // Scenario prep per study: any cache miss prepares, all hits only look up.
@@ -347,13 +372,14 @@ fn summarize(events: &[TraceEvent]) {
         ("only hits", prep_ms(false)),
     ];
     if prep.iter().any(|(_, ms)| !ms.is_empty()) {
-        println!("\ndaemon scenario prep (median prep_ms per study):");
+        writeln!(out, "\ndaemon scenario prep (median prep_ms per study):")?;
         for (label, ms) in prep.iter().filter(|(_, ms)| !ms.is_empty()) {
-            println!(
+            writeln!(
+                out,
                 "  {label:<12} {:>9.3} ms over {} studies",
                 percentile(ms, 50.0),
                 ms.len()
-            );
+            )?;
         }
     }
     let queued = events.iter().filter(|e| e.kind == "study_queued").count();
@@ -362,16 +388,37 @@ fn summarize(events: &[TraceEvent]) {
         .filter(|e| e.kind == "study_cancelled")
         .count();
     if queued + cancelled > 0 {
-        println!("\ndaemon queueing: {queued} queued, {cancelled} cancelled");
+        writeln!(
+            out,
+            "\ndaemon queueing: {queued} queued, {cancelled} cancelled"
+        )?;
     }
 
     // Plain samplers.
     for ev in events.iter().filter(|e| e.kind == "sampler") {
-        println!(
+        writeln!(
+            out,
             "\nsampler `{}`: {} evaluations",
             ev.str("kind").unwrap_or("?"),
             ev.uint("evals").unwrap_or(0)
-        );
+        )?;
+    }
+    Ok(())
+}
+
+/// Run `write` against one buffered, locked stdout. A closed pipe is the
+/// reader's choice, not a failure: it returns `Ok` without writing more.
+fn emit(
+    write: impl FnOnce(&mut BufWriter<io::StdoutLock<'static>>) -> io::Result<()>,
+) -> Result<(), ExitCode> {
+    let mut out = BufWriter::new(io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        Err(e) => {
+            eprintln!("trace_report: cannot write to stdout: {e}");
+            Err(ExitCode::FAILURE)
+        }
     }
 }
 
@@ -409,8 +456,8 @@ fn main() -> ExitCode {
 
     if check {
         if violations == 0 && !events.is_empty() {
-            println!("trace_report: {} events, schema OK", events.len());
-            return ExitCode::SUCCESS;
+            let ok = emit(|out| writeln!(out, "trace_report: {} events, schema OK", events.len()));
+            return ok.err().unwrap_or(ExitCode::SUCCESS);
         }
         if events.is_empty() {
             eprintln!("trace_report: no events in {path}");
@@ -422,7 +469,9 @@ fn main() -> ExitCode {
         eprintln!("trace_report: no parseable events in {path}");
         return ExitCode::FAILURE;
     }
-    summarize(&events);
+    if let Err(code) = emit(|out| summarize(out, &events)) {
+        return code;
+    }
     if violations > 0 {
         eprintln!("trace_report: {violations} malformed line(s) skipped");
         return ExitCode::FAILURE;

@@ -16,6 +16,12 @@
 //! instead of duplicating it. A preparation that panics removes its slot,
 //! so a scenario that cannot be prepared never pins cache capacity.
 //!
+//! The cache runs a member's preparation only on a miss, so
+//! [`FleetScenario::prepare_shared`](crate::FleetScenario::prepare_shared)
+//! generates a load trace only for members that miss, and once for all
+//! of them that share (workload, step, seed): each gets a copy of one
+//! generated trace, bit-identical to preparing each member alone.
+//!
 //! An entry carries more than inputs: each [`PreparedScenario`] holds its
 //! member's per-site result table (see its docs), so every fleet study
 //! handed the same entry shares one table, and a (site, composition)
@@ -126,15 +132,16 @@ impl PreparedCache {
     /// The returned [`Arc`] is yours regardless of later evictions — a
     /// study holding it is never invalidated under load.
     pub fn get_or_prepare(&self, config: &ScenarioConfig) -> (Arc<PreparedScenario>, bool) {
-        self.get_or_prepare_keyed(&scenario_cache_key(config), config)
+        self.get_or_prepare_keyed(&scenario_cache_key(config), || config.prepare())
     }
 
-    /// [`get_or_prepare`](Self::get_or_prepare) with `config`'s canonical
-    /// key already computed.
+    /// [`get_or_prepare`](Self::get_or_prepare) under a config's canonical
+    /// `key`, running `prepare` (that config's preparation) only on a
+    /// miss.
     pub(crate) fn get_or_prepare_keyed(
         &self,
         key: &str,
-        config: &ScenarioConfig,
+        prepare: impl FnOnce() -> PreparedScenario,
     ) -> (Arc<PreparedScenario>, bool) {
         let (cell, hit) = {
             let mut inner = self.inner.lock().unwrap();
@@ -171,7 +178,7 @@ impl PreparedCache {
             key,
             cell: &cell,
         };
-        let prepared = Arc::clone(cell.get_or_init(|| Arc::new(config.prepare())));
+        let prepared = Arc::clone(cell.get_or_init(|| Arc::new(prepare())));
         (prepared, hit)
     }
 

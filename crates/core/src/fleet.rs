@@ -25,6 +25,7 @@
 use std::sync::Arc;
 
 use mgopt_microgrid::{Composition, FleetEvaluator, FleetResult, FleetSite, PeakMemo};
+use mgopt_units::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{scenario_cache_key, PreparedCache};
@@ -66,16 +67,22 @@ impl FleetScenario {
 
     /// Synthesize every member's inputs (expensive; do once).
     ///
+    /// A load trace depends only on the member's workload, step and seed,
+    /// not on its site, so members that share all three share one
+    /// generated load: each gets a copy, bit-identical to preparing each
+    /// member alone.
+    ///
     /// # Panics
     /// Panics when members disagree on the simulation step — the fleet
     /// advances on a single clock.
     pub fn prepare(&self) -> PreparedFleet {
         self.check_shared_clock();
+        let mut loads = FleetLoads::default();
         PreparedFleet::new(
             self.names(),
             self.members
                 .iter()
-                .map(|m| Arc::new(m.scenario.prepare()))
+                .map(|m| Arc::new(loads.prepare(&m.scenario)))
                 .collect(),
         )
     }
@@ -85,6 +92,10 @@ impl FleetScenario {
     /// sites skip synthesis entirely — and so does the fleet's plan-peak
     /// memo, keyed by the members' scenarios in order. Returns the fleet
     /// plus the per-member cache [`PrepStats`] for this call.
+    ///
+    /// Only members that miss the cache are prepared, and those that
+    /// share (workload, step, seed) share one generated load, as in
+    /// [`prepare`](Self::prepare).
     ///
     /// # Panics
     /// Panics exactly when [`prepare`](Self::prepare) would (empty fleet,
@@ -97,12 +108,14 @@ impl FleetScenario {
             .map(|m| scenario_cache_key(&m.scenario))
             .collect();
         let mut stats = PrepStats::default();
+        let mut loads = FleetLoads::default();
         let members = self
             .members
             .iter()
             .zip(&keys)
             .map(|(m, key)| {
-                let (prepared, hit) = cache.get_or_prepare_keyed(key, &m.scenario);
+                let (prepared, hit) =
+                    cache.get_or_prepare_keyed(key, || loads.prepare(&m.scenario));
                 if hit {
                     stats.hits += 1;
                 } else {
@@ -133,6 +146,35 @@ impl FleetScenario {
                 m.name
             );
         }
+    }
+}
+
+/// The load traces one fleet preparation has generated, one per distinct
+/// (workload, step, seed): a trace depends on nothing else, so members
+/// that share the three share one generation.
+#[derive(Default)]
+struct FleetLoads<'a> {
+    traces: Vec<(&'a ScenarioConfig, TimeSeries)>,
+}
+
+impl<'a> FleetLoads<'a> {
+    /// Prepare `config`, generating its load unless an earlier member of
+    /// this preparation shares its workload, step and seed.
+    fn prepare(&mut self, config: &'a ScenarioConfig) -> PreparedScenario {
+        let shared = self.traces.iter().find(|(c, _)| {
+            c.workload == config.workload
+                && c.step_minutes == config.step_minutes
+                && c.seed == config.seed
+        });
+        let load = match shared {
+            Some((_, load)) => load.clone(),
+            None => {
+                let load = config.workload.generate(config.step(), config.seed);
+                self.traces.push((config, load.clone()));
+                load
+            }
+        };
+        config.prepare_with_load(load)
     }
 }
 

@@ -124,12 +124,15 @@ impl ScenarioConfig {
 
     /// Synthesize all inputs (expensive; do once, share across trials).
     pub fn prepare(&self) -> PreparedScenario {
-        let step = self.step();
-        let data = self.site.site().prepare(step, self.seed);
-        let load = self.workload.generate(step, self.seed);
+        self.prepare_with_load(self.workload.generate(self.step(), self.seed))
+    }
+
+    /// [`prepare`](Self::prepare) around a load trace already generated
+    /// for this workload, step and seed.
+    pub(crate) fn prepare_with_load(&self, load: TimeSeries) -> PreparedScenario {
         PreparedScenario {
             config: self.clone(),
-            data,
+            data: self.site.site().prepare(self.step(), self.seed),
             load,
             table: OnceLock::new(),
         }

@@ -25,6 +25,16 @@
 //! 5. **temperature** ([`temperature`]) and site pressure complete the
 //!    records the SAM-style performance models need.
 //!
+//! Steps 4 and 5 split into seed-independent terms and seeded noise.
+//! Each [`WeatherGenerator::generate`] call computes the terms once: the
+//! seasonal mean temperature for each of the 365 days, the temperature
+//! and wind diurnal terms for each time-of-day slot, and the 12 monthly
+//! Weibull scales. The generators then draw only the noise at each step.
+//! A slot is `gcd(step, 1 day)` long, so a step's time of day is a whole
+//! number of slots even at the 5-, 10-, 15- and 20-hour steps, which do
+//! not divide a day. The tables combine the same terms with the same
+//! operations as evaluating the calendar at every step, bit for bit.
+//!
 //! Everything is deterministic given a [`Climate`] and a seed.
 //!
 //! ## The solar-geometry memo
@@ -52,6 +62,7 @@ pub mod solar_pos;
 pub mod temperature;
 pub mod wind;
 
+use mgopt_units::time::{month_of_day, DAYS_PER_YEAR};
 use mgopt_units::{
     SimDuration, SimTime, TimeSeries, SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_YEAR,
 };
@@ -144,7 +155,9 @@ impl WeatherGenerator {
     /// are produced at the requested step.
     ///
     /// The solar geometry comes from [`SolarGeometry::shared`]: computed
-    /// once per (location, step), whatever the seed.
+    /// once per (location, step), whatever the seed. The temperature and
+    /// wind climatology terms are computed once per call, per day, slot
+    /// and month (see the crate docs).
     ///
     /// # Panics
     /// Panics unless [`is_supported_step`] accepts the step.
@@ -159,6 +172,7 @@ impl WeatherGenerator {
         let geometry = SolarGeometry::shared(&self.climate.location, step);
 
         let kci = cloud::CloudGenerator::new(self.climate.solar.clone(), self.seed).generate_year();
+        let terms = SeasonalTerms::new(&self.climate, step_s);
         let mut temp_gen =
             temperature::TemperatureGenerator::new(self.climate.temperature.clone(), self.seed);
         let mut wind_gen = wind::WindGenerator::new(self.climate.wind.clone(), self.seed, step_s);
@@ -170,8 +184,8 @@ impl WeatherGenerator {
         let mut wind_v = Vec::with_capacity(n);
 
         for i in 0..n {
-            let t = SimTime::from_secs(i as i64 * step_s);
-            let hour_idx = (t.secs() / 3_600) as usize % kci.len();
+            let secs = i as i64 * step_s;
+            let hour_idx = (secs / 3_600) as usize % kci.len();
 
             let g = geometry.clearsky_ghi(i) * kci[hour_idx];
 
@@ -186,8 +200,9 @@ impl WeatherGenerator {
             ghi.push(comps.ghi);
             dni.push(comps.dni);
             dhi.push(comps.dhi);
-            temp.push(temp_gen.step(t));
-            wind_v.push(wind_gen.step(t));
+            let (day, slot) = terms.index(secs);
+            temp.push(temp_gen.step(terms.temp_day_c[day] + terms.temp_slot_c[slot]));
+            wind_v.push(wind_gen.step(terms.wind_scale_day_ms[day], terms.wind_slot[slot]));
         }
 
         WeatherYear {
@@ -204,10 +219,95 @@ impl WeatherGenerator {
     }
 }
 
+/// The seed-independent temperature and wind terms of one year at one
+/// step, indexed by day of year and time-of-day slot.
+struct SeasonalTerms {
+    /// Seconds per slot: `gcd(step, 1 day)`.
+    slot_s: i64,
+    /// Seasonal mean temperature of each day, °C.
+    temp_day_c: Vec<f64>,
+    /// Weibull scale of each day's month, m/s.
+    wind_scale_day_ms: Vec<f64>,
+    /// Diurnal temperature offset of each slot, °C.
+    temp_slot_c: Vec<f64>,
+    /// Diurnal wind factor of each slot.
+    wind_slot: Vec<f64>,
+}
+
+impl SeasonalTerms {
+    fn new(climate: &Climate, step_s: i64) -> Self {
+        let slot_s = gcd(step_s, SECONDS_PER_DAY);
+        // The calendar's own fractional hour, so every term is the one a
+        // per-step evaluation would compute.
+        let hours: Vec<f64> = (0..SECONDS_PER_DAY / slot_s)
+            .map(|k| SimTime::from_secs(k * slot_s).calendar().hour_of_day())
+            .collect();
+        let scales: [f64; 12] = std::array::from_fn(|m| wind::monthly_scale_ms(&climate.wind, m));
+        let days = 0..DAYS_PER_YEAR as u32;
+        Self {
+            slot_s,
+            temp_day_c: days
+                .clone()
+                .map(|d| temperature::seasonal_mean_c(&climate.temperature, d))
+                .collect(),
+            wind_scale_day_ms: days.map(|d| scales[month_of_day(d) as usize]).collect(),
+            temp_slot_c: hours
+                .iter()
+                .map(|&h| temperature::diurnal_offset_c(&climate.temperature, h))
+                .collect(),
+            wind_slot: hours
+                .iter()
+                .map(|&h| wind::diurnal_factor(&climate.wind, h))
+                .collect(),
+        }
+    }
+
+    /// The day of year and slot of the instant `secs` (in `[0, 1 year)`).
+    fn index(&self, secs: i64) -> (usize, usize) {
+        (
+            (secs / SECONDS_PER_DAY) as usize,
+            (secs % SECONDS_PER_DAY / self.slot_s) as usize,
+        )
+    }
+}
+
+fn gcd(mut a: i64, mut b: i64) -> i64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mgopt_units::stats;
+
+    #[test]
+    fn seasonal_terms_equal_the_per_step_climatology_at_every_supported_step() {
+        for climate in [Climate::houston(), Climate::berkeley()] {
+            let (tc, wc) = (&climate.temperature, &climate.wind);
+            for minutes in 1..=1_440 {
+                let step_s = minutes * 60;
+                if !is_supported_step(SimDuration::from_secs(step_s)) {
+                    continue;
+                }
+                let terms = SeasonalTerms::new(&climate, step_s);
+                for secs in (0..SECONDS_PER_YEAR).step_by(step_s as usize) {
+                    let (day, slot) = terms.index(secs);
+                    let t = SimTime::from_secs(secs);
+                    let cal = t.calendar();
+                    let baseline = terms.temp_day_c[day] + terms.temp_slot_c[slot];
+                    let want = temperature::baseline_temp_c(tc, t);
+                    assert_eq!(baseline.to_bits(), want.to_bits(), "{minutes} min, {t}");
+                    let scale = wind::monthly_scale_ms(wc, cal.month as usize);
+                    assert_eq!(terms.wind_scale_day_ms[day].to_bits(), scale.to_bits());
+                    let diurnal = wind::diurnal_factor(wc, cal.hour_of_day());
+                    assert_eq!(terms.wind_slot[slot].to_bits(), diurnal.to_bits(), "{t}");
+                }
+            }
+        }
+    }
 
     fn berkeley_year() -> WeatherYear {
         WeatherGenerator::new(Climate::berkeley(), 42).generate(SimDuration::from_hours(1.0))

@@ -5,6 +5,14 @@
 //! The model is a seasonal baseline (linear interpolation between monthly
 //! means) plus a diurnal cosine (minimum near sunrise, maximum mid
 //! afternoon) plus an AR(1) day-to-day anomaly.
+//!
+//! The baseline does not depend on the seed, so
+//! [`WeatherGenerator::generate`](crate::WeatherGenerator::generate)
+//! computes its two terms once per call, [`seasonal_mean_c`] for each day
+//! and [`diurnal_offset_c`] for each time-of-day slot, and hands their sum
+//! to [`TemperatureGenerator::step`], which draws only the anomaly.
+//! [`baseline_temp_c`] adds the same two terms at one instant, in the same
+//! order; it is the oracle the tables are tested against.
 
 use mgopt_units::time::{month_of_day, MONTH_LENGTHS, MONTH_STARTS};
 use mgopt_units::SimTime;
@@ -18,10 +26,14 @@ use crate::math::Ar1;
 /// Deterministic seasonal + diurnal temperature baseline, °C.
 pub fn baseline_temp_c(climate: &TemperatureClimate, t: SimTime) -> f64 {
     let cal = t.calendar();
-    let seasonal = seasonal_mean_c(climate, cal.day_of_year);
-    // Diurnal cycle: minimum at ~05:00, maximum at ~15:00.
-    let phase = (cal.hour_of_day() - 15.0) / 24.0 * std::f64::consts::TAU;
-    seasonal + 0.5 * climate.diurnal_swing_c * phase.cos()
+    seasonal_mean_c(climate, cal.day_of_year) + diurnal_offset_c(climate, cal.hour_of_day())
+}
+
+/// The diurnal cycle's offset from the seasonal mean at a fractional
+/// hour of day, °C: minimum at ~05:00, maximum at ~15:00.
+pub fn diurnal_offset_c(climate: &TemperatureClimate, hour_of_day: f64) -> f64 {
+    let phase = (hour_of_day - 15.0) / 24.0 * std::f64::consts::TAU;
+    0.5 * climate.diurnal_swing_c * phase.cos()
 }
 
 /// Monthly-mean curve interpolated to a day of year (piecewise linear
@@ -45,7 +57,8 @@ pub fn seasonal_mean_c(climate: &TemperatureClimate, day_of_year: u32) -> f64 {
     climate.monthly_mean_c[m0] * (1.0 - w) + climate.monthly_mean_c[m1] * w
 }
 
-/// Stochastic temperature generator (baseline + AR(1) anomaly).
+/// Stochastic temperature generator: the AR(1) anomaly around a
+/// baseline the caller supplies.
 #[derive(Debug)]
 pub struct TemperatureGenerator {
     climate: TemperatureClimate,
@@ -63,13 +76,14 @@ impl TemperatureGenerator {
         }
     }
 
-    /// Temperature at `t`, advancing the anomaly process one step.
+    /// Temperature at a step whose baseline is `baseline_c` (°C; see
+    /// [`baseline_temp_c`]), advancing the anomaly process one step.
     ///
     /// Call once per simulation step in time order.
-    pub fn step(&mut self, t: SimTime) -> f64 {
+    pub fn step(&mut self, baseline_c: f64) -> f64 {
         let eps = sample_standard_normal(&mut self.rng);
         let anomaly = self.anomaly.step(eps) * self.climate.anomaly_std_c;
-        baseline_temp_c(&self.climate, t) + anomaly
+        baseline_c + anomaly
     }
 }
 
@@ -117,8 +131,8 @@ mod tests {
         let mut err_sum = 0.0;
         let mut n = 0;
         while t.secs() < 30 * SECONDS_PER_DAY {
-            let temp = g.step(t);
-            err_sum += temp - baseline_temp_c(&c, t);
+            let baseline = baseline_temp_c(&c, t);
+            err_sum += g.step(baseline) - baseline;
             n += 1;
             t += SimDuration::from_hours(1.0);
         }

@@ -6,8 +6,14 @@
 //! marginal distribution — which fixes the turbine capacity factor — and
 //! (b) realistic multi-hour lulls and storms via the AR autocorrelation,
 //! which is what makes batteries matter.
+//!
+//! The month's Weibull scale ([`monthly_scale_ms`]) and the diurnal
+//! factor ([`diurnal_factor`]) do not depend on the seed, so
+//! [`WeatherGenerator::generate`](crate::WeatherGenerator::generate)
+//! computes them once per call, for each month and each time-of-day slot,
+//! and [`WindGenerator::step`] takes them as arguments: the generator
+//! draws only the noise.
 
-use mgopt_units::SimTime;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -38,24 +44,16 @@ impl WindGenerator {
         }
     }
 
-    /// Wind speed (m/s) at the reference height at time `t`.
+    /// Wind speed (m/s) at the reference height at a step whose month
+    /// has Weibull scale `scale_ms` ([`monthly_scale_ms`]) and whose time
+    /// of day has diurnal factor `diurnal` ([`diurnal_factor`]).
     ///
     /// Call once per simulation step in time order.
-    pub fn step(&mut self, t: SimTime) -> f64 {
+    pub fn step(&mut self, scale_ms: f64, diurnal: f64) -> f64 {
         let eps = sample_standard_normal(&mut self.rng);
         let g = self.process.step(eps);
         let u = norm_cdf(g);
-
-        let cal = t.calendar();
-        let scale =
-            self.climate.weibull_scale_ms * self.climate.monthly_scale_factor[cal.month as usize];
-        let speed = weibull_quantile(u, scale, self.climate.weibull_shape);
-
-        // Diurnal modulation preserves the daily mean to first order:
-        // multiply by 1 + A cos(phase), whose mean over a day is 1.
-        let phase =
-            (cal.hour_of_day() - self.climate.diurnal_peak_hour) / 24.0 * std::f64::consts::TAU;
-        let diurnal = 1.0 + self.climate.diurnal_amplitude * phase.cos();
+        let speed = weibull_quantile(u, scale_ms, self.climate.weibull_shape);
         (speed * diurnal).max(0.0)
     }
 
@@ -63,6 +61,19 @@ impl WindGenerator {
     pub fn steps_per_hour(&self) -> f64 {
         self.steps_per_hour
     }
+}
+
+/// The Weibull scale of month `month` (`0..=11`), m/s.
+pub fn monthly_scale_ms(climate: &WindClimate, month: usize) -> f64 {
+    climate.weibull_scale_ms * climate.monthly_scale_factor[month]
+}
+
+/// The diurnal modulation at a fractional hour of day. It preserves the
+/// daily mean to first order: 1 + A cos(phase), whose mean over a day
+/// is 1.
+pub fn diurnal_factor(climate: &WindClimate, hour_of_day: f64) -> f64 {
+    let phase = (hour_of_day - climate.diurnal_peak_hour) / 24.0 * std::f64::consts::TAU;
+    1.0 + climate.diurnal_amplitude * phase.cos()
 }
 
 /// Extrapolate a wind speed between heights with the power law
@@ -85,7 +96,9 @@ mod tests {
         let mut t = SimTime::START;
         let mut out = Vec::with_capacity(8_760);
         for _ in 0..8_760 {
-            out.push(g.step(t));
+            let cal = t.calendar();
+            let scale = monthly_scale_ms(climate, cal.month as usize);
+            out.push(g.step(scale, diurnal_factor(climate, cal.hour_of_day())));
             t += step;
         }
         out
