@@ -15,6 +15,11 @@
 //! cargo run --release -p mgopt-bench --bin fleet_search
 //! ```
 //!
+//! It also times cold preparation: `FleetScenario::prepare()` of the
+//! paper fleet on fresh scenario seeds, once with both members on each
+//! seed (as the preset has them, so they share one pass of random draws)
+//! and once with a seed per member.
+//!
 //! Writes the artifact to the repository root (next to `BENCH_fleet.json`)
 //! and prints the same numbers to stdout. `MGOPT_FAST=1` shrinks the
 //! per-site spaces for smoke runs. Then checks search agreement, the
@@ -76,6 +81,12 @@ struct FleetSearchBench {
     telemetry_overhead_pct: f64,
     /// Stage totals and engine throughput over the `samples` enabled runs.
     telemetry: TelemetrySection,
+    /// `FleetScenario::prepare()` of the paper fleet with both members on
+    /// one fresh scenario seed, min ms over `samples` seeds.
+    prep_shared_seed_ms_min: f64,
+    /// The same with each member on its own fresh seed, min ms over
+    /// `samples` seed pairs, alternating with the shared-seed runs.
+    prep_distinct_seeds_ms_min: f64,
 }
 
 /// Hides a problem's batched override so cohorts fall back to the
@@ -143,6 +154,40 @@ fn ab_ms(
         }
     }
     (a_ms, b_ms)
+}
+
+/// Cold preparation of `scenario` on fresh scenario seeds, min ms over
+/// `samples` runs each: with every member on one seed, and with a seed
+/// per member, alternating which goes first. A first call warms the
+/// process-wide memos (solar geometry, carbon-intensity shapes), so each
+/// timed call pays what a daemon's cold study pays: the seeded draws and
+/// everything downstream of them.
+fn prep_ms(scenario: &FleetScenario, samples: usize) -> (f64, f64) {
+    let at = |seed: u64, distinct: bool| {
+        let mut f = scenario.clone();
+        for (k, m) in f.members.iter_mut().enumerate() {
+            m.scenario.seed = if distinct { seed + k as u64 } else { seed };
+        }
+        f
+    };
+    let time = |f: FleetScenario| {
+        let t0 = Instant::now();
+        std::hint::black_box(f.prepare().n_sites());
+        t0.elapsed().as_secs_f64() * 1e3
+    };
+    std::hint::black_box(at(1, false).prepare().n_sites());
+    let (mut shared, mut distinct) = (Vec::new(), Vec::new());
+    for k in 0..samples as u64 {
+        let seed = 10_000 + 10 * k;
+        if k % 2 == 0 {
+            shared.push(time(at(seed, false)));
+            distinct.push(time(at(seed + 5, true)));
+        } else {
+            distinct.push(time(at(seed + 5, true)));
+            shared.push(time(at(seed, false)));
+        }
+    }
+    (min_ms(&shared), min_ms(&distinct))
 }
 
 fn main() {
@@ -217,6 +262,8 @@ fn main() {
     let disabled_min = min_ms(&disabled_ms);
     let overhead_pct = (enabled_min / disabled_min - 1.0) * 1e2;
 
+    let (prep_shared_min, prep_distinct_min) = prep_ms(&scenario, samples);
+
     let problem = FleetProblem::new(&fleet);
     let bench = FleetSearchBench {
         sites: fleet.names.clone(),
@@ -242,6 +289,8 @@ fn main() {
         telemetry_enabled_ms_min: enabled_min,
         telemetry_overhead_pct: overhead_pct,
         telemetry: section,
+        prep_shared_seed_ms_min: prep_shared_min,
+        prep_distinct_seeds_ms_min: prep_distinct_min,
     };
 
     println!(
@@ -276,6 +325,10 @@ fn main() {
         "telemetry: enabled {enabled_min:.1} ms vs disabled {disabled_min:.1} ms \
          ({overhead_pct:+.1}%, {samples} alternating pairs)"
     );
+    println!(
+        "cold preparation of the fleet: {prep_shared_min:.2} ms with one seed, \
+         {prep_distinct_min:.2} ms with a seed per member (min of {samples})"
+    );
     for stage in &bench.telemetry.stages {
         println!(
             "  {:<16} {:>6} spans {:>10.1} ms (CPU)",
@@ -308,9 +361,16 @@ fn main() {
         ),
     );
     checks.timings(
-        [batched_min, scalar_min, simd_min, scalar_walk_min]
-            .into_iter()
-            .chain(bench.scaling.iter().map(|p| p.ms_min)),
+        [
+            batched_min,
+            scalar_min,
+            simd_min,
+            scalar_walk_min,
+            prep_shared_min,
+            prep_distinct_min,
+        ]
+        .into_iter()
+        .chain(bench.scaling.iter().map(|p| p.ms_min)),
     );
     checks.check(
         bench.sites.len() == 2

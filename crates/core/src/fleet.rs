@@ -25,11 +25,10 @@
 use std::sync::Arc;
 
 use mgopt_microgrid::{Composition, FleetEvaluator, FleetResult, FleetSite, PeakMemo};
-use mgopt_units::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{scenario_cache_key, PreparedCache};
-use crate::scenario::{PreparedScenario, ScenarioConfig};
+use crate::scenario::{prepare_group, seed_groups, PreparedScenario, ScenarioConfig};
 
 /// One named member of a fleet scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -67,24 +66,32 @@ impl FleetScenario {
 
     /// Synthesize every member's inputs (expensive; do once).
     ///
-    /// A load trace depends only on the member's workload, step and seed,
-    /// not on its site, so members that share all three share one
-    /// generated load: each gets a copy, bit-identical to preparing each
-    /// member alone.
+    /// Members that share a seed are prepared in one pass
+    /// ([`Site::prepare_group`](mgopt_microgrid::Site::prepare_group)):
+    /// every weather and carbon-intensity stream is seeded by the seed
+    /// alone, so the pass makes each random draw once and applies it to
+    /// every member. Members that also share a workload share one
+    /// generated load, each getting a copy. Every member is bit-identical
+    /// to its own [`ScenarioConfig::prepare`].
     ///
     /// # Panics
     /// Panics when members disagree on the simulation step — the fleet
     /// advances on a single clock.
     pub fn prepare(&self) -> PreparedFleet {
         self.check_shared_clock();
-        let mut loads = FleetLoads::default();
-        PreparedFleet::new(
-            self.names(),
-            self.members
-                .iter()
-                .map(|m| Arc::new(loads.prepare(&m.scenario)))
-                .collect(),
-        )
+        let configs: Vec<&ScenarioConfig> = self.members.iter().map(|m| &m.scenario).collect();
+        let mut members: Vec<Option<Arc<PreparedScenario>>> = vec![None; configs.len()];
+        for group in seed_groups(&configs) {
+            let group_configs: Vec<&ScenarioConfig> = group.iter().map(|&i| configs[i]).collect();
+            for (i, prepared) in group.into_iter().zip(prepare_group(&group_configs)) {
+                members[i] = Some(Arc::new(prepared));
+            }
+        }
+        let members = members
+            .into_iter()
+            .map(|m| m.expect("every member is in one group"))
+            .collect();
+        PreparedFleet::new(self.names(), members)
     }
 
     /// Like [`prepare`](Self::prepare), but member scenarios come from (and
@@ -93,9 +100,11 @@ impl FleetScenario {
     /// memo, keyed by the members' scenarios in order. Returns the fleet
     /// plus the per-member cache [`PrepStats`] for this call.
     ///
-    /// Only members that miss the cache are prepared, and those that
-    /// share (workload, step, seed) share one generated load, as in
-    /// [`prepare`](Self::prepare).
+    /// Every member's cache slot is looked up first, and a slot inserted
+    /// for each one missing; only then are the members this call inserted
+    /// prepared, those sharing a seed in one pass as in
+    /// [`prepare`](Self::prepare). So the cache evicts its victims before
+    /// any preparation allocates (see the [`PreparedCache`] docs).
     ///
     /// # Panics
     /// Panics exactly when [`prepare`](Self::prepare) would (empty fleet,
@@ -107,15 +116,12 @@ impl FleetScenario {
             .iter()
             .map(|m| scenario_cache_key(&m.scenario))
             .collect();
+        let configs: Vec<&ScenarioConfig> = self.members.iter().map(|m| &m.scenario).collect();
         let mut stats = PrepStats::default();
-        let mut loads = FleetLoads::default();
-        let members = self
-            .members
-            .iter()
-            .zip(&keys)
-            .map(|(m, key)| {
-                let (prepared, hit) =
-                    cache.get_or_prepare_keyed(key, || loads.prepare(&m.scenario));
+        let members = cache
+            .get_or_prepare_all(&keys, &configs)
+            .into_iter()
+            .map(|(prepared, hit)| {
                 if hit {
                     stats.hits += 1;
                 } else {
@@ -146,35 +152,6 @@ impl FleetScenario {
                 m.name
             );
         }
-    }
-}
-
-/// The load traces one fleet preparation has generated, one per distinct
-/// (workload, step, seed): a trace depends on nothing else, so members
-/// that share the three share one generation.
-#[derive(Default)]
-struct FleetLoads<'a> {
-    traces: Vec<(&'a ScenarioConfig, TimeSeries)>,
-}
-
-impl<'a> FleetLoads<'a> {
-    /// Prepare `config`, generating its load unless an earlier member of
-    /// this preparation shares its workload, step and seed.
-    fn prepare(&mut self, config: &'a ScenarioConfig) -> PreparedScenario {
-        let shared = self.traces.iter().find(|(c, _)| {
-            c.workload == config.workload
-                && c.step_minutes == config.step_minutes
-                && c.seed == config.seed
-        });
-        let load = match shared {
-            Some((_, load)) => load.clone(),
-            None => {
-                let load = config.workload.generate(config.step(), config.seed);
-                self.traces.push((config, load.clone()));
-                load
-            }
-        };
-        config.prepare_with_load(load)
     }
 }
 

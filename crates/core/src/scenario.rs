@@ -122,21 +122,77 @@ impl ScenarioConfig {
         SimDuration::from_minutes(self.step_minutes as f64)
     }
 
-    /// Synthesize all inputs (expensive; do once, share across trials).
+    /// Synthesize all inputs (expensive; do once, share across trials):
+    /// the one-scenario case of the group preparation behind
+    /// [`FleetScenario::prepare`](crate::FleetScenario::prepare).
     pub fn prepare(&self) -> PreparedScenario {
-        self.prepare_with_load(self.workload.generate(self.step(), self.seed))
+        let mut prepared = prepare_group(&[self]);
+        prepared.pop().expect("one config, one preparation")
     }
+}
 
-    /// [`prepare`](Self::prepare) around a load trace already generated
-    /// for this workload, step and seed.
-    pub(crate) fn prepare_with_load(&self, load: TimeSeries) -> PreparedScenario {
-        PreparedScenario {
-            config: self.clone(),
-            data: self.site.site().prepare(self.step(), self.seed),
-            load,
-            table: OnceLock::new(),
+/// The positions of `configs` grouped by (step, seed): groups in the
+/// order of their first member, members in order. Each group can be
+/// prepared in one pass by [`prepare_group`].
+pub(crate) fn seed_groups(configs: &[&ScenarioConfig]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, c) in configs.iter().enumerate() {
+        let group = groups.iter().position(|g| {
+            let first = configs[g[0]];
+            first.step_minutes == c.step_minutes && first.seed == c.seed
+        });
+        match group {
+            Some(k) => groups[k].push(i),
+            None => groups.push(vec![i]),
         }
     }
+    groups
+}
+
+/// Prepare `configs`, which share one step and one seed, in one pass:
+/// each equals its own [`ScenarioConfig::prepare`] bit for bit.
+///
+/// * **Site data** comes from [`Site::prepare_group`], which draws each
+///   weather and carbon-intensity stream once for every site.
+/// * **Loads.** A load trace depends only on the workload, step and
+///   seed, so members with equal workloads share one generation: each
+///   gets a copy.
+///
+/// # Panics
+/// Panics when `configs` is empty or its members differ in step or seed,
+/// and wherever [`ScenarioConfig::prepare`] would.
+pub(crate) fn prepare_group(configs: &[&ScenarioConfig]) -> Vec<PreparedScenario> {
+    let first = configs.first().expect("a preparation group has members");
+    let (step, seed) = (first.step(), first.seed);
+    for c in configs {
+        assert!(
+            c.step_minutes == first.step_minutes && c.seed == seed,
+            "a preparation group shares one step and one seed"
+        );
+    }
+    let sites: Vec<Site> = configs.iter().map(|c| c.site.site()).collect();
+    let data = Site::prepare_group(&sites, step, seed);
+    let mut loads: Vec<(&WorkloadConfig, TimeSeries)> = Vec::new();
+    configs
+        .iter()
+        .zip(data)
+        .map(|(&config, data)| {
+            let load = match loads.iter().find(|(w, _)| **w == config.workload) {
+                Some((_, load)) => load.clone(),
+                None => {
+                    let load = config.workload.generate(step, seed);
+                    loads.push((&config.workload, load.clone()));
+                    load
+                }
+            };
+            PreparedScenario {
+                config: config.clone(),
+                data,
+                load,
+                table: OnceLock::new(),
+            }
+        })
+        .collect()
 }
 
 /// A scenario with all inputs synthesized.

@@ -4,7 +4,9 @@
 //! *average* carbon intensity (the Electricity Maps/GHG-Protocol
 //! convention), not marginal intensity.
 
-use mgopt_units::{SimDuration, SimTime, TimeSeries, SECONDS_PER_YEAR};
+use std::sync::Arc;
+
+use mgopt_units::{LruMemo, SimDuration, SimTime, TimeSeries, SECONDS_PER_YEAR};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -109,8 +111,29 @@ impl CarbonIntensityModel {
     }
 
     /// Generate one year of carbon intensity (gCO2/kWh) at the given step,
-    /// exactly mean-calibrated to `annual_mean_g_per_kwh`.
+    /// exactly mean-calibrated to `annual_mean_g_per_kwh`: the one-model
+    /// case of [`generate_group`](Self::generate_group).
+    ///
+    /// # Panics
+    /// Panics unless `step` is positive and divides the year.
     pub fn generate(&self, step: SimDuration, seed: u64) -> TimeSeries {
+        let mut series = Self::generate_group(std::slice::from_ref(self), step, seed);
+        series.pop().expect("one model, one series")
+    }
+
+    /// One year of carbon intensity for each of `models`, in order, under
+    /// one `seed`: each equals that model's own
+    /// [`generate`](Self::generate) bit for bit.
+    ///
+    /// The noise stream is seeded by the seed alone and draws one normal
+    /// per step whatever the model, so the group draws each normal once
+    /// and feeds it to every model's AR(1) state in turn. Each model's
+    /// noise-free shape comes from the process-wide shape memo (see the
+    /// crate docs).
+    ///
+    /// # Panics
+    /// Panics unless `step` is positive and divides the year.
+    pub fn generate_group(models: &[Self], step: SimDuration, seed: u64) -> Vec<TimeSeries> {
         let step_s = step.secs();
         assert!(
             step_s > 0 && SECONDS_PER_YEAR % step_s == 0,
@@ -120,33 +143,88 @@ impl CarbonIntensityModel {
 
         let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xc0_2e_11_55);
         let steps_per_hour = 3_600.0 / step_s as f64;
-        let rho = (-1.0 / (self.noise_decorrelation_h * steps_per_hour).max(1e-9)).exp();
-        let innovation = (1.0 - rho * rho).sqrt();
-        let mut g = 0.0f64;
+        let mut members: Vec<NoiseState> = models
+            .iter()
+            .map(|m| {
+                let rho = (-1.0 / (m.noise_decorrelation_h * steps_per_hour).max(1e-9)).exp();
+                NoiseState {
+                    shape: m.shape(step_s),
+                    rho,
+                    innovation: (1.0 - rho * rho).sqrt(),
+                    noise_std: m.noise_std,
+                    g: 0.0,
+                    values: Vec::with_capacity(n),
+                }
+            })
+            .collect();
 
-        let mut values = Vec::with_capacity(n);
         for i in 0..n {
-            let t = SimTime::from_secs(i as i64 * step_s);
             let eps: f64 = {
                 // Box-Muller on two uniforms.
                 let u1: f64 = rng.gen_range(1e-12..1.0);
                 let u2: f64 = rng.gen();
                 (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
             };
-            g = rho * g + innovation * eps;
-            let noise = 1.0 + self.noise_std * g;
-            let raw = self.relative_shape(t) * noise.max(0.1);
-            values.push(raw);
+            for m in &mut members {
+                m.g = m.rho * m.g + m.innovation * eps;
+                let noise = 1.0 + m.noise_std * m.g;
+                m.values.push(m.shape[i] * noise.max(0.1));
+            }
         }
 
-        // Exact mean calibration, then floor.
-        let mean: f64 = values.iter().sum::<f64>() / n as f64;
-        let scale = self.annual_mean_g_per_kwh / mean;
-        for v in values.iter_mut() {
-            *v = (*v * scale).max(self.floor_g_per_kwh);
-        }
-        TimeSeries::new(step, values)
+        models
+            .iter()
+            .zip(members)
+            .map(|(model, m)| {
+                let mut values = m.values;
+                // Exact mean calibration, then floor.
+                let mean: f64 = values.iter().sum::<f64>() / n as f64;
+                let scale = model.annual_mean_g_per_kwh / mean;
+                for v in values.iter_mut() {
+                    *v = (*v * scale).max(model.floor_g_per_kwh);
+                }
+                TimeSeries::new(step, values)
+            })
+            .collect()
     }
+
+    /// [`relative_shape`](Self::relative_shape) at every step of the year,
+    /// from the process-wide memo (see the crate docs).
+    fn shape(&self, step_s: i64) -> Arc<Vec<f64>> {
+        static SHARED: LruMemo<ShapeKey, Vec<f64>> = LruMemo::new(SHAPE_MEMO_CAPACITY);
+        let mut key = [0; 28];
+        for (k, v) in key.iter_mut().zip(&self.diurnal_shape) {
+            *k = v.to_bits();
+        }
+        key[24] = self.seasonal_amplitude.to_bits();
+        key[25] = self.seasonal_peak_month.to_bits();
+        key[26] = self.summer_shape_gain.to_bits();
+        key[27] = step_s as u64;
+        SHARED.get_or_build(key, || {
+            (0..SECONDS_PER_YEAR / step_s)
+                .map(|i| self.relative_shape(SimTime::from_secs(i * step_s)))
+                .collect()
+        })
+    }
+}
+
+/// How many (model, step) shape tables the process keeps: the paper's
+/// two regions at two steps.
+const SHAPE_MEMO_CAPACITY: usize = 4;
+
+/// Bits of the fields [`CarbonIntensityModel::relative_shape`] reads —
+/// the 24 diurnal multipliers, the seasonal amplitude and peak month and
+/// the summer gain — plus the step in seconds.
+type ShapeKey = [u64; 28];
+
+/// One model's AR(1) noise state and output in a group generation.
+struct NoiseState {
+    shape: Arc<Vec<f64>>,
+    rho: f64,
+    innovation: f64,
+    noise_std: f64,
+    g: f64,
+    values: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -156,6 +234,76 @@ mod tests {
 
     fn hourly(region: GridRegion, seed: u64) -> TimeSeries {
         CarbonIntensityModel::for_region(region).generate(SimDuration::from_hours(1.0), seed)
+    }
+
+    /// The steps the weather pipeline accepts (`is_supported_step` in
+    /// `mgopt-weather`): divisors of an hour, and whole hours up to a day
+    /// that divide the year.
+    fn supported_steps_s() -> impl Iterator<Item = i64> {
+        (1..=1_440).map(|m| m * 60).filter(|&s| {
+            3_600 % s == 0 || (s % 3_600 == 0 && s <= 86_400 && SECONDS_PER_YEAR % s == 0)
+        })
+    }
+
+    #[test]
+    fn shape_tables_equal_relative_shape_at_every_supported_step() {
+        for region in [GridRegion::Caiso, GridRegion::Ercot] {
+            let model = CarbonIntensityModel::for_region(region);
+            for step_s in supported_steps_s() {
+                let table = model.shape(step_s);
+                assert_eq!(table.len() as i64, SECONDS_PER_YEAR / step_s);
+                for (i, v) in table.iter().enumerate() {
+                    let t = SimTime::from_secs(i as i64 * step_s);
+                    let want = model.relative_shape(t);
+                    assert_eq!(v.to_bits(), want.to_bits(), "{region:?}, {step_s} s, {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shape_memo_keys_on_the_fields_relative_shape_reads() {
+        let step_s = 3_600;
+        let base = CarbonIntensityModel::for_region(GridRegion::Ercot);
+        let a = base.shape(step_s);
+        let noise_only = CarbonIntensityModel {
+            annual_mean_g_per_kwh: 1.0,
+            noise_std: 0.5,
+            noise_decorrelation_h: 1.0,
+            floor_g_per_kwh: 0.0,
+            ..base.clone()
+        };
+        assert!(Arc::ptr_eq(&a, &noise_only.shape(step_s)));
+        let mut reshaped = base.clone();
+        reshaped.diurnal_shape[23] += 1e-9;
+        assert!(!Arc::ptr_eq(&a, &reshaped.shape(step_s)));
+        let deeper = CarbonIntensityModel {
+            summer_shape_gain: base.summer_shape_gain + 1e-9,
+            ..base.clone()
+        };
+        assert!(!Arc::ptr_eq(&a, &deeper.shape(step_s)));
+        assert_ne!(a.len(), base.shape(2 * step_s).len());
+    }
+
+    #[test]
+    fn group_members_equal_their_own_generation() {
+        let caiso = CarbonIntensityModel::for_region(GridRegion::Caiso);
+        let ercot = CarbonIntensityModel::for_region(GridRegion::Ercot);
+        for minutes in [5, 60, 300] {
+            let step = SimDuration::from_minutes(minutes as f64);
+            let models = [ercot.clone(), caiso.clone(), ercot.clone()];
+            let group = CarbonIntensityModel::generate_group(&models, step, 9);
+            assert_eq!(group.len(), 3);
+            for (series, model) in group.iter().zip(&models) {
+                let own = model.generate(step, 9);
+                let same = series
+                    .values()
+                    .iter()
+                    .zip(own.values())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same && series.len() == own.len(), "{minutes} min");
+            }
+        }
     }
 
     #[test]

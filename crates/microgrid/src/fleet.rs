@@ -537,11 +537,10 @@ impl<'a> FleetEvaluator<'a> {
         }
 
         let n = self.len();
-        let demand_kwh = self.demand_kwh(n);
         let trace = PassTrace::start();
 
         let Some((cap, memo)) = capped else {
-            let (walked, chunks) = self.fill_unseen(plans, tables, n, &demand_kwh);
+            let (walked, chunks) = self.fill_unseen(plans, tables, n);
             let out = plans
                 .iter()
                 .map(|plan| (Self::from_tables(plan, tables, None), None))
@@ -571,7 +570,7 @@ impl<'a> FleetEvaluator<'a> {
             .filter(|source| matches!(source, Source::Memo(_)))
             .count();
         let mut walks = self
-            .walk_and_fill(plans, &to_walk, tables, memo, n, &demand_kwh)
+            .walk_and_fill(plans, &to_walk, tables, memo, n)
             .into_iter();
         let out = plans
             .iter()
@@ -595,13 +594,13 @@ impl<'a> FleetEvaluator<'a> {
 
     /// Walk, per site, the indices the cohort needs and the table lacks —
     /// each once, in first-seen order — and fill the tables. Returns the
-    /// pairs and chunks walked.
+    /// pairs and chunks walked. The sites' demand is summed only when
+    /// there is something to walk.
     fn fill_unseen(
         &self,
         plans: &[Vec<u16>],
         tables: &[(&CompositionSpace, &SiteTable)],
         n: usize,
-        demand_kwh: &[f64],
     ) -> (usize, usize) {
         let unseen: Vec<Vec<usize>> = tables
             .iter()
@@ -625,6 +624,10 @@ impl<'a> FleetEvaluator<'a> {
             .flat_map(|(s, unseen)| unseen.chunks(CHUNK).map(move |idx| (s, idx)))
             .collect();
         let chunks = walks.len();
+        if chunks == 0 {
+            return (0, 0);
+        }
+        let demand_kwh = self.demand_kwh(n);
         walks.into_par_iter().for_each(|(s, idx)| {
             let (space, table) = tables[s];
             let comps: Vec<Composition> = idx.iter().map(|&i| space.at(i)).collect();
@@ -650,7 +653,8 @@ impl<'a> FleetEvaluator<'a> {
 
     /// The plans at `positions` through the plan walk with peak tracking,
     /// in that order, filling the tables with every pair walked and the
-    /// memo with every plan's concurrent peak while it has room.
+    /// memo with every plan's concurrent peak while it has room. The
+    /// sites' demand is summed only when there is a plan to walk.
     fn walk_and_fill(
         &self,
         plans: &[Vec<u16>],
@@ -658,8 +662,11 @@ impl<'a> FleetEvaluator<'a> {
         tables: &[(&CompositionSpace, &SiteTable)],
         memo: &PeakMemo,
         n: usize,
-        demand_kwh: &[f64],
     ) -> Vec<FleetResult> {
+        if positions.is_empty() {
+            return Vec::new();
+        }
+        let demand_kwh = self.demand_kwh(n);
         let chunks: Vec<&[usize]> = positions.chunks(CHUNK).collect();
         let nested: Vec<Vec<FleetResult>> = chunks
             .into_par_iter()
@@ -674,7 +681,7 @@ impl<'a> FleetEvaluator<'a> {
                             .collect()
                     })
                     .collect();
-                let (results, site_peaks) = self.walk_plans(&comps, n, demand_kwh, true);
+                let (results, site_peaks) = self.walk_plans(&comps, n, &demand_kwh, true);
                 for (k, (&p, result)) in chunk.iter().zip(&results).enumerate() {
                     for (s, site) in result.per_site.iter().enumerate() {
                         tables[s].1.fill(

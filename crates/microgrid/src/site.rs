@@ -50,31 +50,60 @@ impl Site {
         }
     }
 
-    /// Precompute everything the sweep needs at the given step.
+    /// Precompute everything the sweep needs at the given step: the
+    /// one-site case of [`prepare_group`](Self::prepare_group).
     ///
     /// # Panics
     /// Panics unless [`is_supported_step`] accepts `step`.
     pub fn prepare(&self, step: SimDuration, seed: u64) -> SiteData {
-        let weather = WeatherGenerator::new(self.climate.clone(), seed).generate(step);
+        let mut data = Self::prepare_group(std::slice::from_ref(self), step, seed);
+        data.pop().expect("one site, one preparation")
+    }
 
-        let pv = PvSystem::with_capacity_kw(1_000.0, self.climate.location.latitude_deg);
-        let pv_unit_kw = pv.simulate(&weather).scaled(1.0 / 1_000.0);
+    /// Precompute every site of `sites`, in order, at one step under one
+    /// seed: each equals that site's own [`prepare`](Self::prepare) bit
+    /// for bit.
+    ///
+    /// The weather years and the carbon-intensity series come from the
+    /// group forms ([`WeatherGenerator::generate_group`],
+    /// [`CarbonIntensityModel::generate_group`]), which draw each random
+    /// stream once for all sites. PVWatts, wind power, the
+    /// carbon-intensity coupling and the price stay per site.
+    ///
+    /// # Panics
+    /// Panics unless [`is_supported_step`] accepts `step`.
+    pub fn prepare_group(sites: &[Site], step: SimDuration, seed: u64) -> Vec<SiteData> {
+        let climates: Vec<&Climate> = sites.iter().map(|s| &s.climate).collect();
+        let weathers = WeatherGenerator::generate_group(&climates, step, seed);
+        let models: Vec<CarbonIntensityModel> = sites
+            .iter()
+            .map(|s| CarbonIntensityModel::for_region(s.grid_region))
+            .collect();
+        let cis = CarbonIntensityModel::generate_group(&models, step, seed);
 
-        let wind = WindFarm::with_turbines(1);
-        let wind_unit_kw = wind.simulate(&weather);
+        sites
+            .iter()
+            .zip(weathers.into_iter().zip(cis))
+            .map(|(site, (weather, ci))| {
+                let pv = PvSystem::with_capacity_kw(1_000.0, site.climate.location.latitude_deg);
+                let pv_unit_kw = pv.simulate(&weather).scaled(1.0 / 1_000.0);
 
-        let ci = CarbonIntensityModel::for_region(self.grid_region).generate(step, seed);
-        let ci = couple_ci_to_weather(self.grid_region, &ci, &pv_unit_kw, &wind_unit_kw);
-        let price = self.price_model.generate(step, seed);
+                let wind = WindFarm::with_turbines(1);
+                let wind_unit_kw = wind.simulate(&weather);
 
-        SiteData {
-            site: self.clone(),
-            weather,
-            pv_unit_kw,
-            wind_unit_kw,
-            ci_g_per_kwh: ci,
-            price_usd_per_mwh: price,
-        }
+                let ci = couple_ci_to_weather(site.grid_region, &ci, &pv_unit_kw, &wind_unit_kw);
+                let price = site.price_model.generate(step, seed);
+
+                SiteData {
+                    site: site.clone(),
+                    weather,
+                    pv_unit_kw,
+                    wind_unit_kw,
+                    ci_g_per_kwh: ci,
+                    price_usd_per_mwh: price,
+                }
+            })
+            .collect()
     }
 }
 

@@ -45,6 +45,10 @@
 //!   cancel frame's own id. A client disconnect (EOF) cancels every
 //!   study still in flight on that connection — the daemon does not
 //!   compute fronts nobody will read.
+//! * A `Study` whose id names a study still in flight on its connection
+//!   is answered with an `InvalidRequest` error on that id and not run;
+//!   the study in flight is untouched. Once a study has ended, its id
+//!   may be used again.
 //! * **Versioning rule** (see [`mgopt_core::wire::WIRE_VERSION`]):
 //!   parsing is strict-reject, so any added or removed field in the
 //!   envelope, study body, or budget bumps the protocol version; frames
@@ -389,7 +393,8 @@ impl Server {
         })
     }
 
-    /// Validate, register a cancel token, and launch one study worker
+    /// Validate, register a cancel token (refusing an id already in
+    /// flight on this connection), and launch one study worker
     /// immediately — admission against the process-wide concurrency cap
     /// happens *inside* the worker (reporting `Queued` when it must
     /// wait), so the read loop stays responsive to `Ping` and `Cancel`.
@@ -411,9 +416,26 @@ impl Server {
             }
         };
         let cancel = Arc::new(AtomicBool::new(false));
-        {
+        let in_flight = {
             let mut reg = registry.lock().unwrap_or_else(|e| e.into_inner());
-            reg.insert(id.clone(), Arc::clone(&cancel));
+            let in_flight = reg.contains_key(&id);
+            if !in_flight {
+                reg.insert(id.clone(), Arc::clone(&cancel));
+            }
+            in_flight
+        };
+        if in_flight {
+            // A second entry under one id would let the shorter study
+            // retire the longer one's, leaving it uncancellable.
+            send_error(
+                writer,
+                &id,
+                WireError::new(
+                    ErrorCode::InvalidRequest,
+                    format!("study `{id}` is already in flight on this connection"),
+                ),
+            );
+            return;
         }
         scope.spawn(move || {
             let permit = self.limiter.acquire(|ahead| {

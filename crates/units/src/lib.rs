@@ -6,8 +6,10 @@
 //! Foundation types for the microgrid-opt workspace: strongly typed physical
 //! quantities ([`Power`], [`Energy`], [`Emissions`], [`CarbonIntensity`]), a
 //! fixed 365-day simulation calendar ([`SimTime`], [`CalendarTime`]), a
-//! fixed-step [`TimeSeries`] container with resampling, and small descriptive
-//! statistics helpers.
+//! fixed-step [`TimeSeries`] container with resampling, small descriptive
+//! statistics helpers, and [`LruMemo`], the bounded least-recently-used
+//! memo behind the process-wide seed-independent tables (solar geometry
+//! in `mgopt-weather`, carbon-intensity shapes in `mgopt-gridcarbon`).
 //!
 //! ## Conventions
 //!
@@ -22,12 +24,14 @@
 //!   positive, consumers negative.
 
 pub mod approx;
+pub mod memo;
 pub mod quantity;
 pub mod series;
 pub mod stats;
 pub mod time;
 
 pub use approx::{rel_close, rel_error};
+pub use memo::LruMemo;
 pub use quantity::{CarbonIntensity, Emissions, Energy, Power};
 pub use series::TimeSeries;
 pub use time::{

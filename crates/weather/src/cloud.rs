@@ -22,22 +22,34 @@ pub enum SkyRegime {
     Cloudy,
 }
 
-/// Hour-resolution clear-sky-index generator.
+/// The cloud stream of weather seed `seed`. Each hour draws one uniform
+/// (the regime switch) and then one standard normal (the fluctuation),
+/// whatever the climate: see [`draw_hour`].
+pub(crate) fn stream(seed: u64) -> ChaCha12Rng {
+    ChaCha12Rng::seed_from_u64(seed ^ 0x5eed_c10d)
+}
+
+/// One hour's draws from the cloud stream: `(uniform, normal)`.
+pub(crate) fn draw_hour(rng: &mut ChaCha12Rng) -> (f64, f64) {
+    let u: f64 = rng.gen();
+    (u, sample_standard_normal(rng))
+}
+
+/// Hour-resolution clear-sky-index state of one climate. It draws
+/// nothing: each [`step_hour`](Self::step_hour) takes that hour's draws.
 #[derive(Debug)]
 pub struct CloudGenerator {
     climate: SolarClimate,
-    rng: ChaCha12Rng,
     regime: SkyRegime,
     fluctuation: Ar1,
 }
 
 impl CloudGenerator {
-    /// Create a generator with a dedicated RNG stream.
-    pub fn new(climate: SolarClimate, seed: u64) -> Self {
+    /// Create a generator in the clear regime.
+    pub fn new(climate: SolarClimate) -> Self {
         let rho = Ar1::rho_for_decorrelation_steps(climate.kci_decorrelation_h.max(0.5));
         Self {
             climate,
-            rng: ChaCha12Rng::seed_from_u64(seed ^ 0x5eed_c10d),
             regime: SkyRegime::Clear,
             fluctuation: Ar1::new(rho),
         }
@@ -48,8 +60,9 @@ impl CloudGenerator {
         self.regime
     }
 
-    /// Advance one hour in the given month and return the clear-sky index.
-    pub fn step_hour(&mut self, month: usize) -> f64 {
+    /// Advance one hour in the given month, on the hour's uniform `u` and
+    /// normal `eps` (`draw_hour`), and return the clear-sky index.
+    pub fn step_hour(&mut self, month: usize, u: f64, eps: f64) -> f64 {
         debug_assert!(month < 12);
         let pi_cloudy = self.climate.monthly_cloudy_prob[month].clamp(0.001, 0.999);
         // Two-state Markov chain: mean cloudy sojourn tau hours gives
@@ -59,14 +72,12 @@ impl CloudGenerator {
         let tau = self.climate.cloudy_persistence_h.max(1.0);
         let b = 1.0 - 1.0 / tau;
         let leave_clear = (pi_cloudy / (1.0 - pi_cloudy) * (1.0 - b)).clamp(0.0, 1.0);
-        let u: f64 = self.rng.gen();
         self.regime = match self.regime {
             SkyRegime::Clear if u < leave_clear => SkyRegime::Cloudy,
             SkyRegime::Cloudy if u < 1.0 - b => SkyRegime::Clear,
             r => r,
         };
 
-        let eps = sample_standard_normal(&mut self.rng);
         let g = self.fluctuation.step(eps);
         let (mean, std) = match self.regime {
             SkyRegime::Clear => (self.climate.clear_kci_mean, self.climate.clear_kci_std),
@@ -74,18 +85,28 @@ impl CloudGenerator {
         };
         (mean + std * g).clamp(0.03, 1.05)
     }
+}
 
-    /// Generate a full 8,760-hour year of clear-sky indices.
-    pub fn generate_year(&mut self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(8_760);
-        for day in 0..365u32 {
-            let month = mgopt_units::time::month_of_day(day) as usize;
-            for _ in 0..24 {
-                out.push(self.step_hour(month));
+/// A full 8,760-hour year of clear-sky indices for each climate, in
+/// order, under weather seed `seed`: the cloud stream draws each hour
+/// once and every climate steps on the same draws.
+pub(crate) fn generate_years(climates: &[&SolarClimate], seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = stream(seed);
+    let mut generators: Vec<CloudGenerator> = climates
+        .iter()
+        .map(|&c| CloudGenerator::new(c.clone()))
+        .collect();
+    let mut years: Vec<Vec<f64>> = climates.iter().map(|_| Vec::with_capacity(8_760)).collect();
+    for day in 0..365u32 {
+        let month = mgopt_units::time::month_of_day(day) as usize;
+        for _ in 0..24 {
+            let (u, eps) = draw_hour(&mut rng);
+            for (generator, year) in generators.iter_mut().zip(&mut years) {
+                year.push(generator.step_hour(month, u, eps));
             }
         }
-        out
     }
+    years
 }
 
 /// Box-Muller standard normal sample.
@@ -101,7 +122,7 @@ mod tests {
     use crate::climate::Climate;
 
     fn gen_year(seed: u64, climate: &SolarClimate) -> Vec<f64> {
-        CloudGenerator::new(climate.clone(), seed).generate_year()
+        generate_years(&[climate], seed).remove(0)
     }
 
     #[test]
@@ -111,6 +132,16 @@ mod tests {
         for &k in &kci {
             assert!((0.03..=1.05).contains(&k));
         }
+    }
+
+    #[test]
+    fn a_group_steps_every_climate_on_the_same_draws() {
+        let (h, b) = (Climate::houston().solar, Climate::berkeley().solar);
+        let group = generate_years(&[&b, &h, &b], 5);
+        assert_eq!(
+            group,
+            vec![gen_year(5, &b), gen_year(5, &h), gen_year(5, &b)]
+        );
     }
 
     #[test]
@@ -146,11 +177,13 @@ mod tests {
     #[test]
     fn regimes_persist_for_hours() {
         // Mean sojourn should be well above 1 hour: count regime flips.
-        let mut g = CloudGenerator::new(Climate::houston().solar, 11);
+        let mut g = CloudGenerator::new(Climate::houston().solar);
+        let mut rng = stream(11);
         let mut flips = 0;
         let mut last = g.regime();
         for _ in 0..8_760 {
-            g.step_hour(5);
+            let (u, eps) = draw_hour(&mut rng);
+            g.step_hour(5, u, eps);
             if g.regime() != last {
                 flips += 1;
                 last = g.regime();

@@ -26,22 +26,39 @@
 //!    records the SAM-style performance models need.
 //!
 //! Steps 4 and 5 split into seed-independent terms and seeded noise.
-//! Each [`WeatherGenerator::generate`] call computes the terms once: the
-//! seasonal mean temperature for each of the 365 days, the temperature
-//! and wind diurnal terms for each time-of-day slot, and the 12 monthly
-//! Weibull scales. The generators then draw only the noise at each step.
-//! A slot is `gcd(step, 1 day)` long, so a step's time of day is a whole
-//! number of slots even at the 5-, 10-, 15- and 20-hour steps, which do
-//! not divide a day. The tables combine the same terms with the same
-//! operations as evaluating the calendar at every step, bit for bit.
+//! Generation computes the terms once per climate: the seasonal mean
+//! temperature for each of the 365 days, the temperature and wind diurnal
+//! terms for each time-of-day slot, and the 12 monthly Weibull scales.
+//! The generators then take only the noise at each step. A slot is
+//! `gcd(step, 1 day)` long, so a step's time of day is a whole number of
+//! slots even at the 5-, 10-, 15- and 20-hour steps, which do not divide
+//! a day. The tables combine the same terms with the same operations as
+//! evaluating the calendar at every step, bit for bit.
 //!
 //! Everything is deterministic given a [`Climate`] and a seed.
+//!
+//! ## A group of climates under one seed
+//!
+//! Each stochastic stream has its own RNG, seeded by the weather seed
+//! alone: clouds draw one uniform and one normal per hour ([`cloud`]),
+//! temperature and wind one normal per step. The number and order of the
+//! draws do not depend on the climate; only the state each draw feeds
+//! does (the AR(1) coefficients, the regime thresholds, the Weibull
+//! scales). So [`WeatherGenerator::generate_group`] synthesizes several
+//! climates under one seed in one lockstep pass: it draws each stream
+//! once and applies every draw to each climate's own state, in order.
+//! Each year equals that climate's own [`WeatherGenerator::generate`]
+//! bit for bit — `generate` is the group of one. The generators
+//! ([`cloud::CloudGenerator`], [`temperature::TemperatureGenerator`],
+//! [`wind::WindGenerator`]) therefore draw nothing themselves: each step
+//! takes its draws as arguments, from the module's `stream(seed)`.
 //!
 //! ## The solar-geometry memo
 //!
 //! [`SolarGeometry::shared`] keeps a process-wide, least-recently-used
-//! memo of geometry tables. Its key is the bits of the location's
-//! `latitude_deg`, `longitude_deg` and `timezone_h` — the only fields the
+//! memo of geometry tables ([`mgopt_units::LruMemo`]). Its key is the
+//! bits of the location's `latitude_deg`, `longitude_deg` and
+//! `timezone_h` — the only fields the
 //! sun position reads — plus the step in seconds; sites differing only in
 //! name or elevation share a table. It holds at most four tables, evicting
 //! the least recently used. Each costs 32 bytes per step (zenith cosine
@@ -61,6 +78,8 @@ pub mod math;
 pub mod solar_pos;
 pub mod temperature;
 pub mod wind;
+
+use std::sync::Arc;
 
 use mgopt_units::time::{month_of_day, DAYS_PER_YEAR};
 use mgopt_units::{
@@ -148,20 +167,38 @@ impl WeatherGenerator {
         &self.climate
     }
 
-    /// Synthesize a full year at the given step.
+    /// Synthesize a full year at the given step: the one-climate case of
+    /// [`generate_group`](Self::generate_group).
     ///
     /// The cloud process always runs at hourly resolution (clouds do not
     /// need sub-hourly regime switches); irradiance, temperature and wind
     /// are produced at the requested step.
     ///
-    /// The solar geometry comes from [`SolarGeometry::shared`]: computed
-    /// once per (location, step), whatever the seed. The temperature and
-    /// wind climatology terms are computed once per call, per day, slot
-    /// and month (see the crate docs).
-    ///
     /// # Panics
     /// Panics unless [`is_supported_step`] accepts the step.
     pub fn generate(&self, step: SimDuration) -> WeatherYear {
+        let mut years = Self::generate_group(&[&self.climate], step, self.seed);
+        years.pop().expect("one climate, one year")
+    }
+
+    /// Synthesize a year at `step` for each of `climates`, in order, under
+    /// one `seed`: each equals `WeatherGenerator::new(climate, seed)
+    /// .generate(step)` bit for bit.
+    ///
+    /// Every stream is seeded by the seed alone and takes the same draws
+    /// whatever the climate, so the group draws each once — the cloud
+    /// stream's uniform and normal once per hour, the temperature and
+    /// wind normals once per step — and applies it to every climate's own
+    /// state, in order (see the crate docs).
+    ///
+    /// The solar geometry comes from [`SolarGeometry::shared`]: computed
+    /// once per (location, step), whatever the seed. The temperature and
+    /// wind climatology terms are computed once per climate, per day, slot
+    /// and month.
+    ///
+    /// # Panics
+    /// Panics unless [`is_supported_step`] accepts the step.
+    pub fn generate_group(climates: &[&Climate], step: SimDuration, seed: u64) -> Vec<WeatherYear> {
         assert!(
             is_supported_step(step),
             "weather step must divide an hour, or be a whole number of hours \
@@ -169,52 +206,100 @@ impl WeatherGenerator {
         );
         let step_s = step.secs();
         let n = (SECONDS_PER_YEAR / step_s) as usize;
-        let geometry = SolarGeometry::shared(&self.climate.location, step);
+        let solar: Vec<&climate::SolarClimate> = climates.iter().map(|c| &c.solar).collect();
+        let mut members: Vec<YearState> = climates
+            .iter()
+            .zip(cloud::generate_years(&solar, seed))
+            .map(|(&climate, kci)| YearState::new(climate, kci, step, n))
+            .collect();
 
-        let kci = cloud::CloudGenerator::new(self.climate.solar.clone(), self.seed).generate_year();
-        let terms = SeasonalTerms::new(&self.climate, step_s);
-        let mut temp_gen =
-            temperature::TemperatureGenerator::new(self.climate.temperature.clone(), self.seed);
-        let mut wind_gen = wind::WindGenerator::new(self.climate.wind.clone(), self.seed, step_s);
-
-        let mut ghi = Vec::with_capacity(n);
-        let mut dni = Vec::with_capacity(n);
-        let mut dhi = Vec::with_capacity(n);
-        let mut temp = Vec::with_capacity(n);
-        let mut wind_v = Vec::with_capacity(n);
-
+        let mut temp_rng = temperature::stream(seed);
+        let mut wind_rng = wind::stream(seed);
         for i in 0..n {
             let secs = i as i64 * step_s;
-            let hour_idx = (secs / 3_600) as usize % kci.len();
-
-            let g = geometry.clearsky_ghi(i) * kci[hour_idx];
-
-            let ext = geometry.extraterrestrial_horizontal_w_m2(i);
-            let kt = if ext > 1.0 {
-                (g / ext).clamp(0.0, 1.1)
-            } else {
-                0.0
-            };
-            let comps = decomposition::decompose(g, kt, geometry.cos_zenith(i));
-
-            ghi.push(comps.ghi);
-            dni.push(comps.dni);
-            dhi.push(comps.dhi);
-            let (day, slot) = terms.index(secs);
-            temp.push(temp_gen.step(terms.temp_day_c[day] + terms.temp_slot_c[slot]));
-            wind_v.push(wind_gen.step(terms.wind_scale_day_ms[day], terms.wind_slot[slot]));
+            let temp_eps = cloud::sample_standard_normal(&mut temp_rng);
+            let wind_eps = cloud::sample_standard_normal(&mut wind_rng);
+            for m in &mut members {
+                m.step(i, secs, temp_eps, wind_eps);
+            }
         }
+        members.into_iter().map(|m| m.finish(step)).collect()
+    }
+}
 
+/// One climate's state and output in a group generation.
+struct YearState<'a> {
+    climate: &'a Climate,
+    geometry: Arc<SolarGeometry>,
+    /// Hourly clear-sky indices of the whole year.
+    kci: Vec<f64>,
+    terms: SeasonalTerms,
+    temp_gen: temperature::TemperatureGenerator,
+    wind_gen: wind::WindGenerator,
+    ghi: Vec<f64>,
+    dni: Vec<f64>,
+    dhi: Vec<f64>,
+    temp: Vec<f64>,
+    wind_v: Vec<f64>,
+}
+
+impl<'a> YearState<'a> {
+    fn new(climate: &'a Climate, kci: Vec<f64>, step: SimDuration, n: usize) -> Self {
+        let step_s = step.secs();
+        Self {
+            climate,
+            geometry: SolarGeometry::shared(&climate.location, step),
+            kci,
+            terms: SeasonalTerms::new(climate, step_s),
+            temp_gen: temperature::TemperatureGenerator::new(climate.temperature.clone()),
+            wind_gen: wind::WindGenerator::new(climate.wind.clone(), step_s),
+            ghi: Vec::with_capacity(n),
+            dni: Vec::with_capacity(n),
+            dhi: Vec::with_capacity(n),
+            temp: Vec::with_capacity(n),
+            wind_v: Vec::with_capacity(n),
+        }
+    }
+
+    /// Step `i`, at `secs` into the year, on the step's temperature and
+    /// wind normals.
+    fn step(&mut self, i: usize, secs: i64, temp_eps: f64, wind_eps: f64) {
+        let hour_idx = (secs / 3_600) as usize % self.kci.len();
+
+        let g = self.geometry.clearsky_ghi(i) * self.kci[hour_idx];
+
+        let ext = self.geometry.extraterrestrial_horizontal_w_m2(i);
+        let kt = if ext > 1.0 {
+            (g / ext).clamp(0.0, 1.1)
+        } else {
+            0.0
+        };
+        let comps = decomposition::decompose(g, kt, self.geometry.cos_zenith(i));
+
+        self.ghi.push(comps.ghi);
+        self.dni.push(comps.dni);
+        self.dhi.push(comps.dhi);
+        let terms = &self.terms;
+        let (day, slot) = terms.index(secs);
+        let baseline = terms.temp_day_c[day] + terms.temp_slot_c[slot];
+        self.temp.push(self.temp_gen.step(baseline, temp_eps));
+        let (scale, diurnal) = (terms.wind_scale_day_ms[day], terms.wind_slot[slot]);
+        self.wind_v
+            .push(self.wind_gen.step(scale, diurnal, wind_eps));
+    }
+
+    fn finish(self, step: SimDuration) -> WeatherYear {
+        let climate = self.climate;
         WeatherYear {
-            location: self.climate.location.clone(),
-            ghi: TimeSeries::new(step, ghi),
-            dni: TimeSeries::new(step, dni),
-            dhi: TimeSeries::new(step, dhi),
-            temp_air_c: TimeSeries::new(step, temp),
-            wind_speed_ms: TimeSeries::new(step, wind_v),
-            wind_ref_height_m: self.climate.wind.ref_height_m,
-            wind_shear_exponent: self.climate.wind.shear_exponent,
-            pressure_pa: pressure_at_elevation_pa(self.climate.location.elevation_m),
+            location: climate.location.clone(),
+            ghi: TimeSeries::new(step, self.ghi),
+            dni: TimeSeries::new(step, self.dni),
+            dhi: TimeSeries::new(step, self.dhi),
+            temp_air_c: TimeSeries::new(step, self.temp),
+            wind_speed_ms: TimeSeries::new(step, self.wind_v),
+            wind_ref_height_m: climate.wind.ref_height_m,
+            wind_shear_exponent: climate.wind.shear_exponent,
+            pressure_pa: pressure_at_elevation_pa(climate.location.elevation_m),
         }
     }
 }
@@ -306,6 +391,17 @@ mod tests {
                     assert_eq!(terms.wind_slot[slot].to_bits(), diurnal.to_bits(), "{t}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_group_equals_each_climates_own_year() {
+        let (b, h) = (Climate::berkeley(), Climate::houston());
+        for minutes in [60.0, 300.0] {
+            let step = SimDuration::from_minutes(minutes);
+            let group = WeatherGenerator::generate_group(&[&h, &b, &h], step, 11);
+            let own = |c: &Climate| WeatherGenerator::new(c.clone(), 11).generate(step);
+            assert_eq!(group, vec![own(&h), own(&b), own(&h)], "{minutes} min");
         }
     }
 

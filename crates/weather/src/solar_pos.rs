@@ -10,10 +10,10 @@
 //! [`SolarGeometry`] table built once per (location, step) and shared
 //! through [`SolarGeometry::shared`].
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use mgopt_units::time::DAYS_PER_YEAR;
-use mgopt_units::{SimDuration, SimTime, SECONDS_PER_DAY, SECONDS_PER_YEAR};
+use mgopt_units::{LruMemo, SimDuration, SimTime, SECONDS_PER_DAY, SECONDS_PER_YEAR};
 
 use crate::clearsky::clearsky_ghi_from_position;
 use crate::location::Location;
@@ -191,8 +191,8 @@ impl SolarGeometry {
     /// # Panics
     /// As [`SolarGeometry::new`].
     pub fn shared(loc: &Location, step: SimDuration) -> Arc<Self> {
-        static SHARED: GeometryMemo = GeometryMemo::new();
-        SHARED.get(loc, step)
+        static SHARED: GeometryMemo = LruMemo::new(MEMO_CAPACITY);
+        memo_table(&SHARED, loc, step)
     }
 
     /// Number of steps in the year.
@@ -255,49 +255,18 @@ const MEMO_CAPACITY: usize = 4;
 /// Bits of the location fields [`sun_position`] reads, plus the step.
 type GeometryKey = [u64; 4];
 
-/// A least-recently-used memo of [`SolarGeometry`] tables, most recent
-/// last. A miss builds its table under the lock, so concurrent misses on
-/// one key build it once.
-struct GeometryMemo {
-    entries: Mutex<Vec<(GeometryKey, Arc<SolarGeometry>)>>,
-}
+/// A memo of [`SolarGeometry`] tables under their [`GeometryKey`].
+type GeometryMemo = LruMemo<GeometryKey, SolarGeometry>;
 
-impl GeometryMemo {
-    const fn new() -> Self {
-        Self {
-            entries: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn get(&self, loc: &Location, step: SimDuration) -> Arc<SolarGeometry> {
-        let key = [
-            loc.latitude_deg.to_bits(),
-            loc.longitude_deg.to_bits(),
-            loc.timezone_h.to_bits(),
-            step.secs() as u64,
-        ];
-        // Entries change only after a table is built, so a poisoned lock
-        // still guards a consistent list.
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = match entries.iter().position(|(k, _)| *k == key) {
-            Some(at) => entries.remove(at),
-            None => {
-                let table = Arc::new(SolarGeometry::new(loc, step));
-                if entries.len() == MEMO_CAPACITY {
-                    entries.remove(0);
-                }
-                (key, table)
-            }
-        };
-        let table = Arc::clone(&entry.1);
-        entries.push(entry);
-        table
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
+/// `memo`'s table for `(loc, step)`, built on a miss.
+fn memo_table(memo: &GeometryMemo, loc: &Location, step: SimDuration) -> Arc<SolarGeometry> {
+    let key = [
+        loc.latitude_deg.to_bits(),
+        loc.longitude_deg.to_bits(),
+        loc.timezone_h.to_bits(),
+        step.secs() as u64,
+    ];
+    memo.get_or_build(key, || SolarGeometry::new(loc, step))
 }
 
 /// Day length in hours from the sunset hour angle.
@@ -468,67 +437,25 @@ mod tests {
 
     #[test]
     fn memo_keys_on_the_fields_sun_position_reads() {
-        let memo = GeometryMemo::new();
+        let memo = GeometryMemo::new(MEMO_CAPACITY);
         let step = SimDuration::from_hours(1.0);
         let base = custom_site();
-        let a = memo.get(&base, step);
+        let a = memo_table(&memo, &base, step);
         let renamed = Location {
             name: "elsewhere".into(),
             elevation_m: 2_000.0,
             ..base.clone()
         };
-        assert!(Arc::ptr_eq(&a, &memo.get(&renamed, step)));
-        assert_eq!(memo.len(), 1);
+        assert!(Arc::ptr_eq(&a, &memo_table(&memo, &renamed, step)));
         let moved = Location {
             longitude_deg: base.longitude_deg + 1e-9,
             ..base.clone()
         };
-        assert!(!Arc::ptr_eq(&a, &memo.get(&moved, step)));
+        assert!(!Arc::ptr_eq(&a, &memo_table(&memo, &moved, step)));
         assert!(!Arc::ptr_eq(
             &a,
-            &memo.get(&base, SimDuration::from_minutes(30.0))
+            &memo_table(&memo, &base, SimDuration::from_minutes(30.0))
         ));
-        assert_eq!(memo.len(), 3);
-    }
-
-    #[test]
-    fn memo_keeps_at_most_its_bound_and_evicts_least_recently_used() {
-        let memo = GeometryMemo::new();
-        let step = SimDuration::from_days(1);
-        let site = |k: usize| Location {
-            longitude_deg: k as f64,
-            ..custom_site()
-        };
-        let first = memo.get(&site(0), step);
-        for k in 1..3 * MEMO_CAPACITY {
-            let _ = memo.get(&site(k), step);
-            assert!(memo.len() <= MEMO_CAPACITY);
-        }
-        assert_eq!(memo.len(), MEMO_CAPACITY);
-        // Site 0 was evicted long ago; the table handed out lives on.
-        assert!(!Arc::ptr_eq(&first, &memo.get(&site(0), step)));
-        assert_eq!(first.len(), 365);
-        // A touched entry outlives entries used before it.
-        let last = 3 * MEMO_CAPACITY - 1;
-        let hot = memo.get(&site(last - 2), step);
-        let _ = memo.get(&site(100), step);
-        let _ = memo.get(&site(101), step);
-        assert!(Arc::ptr_eq(&hot, &memo.get(&site(last - 2), step)));
-    }
-
-    #[test]
-    fn concurrent_misses_on_one_key_share_one_table() {
-        let memo = GeometryMemo::new();
-        let loc = custom_site();
-        let step = SimDuration::from_minutes(15.0);
-        let tables: Vec<Arc<SolarGeometry>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| memo.get(&loc, step))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for t in &tables[1..] {
-            assert!(Arc::ptr_eq(&tables[0], t));
-        }
-        assert_eq!(memo.len(), 1);
     }
 
     #[test]

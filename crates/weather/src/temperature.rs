@@ -7,12 +7,13 @@
 //! afternoon) plus an AR(1) day-to-day anomaly.
 //!
 //! The baseline does not depend on the seed, so
-//! [`WeatherGenerator::generate`](crate::WeatherGenerator::generate)
-//! computes its two terms once per call, [`seasonal_mean_c`] for each day
-//! and [`diurnal_offset_c`] for each time-of-day slot, and hands their sum
-//! to [`TemperatureGenerator::step`], which draws only the anomaly.
-//! [`baseline_temp_c`] adds the same two terms at one instant, in the same
-//! order; it is the oracle the tables are tested against.
+//! [`WeatherGenerator::generate_group`](crate::WeatherGenerator::generate_group)
+//! computes its two terms once per climate, [`seasonal_mean_c`] for each
+//! day and [`diurnal_offset_c`] for each time-of-day slot, and hands their
+//! sum to [`TemperatureGenerator::step`] with the step's normal from the
+//! seed's `stream`, which depends on nothing else. [`baseline_temp_c`]
+//! adds the same two terms at one instant, in the same order; it is the
+//! oracle the tables are tested against.
 
 use mgopt_units::time::{month_of_day, MONTH_LENGTHS, MONTH_STARTS};
 use mgopt_units::SimTime;
@@ -20,7 +21,6 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::climate::TemperatureClimate;
-use crate::cloud::sample_standard_normal;
 use crate::math::Ar1;
 
 /// Deterministic seasonal + diurnal temperature baseline, °C.
@@ -57,31 +57,36 @@ pub fn seasonal_mean_c(climate: &TemperatureClimate, day_of_year: u32) -> f64 {
     climate.monthly_mean_c[m0] * (1.0 - w) + climate.monthly_mean_c[m1] * w
 }
 
-/// Stochastic temperature generator: the AR(1) anomaly around a
-/// baseline the caller supplies.
+/// The temperature stream of weather seed `seed`: one standard normal
+/// per step, whatever the climate.
+pub(crate) fn stream(seed: u64) -> ChaCha12Rng {
+    ChaCha12Rng::seed_from_u64(seed ^ 0x7e4b_7e4b)
+}
+
+/// Stochastic temperature state of one climate: the AR(1) anomaly around
+/// a baseline the caller supplies. It draws nothing: each
+/// [`step`](Self::step) takes that step's normal from `stream`.
 #[derive(Debug)]
 pub struct TemperatureGenerator {
     climate: TemperatureClimate,
-    rng: ChaCha12Rng,
     anomaly: Ar1,
 }
 
 impl TemperatureGenerator {
     /// Create a generator; anomalies decorrelate over ~2 days of hourly steps.
-    pub fn new(climate: TemperatureClimate, seed: u64) -> Self {
+    pub fn new(climate: TemperatureClimate) -> Self {
         Self {
             climate,
-            rng: ChaCha12Rng::seed_from_u64(seed ^ 0x7e4b_7e4b),
             anomaly: Ar1::new(Ar1::rho_for_decorrelation_steps(48.0)),
         }
     }
 
     /// Temperature at a step whose baseline is `baseline_c` (°C; see
-    /// [`baseline_temp_c`]), advancing the anomaly process one step.
+    /// [`baseline_temp_c`]), advancing the anomaly process one step on
+    /// the standard normal `eps`.
     ///
     /// Call once per simulation step in time order.
-    pub fn step(&mut self, baseline_c: f64) -> f64 {
-        let eps = sample_standard_normal(&mut self.rng);
+    pub fn step(&mut self, baseline_c: f64, eps: f64) -> f64 {
         let anomaly = self.anomaly.step(eps) * self.climate.anomaly_std_c;
         baseline_c + anomaly
     }
@@ -91,6 +96,7 @@ impl TemperatureGenerator {
 mod tests {
     use super::*;
     use crate::climate::Climate;
+    use crate::cloud::sample_standard_normal;
     use mgopt_units::{SimDuration, SimTime, SECONDS_PER_DAY};
 
     #[test]
@@ -126,13 +132,14 @@ mod tests {
     #[test]
     fn generator_tracks_baseline() {
         let c = Climate::berkeley().temperature;
-        let mut g = TemperatureGenerator::new(c.clone(), 5);
+        let mut g = TemperatureGenerator::new(c.clone());
+        let mut rng = stream(5);
         let mut t = SimTime::START;
         let mut err_sum = 0.0;
         let mut n = 0;
         while t.secs() < 30 * SECONDS_PER_DAY {
             let baseline = baseline_temp_c(&c, t);
-            err_sum += g.step(baseline) - baseline;
+            err_sum += g.step(baseline, sample_standard_normal(&mut rng)) - baseline;
             n += 1;
             t += SimDuration::from_hours(1.0);
         }

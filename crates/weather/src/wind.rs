@@ -9,36 +9,41 @@
 //!
 //! The month's Weibull scale ([`monthly_scale_ms`]) and the diurnal
 //! factor ([`diurnal_factor`]) do not depend on the seed, so
-//! [`WeatherGenerator::generate`](crate::WeatherGenerator::generate)
-//! computes them once per call, for each month and each time-of-day slot,
-//! and [`WindGenerator::step`] takes them as arguments: the generator
-//! draws only the noise.
+//! [`WeatherGenerator::generate_group`](crate::WeatherGenerator::generate_group)
+//! computes them once per climate, for each month and each time-of-day
+//! slot, and [`WindGenerator::step`] takes them as arguments, with the
+//! step's normal from the seed's `stream`: the generator draws nothing.
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::climate::WindClimate;
-use crate::cloud::sample_standard_normal;
 use crate::math::{norm_cdf, weibull_quantile, Ar1};
 
-/// Stochastic wind-speed generator at the climatology's reference height.
+/// The wind stream of weather seed `seed`: one standard normal per step,
+/// whatever the climate.
+pub(crate) fn stream(seed: u64) -> ChaCha12Rng {
+    ChaCha12Rng::seed_from_u64(seed ^ 0x3141_5926)
+}
+
+/// Stochastic wind-speed state of one climate at its reference height.
+/// It draws nothing: each [`step`](Self::step) takes that step's normal
+/// from `stream`.
 #[derive(Debug)]
 pub struct WindGenerator {
     climate: WindClimate,
-    rng: ChaCha12Rng,
     process: Ar1,
     steps_per_hour: f64,
 }
 
 impl WindGenerator {
     /// Create a generator producing samples every `step_s` seconds.
-    pub fn new(climate: WindClimate, seed: u64, step_s: i64) -> Self {
+    pub fn new(climate: WindClimate, step_s: i64) -> Self {
         assert!(step_s > 0);
         let steps_per_hour = 3_600.0 / step_s as f64;
         let decorrelation_steps = climate.decorrelation_h * steps_per_hour;
         Self {
             climate,
-            rng: ChaCha12Rng::seed_from_u64(seed ^ 0x3141_5926),
             process: Ar1::new(Ar1::rho_for_decorrelation_steps(decorrelation_steps)),
             steps_per_hour,
         }
@@ -46,11 +51,11 @@ impl WindGenerator {
 
     /// Wind speed (m/s) at the reference height at a step whose month
     /// has Weibull scale `scale_ms` ([`monthly_scale_ms`]) and whose time
-    /// of day has diurnal factor `diurnal` ([`diurnal_factor`]).
+    /// of day has diurnal factor `diurnal` ([`diurnal_factor`]), advancing
+    /// the process one step on the standard normal `eps`.
     ///
     /// Call once per simulation step in time order.
-    pub fn step(&mut self, scale_ms: f64, diurnal: f64) -> f64 {
-        let eps = sample_standard_normal(&mut self.rng);
+    pub fn step(&mut self, scale_ms: f64, diurnal: f64, eps: f64) -> f64 {
         let g = self.process.step(eps);
         let u = norm_cdf(g);
         let speed = weibull_quantile(u, scale_ms, self.climate.weibull_shape);
@@ -87,18 +92,21 @@ pub fn power_law_shear(v_ref: f64, ref_height_m: f64, target_height_m: f64, alph
 mod tests {
     use super::*;
     use crate::climate::Climate;
+    use crate::cloud::sample_standard_normal;
     use crate::math::weibull_mean;
     use mgopt_units::{stats, SimDuration, SimTime};
 
     fn generate_year(climate: &WindClimate, seed: u64) -> Vec<f64> {
         let step = SimDuration::from_hours(1.0);
-        let mut g = WindGenerator::new(climate.clone(), seed, step.secs());
+        let mut g = WindGenerator::new(climate.clone(), step.secs());
+        let mut rng = stream(seed);
         let mut t = SimTime::START;
         let mut out = Vec::with_capacity(8_760);
         for _ in 0..8_760 {
             let cal = t.calendar();
             let scale = monthly_scale_ms(climate, cal.month as usize);
-            out.push(g.step(scale, diurnal_factor(climate, cal.hour_of_day())));
+            let eps = sample_standard_normal(&mut rng);
+            out.push(g.step(scale, diurnal_factor(climate, cal.hour_of_day()), eps));
             t += step;
         }
         out

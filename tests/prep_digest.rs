@@ -15,7 +15,7 @@
 //! per-day and per-slot tables. A second test pins the fleet paths:
 //! every member of `FleetScenario::prepare` and `prepare_shared` must
 //! equal its own `ScenarioConfig::prepare()`, whether or not members share
-//! a load trace.
+//! a seed (and so one pass of random draws) or a load trace.
 
 use microgrid_opt::core::FleetMember;
 use microgrid_opt::prelude::*;
@@ -101,37 +101,60 @@ fn prepared_inputs_match_the_recorded_digests() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
-fn member(site: SitePreset, seed: u64, workload: WorkloadConfig) -> FleetMember {
+fn member_at(
+    step_minutes: u32,
+    site: SitePreset,
+    seed: u64,
+    workload: &WorkloadConfig,
+) -> FleetMember {
     FleetMember {
-        name: format!("{site:?}/{seed}/{workload:?}"),
+        name: format!("{site:?}/{step_minutes}/{seed}/{workload:?}"),
         scenario: ScenarioConfig {
-            workload,
-            ..config(site, 60, seed)
+            workload: workload.clone(),
+            ..config(site, step_minutes, seed)
         },
     }
 }
 
+fn member(site: SitePreset, seed: u64, workload: &WorkloadConfig) -> FleetMember {
+    member_at(60, site, seed, workload)
+}
+
+/// Members that share a seed are prepared in one pass that makes each
+/// random draw once for all of them, so every fleet below must still give
+/// each member exactly its own preparation: a draw applied to the wrong
+/// member, or a state shared between members, changes a digest.
 #[test]
 fn fleet_members_equal_their_own_preparation() {
     let hpc = WorkloadConfig::PerlmutterLike { mean_kw: 1_620.0 };
     let flat = WorkloadConfig::Constant { kw: 900.0 };
+    let paper_at = |step| FleetScenario {
+        members: vec![
+            member_at(step, SitePreset::Houston, 42, &hpc),
+            member_at(step, SitePreset::Berkeley, 42, &hpc),
+        ],
+    };
     let fleets = [
+        ("paper fleet (shared workload, step and seed)", paper_at(60)),
+        ("paper fleet at 5 min", paper_at(5)),
+        ("paper fleet at 300 min", paper_at(300)),
         (
-            "paper fleet (shared workload, step and seed)",
+            "different seeds, the last two shared",
             FleetScenario {
                 members: vec![
-                    member(SitePreset::Houston, 42, hpc.clone()),
-                    member(SitePreset::Berkeley, 42, hpc.clone()),
+                    member(SitePreset::Houston, 7, &hpc),
+                    member(SitePreset::Berkeley, 8, &hpc),
+                    member(SitePreset::Houston, 8, &hpc),
                 ],
             },
         ),
         (
-            "different seeds",
+            "the first and last share a seed, the middle does not",
             FleetScenario {
                 members: vec![
-                    member(SitePreset::Houston, 7, hpc.clone()),
-                    member(SitePreset::Berkeley, 8, hpc.clone()),
-                    member(SitePreset::Houston, 8, hpc.clone()),
+                    member(SitePreset::Berkeley, 3, &hpc),
+                    member(SitePreset::Houston, 4, &hpc),
+                    member(SitePreset::Houston, 3, &hpc),
                 ],
             },
         ),
@@ -139,9 +162,19 @@ fn fleet_members_equal_their_own_preparation() {
             "different workloads",
             FleetScenario {
                 members: vec![
-                    member(SitePreset::Houston, 42, flat.clone()),
-                    member(SitePreset::Berkeley, 42, hpc.clone()),
-                    member(SitePreset::Berkeley, 42, flat.clone()),
+                    member(SitePreset::Houston, 42, &flat),
+                    member(SitePreset::Berkeley, 42, &hpc),
+                    member(SitePreset::Berkeley, 42, &flat),
+                ],
+            },
+        ),
+        (
+            "one site listed twice",
+            FleetScenario {
+                members: vec![
+                    member(SitePreset::Berkeley, 42, &hpc),
+                    member(SitePreset::Houston, 42, &hpc),
+                    member(SitePreset::Berkeley, 42, &hpc),
                 ],
             },
         ),
@@ -163,7 +196,17 @@ fn fleet_members_equal_their_own_preparation() {
     for (label, scenario) in &fleets {
         check(label, "prepare", &scenario.prepare(), scenario);
         let (shared, stats) = scenario.prepare_shared(&PreparedCache::new(8));
-        assert_eq!(stats.misses as usize, scenario.members.len(), "{label}");
+        let distinct = scenario
+            .members
+            .iter()
+            .enumerate()
+            .filter(|(k, m)| {
+                scenario.members[..*k]
+                    .iter()
+                    .all(|earlier| earlier.scenario != m.scenario)
+            })
+            .count();
+        assert_eq!(stats.misses as usize, distinct, "{label}");
         check(label, "prepare_shared", &shared, scenario);
     }
     // One member already cached: the other shares its (workload, step,

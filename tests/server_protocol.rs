@@ -541,6 +541,63 @@ fn cancel_of_unknown_or_finished_study_is_a_structured_error() {
 }
 
 #[test]
+fn a_study_under_an_id_in_flight_is_refused_and_the_first_stays_cancellable() {
+    let mut h = Harness::start(ServerConfig::default());
+    // A long study on a fleet (scenario seed 1,077) and cap (1.5 kW) no
+    // other test uses, so nothing it needs is cached or memoized.
+    let mut long = long_study(77);
+    long.peak_cap_kw = Some(1.5);
+    h.send(&frame("dup", Request::Study(long)));
+    loop {
+        let f = h.recv();
+        assert_eq!(f.id, "dup");
+        match f.resp {
+            Response::Accepted(_) => {}
+            Response::Front(_) => break,
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+
+    // A second study under the same id is refused on that id.
+    h.send(&frame("dup", Request::Study(tiny_study(78))));
+    loop {
+        let f = h.recv();
+        assert_eq!(f.id, "dup");
+        match f.resp {
+            Response::Front(_) => {}
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::InvalidRequest, "{e:?}");
+                break;
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+
+    // The first study is still registered: a Cancel reaches it.
+    h.send(&frame("c", Request::Cancel("dup".into())));
+    loop {
+        let f = h.recv();
+        match (f.id.as_str(), f.resp) {
+            ("dup", Response::Front(_)) => {}
+            ("dup", Response::Cancelled(c)) => {
+                assert!(c.sampled_trials < 400, "cancel landed after the budget");
+                break;
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+
+    // Once it has ended, the id is accepted again.
+    h.send(&frame("dup", Request::Study(tiny_study(78))));
+    let fronts = h.collect_done(&["dup"]);
+    assert_eq!(fronts[0], standalone_front(&tiny_study(78)));
+    let server = Arc::clone(&h.server);
+    h.shutdown();
+    assert_eq!(server.studies_cancelled(), 1);
+    assert_eq!(server.studies_done(), 2, "the refused study never ran");
+}
+
+#[test]
 fn multiple_connections_share_one_daemon_bit_identically() {
     // Three pipe connections against one Server, two studies each, all
     // in flight together past the process-wide cap of 2.
