@@ -90,6 +90,20 @@
 //! re-entrant over shared read-only data and every study owns its
 //! seeded RNG.
 //!
+//! ## The study observer
+//!
+//! A study runs NSGA-II through
+//! [`Nsga2Optimizer::run_controlled`], whose observer sees each
+//! generation's first front and decides whether to go on (a cancelled
+//! study stops at the next generation boundary). The observer builds
+//! each [`PlanPoint`] (genome, decoded plan, objectives, violation) once
+//! per study: a streaming study turns every generation's front into plan
+//! points, encodes that generation's `Front` frame from them and keeps
+//! them as its latest front, which `Done` then carries; an unstreamed
+//! study keeps only the search's latest front and turns it into plan
+//! points once, after the search. Frames are encoded straight to JSON
+//! text, one buffer per frame.
+//!
 //! ## Environment knobs
 //!
 //! | Variable | Effect |
@@ -131,7 +145,9 @@ use mgopt_core::wire::{
     StudyAccepted, StudyCancelled, StudyDone, StudyQueued, StudyRequest, WireError, WIRE_VERSION,
 };
 use mgopt_core::{scenario_key_hash, PreparedCache};
-use mgopt_optimizer::{GenerationView, Nsga2Config, Nsga2Optimizer, SearchControl};
+use mgopt_optimizer::{
+    Evaluation, GenerationView, Genome, Nsga2Config, Nsga2Optimizer, SearchControl,
+};
 use mgopt_telemetry::{self as telemetry, Stage};
 use serde::Value;
 
@@ -532,39 +548,43 @@ impl Server {
             ..Nsga2Config::default()
         });
 
+        // The observer builds each plan point once per study. Streaming, it
+        // turns every generation's front into plan points, encodes the
+        // `Front` frame from them and keeps them as the latest front.
+        // Otherwise it keeps the search's latest front as handed over,
+        // and the plan points are built once, after the search.
         let stream = study.stream;
         let mut generations = 0u32;
         let mut last_front: Vec<PlanPoint> = Vec::new();
+        let mut last_search_front: Vec<(Genome, Evaluation)> = Vec::new();
         let result = optimizer.run_controlled(&problem, &mut |view: GenerationView| {
             generations = view.generation as u32 + 1;
-            last_front = view
-                .front
-                .iter()
-                .map(|(genome, eval)| PlanPoint {
-                    genome: genome.clone(),
-                    plan: problem.plan(genome),
-                    objectives: eval.objectives.clone(),
-                    violation: eval.total_violation(),
-                })
-                .collect();
             if cancel.load(Ordering::Relaxed) {
                 // Stop at this generation boundary; skip the front the
                 // client no longer wants.
                 return SearchControl::Stop;
             }
             if stream {
-                send(
-                    writer,
+                let frame = response_frame(
                     id,
                     Response::Front(FrontUpdate {
                         generation: view.generation as u32,
                         sampled: view.sampled as u64,
-                        front: last_front.clone(),
+                        front: plan_points(&problem, view.front),
                     }),
                 );
+                write_frame(writer, &frame);
+                if let Response::Front(update) = frame.resp {
+                    last_front = update.front;
+                }
+            } else {
+                last_search_front = view.front;
             }
             SearchControl::Continue
         });
+        if !stream {
+            last_front = plan_points(&problem, last_search_front);
+        }
 
         // Retiring the registry entry and reading the token under one
         // lock decides the race against a concurrent `Cancel`: either
@@ -658,15 +678,37 @@ fn salvage_id(line: &str) -> String {
         .unwrap_or_default()
 }
 
-/// Write one response frame as a single `write_all` of the line and its
-/// `\n`, so a frame never leaves the daemon in pieces.
+/// A search front as wire plan points, moving each genome and objective
+/// vector out of the search's pairs.
+fn plan_points(problem: &FleetProblem, front: Vec<(Genome, Evaluation)>) -> Vec<PlanPoint> {
+    front
+        .into_iter()
+        .map(|(genome, eval)| PlanPoint {
+            plan: problem.plan(&genome),
+            violation: eval.total_violation(),
+            objectives: eval.objectives,
+            genome,
+        })
+        .collect()
+}
+
+/// Send one response frame on `id`.
 fn send<W: Write>(writer: &Mutex<W>, id: &str, resp: Response) {
-    let frame = ResponseFrame {
+    write_frame(writer, &response_frame(id, resp));
+}
+
+fn response_frame(id: &str, resp: Response) -> ResponseFrame {
+    ResponseFrame {
         v: WIRE_VERSION,
         id: id.to_string(),
         resp,
-    };
-    let mut line = wire::encode_response(&frame);
+    }
+}
+
+/// Write one response frame as a single `write_all` of one buffer holding
+/// the line and its `\n`, so a frame never leaves the daemon in pieces.
+fn write_frame<W: Write>(writer: &Mutex<W>, frame: &ResponseFrame) {
+    let mut line = wire::encode_response(frame);
     line.push('\n');
     // A panicked writer-holder must not wedge every other study on the
     // connection: adopt the poisoned lock and keep answering.

@@ -3,7 +3,8 @@
 //! format (and once over real TCP), pinning
 //!
 //! * study results bit-identical to standalone `FleetProblem` +
-//!   NSGA-II runs with the same seeds, sequentially and multiplexed;
+//!   NSGA-II runs with the same seeds, sequentially and multiplexed,
+//!   streamed and unstreamed;
 //! * graceful degradation under fault injection — malformed frames,
 //!   unknown presets, infeasible caps, oversized lines, mid-stream
 //!   disconnects, and cache eviction under concurrent load never crash
@@ -183,6 +184,25 @@ impl Harness {
         fronts.into_iter().map(Option::unwrap).collect()
     }
 
+    /// Read the frames of one unstreamed study until its `Done`, returning
+    /// its front. A `Front` frame fails the test.
+    fn collect_unstreamed_done(&mut self, id: &str) -> Vec<PlanPoint> {
+        let mut accepted = false;
+        loop {
+            let frame = self.recv();
+            assert_eq!(frame.id, id);
+            match frame.resp {
+                Response::Queued(_) => assert!(!accepted, "Queued after Accepted for {id}"),
+                Response::Accepted(_) => accepted = true,
+                Response::Done(d) => {
+                    assert!(accepted, "Done before Accepted for {id}");
+                    return d.front;
+                }
+                other => panic!("unexpected frame for unstreamed {id}: {other:?}"),
+            }
+        }
+    }
+
     fn shutdown(mut self) {
         self.send(&frame("bye", Request::Shutdown));
         loop {
@@ -217,6 +237,33 @@ fn study_over_the_wire_is_bit_identical_to_standalone() {
     let fronts = h.collect_done(&["s1"]);
     assert_eq!(fronts[0], expected, "daemon front != standalone front");
     assert!(!fronts[0].is_empty());
+    h.shutdown();
+}
+
+/// An unstreamed study sends no `Front`, and its `Done` front equals both
+/// the standalone front and the streamed study's `Done` front for the
+/// same seed, uncapped and capped.
+#[test]
+fn unstreamed_studies_answer_the_streamed_front_without_front_frames() {
+    let mut h = Harness::start(ServerConfig::default());
+    for cap in [None, Some(3_500.0)] {
+        for seed in [3u64, 4, 5] {
+            let mut study = tiny_study(seed);
+            study.peak_cap_kw = cap;
+            let expected = standalone_front(&study);
+            h.send(&frame("streamed", Request::Study(study.clone())));
+            let streamed = h.collect_done(&["streamed"]).remove(0);
+            study.stream = false;
+            h.send(&frame("unstreamed", Request::Study(study)));
+            let unstreamed = h.collect_unstreamed_done("unstreamed");
+            assert!(!unstreamed.is_empty());
+            assert_eq!(
+                unstreamed, expected,
+                "cap {cap:?} seed {seed}: != standalone"
+            );
+            assert_eq!(unstreamed, streamed, "cap {cap:?} seed {seed}: != streamed");
+        }
+    }
     h.shutdown();
 }
 
