@@ -120,8 +120,11 @@ impl Site {
 ///
 /// ERCOT couples to wind (hourly); CAISO couples to daily solar yield
 /// relative to a 31-day seasonal expectation (an overcast *anomaly* — a
-/// normal winter day is already priced into the diurnal template). The
-/// result is rescaled so the annual mean stays exactly calibrated.
+/// normal winter day is already priced into the diurnal template). A day
+/// is a calendar day: its yield sums the steps that start in it, and
+/// each step takes its own day's factor, also at steps (5, 10, 15 or 20
+/// hours) that do not divide a day. The result is rescaled so the annual
+/// mean stays exactly calibrated.
 fn couple_ci_to_weather(
     region: GridRegion,
     ci: &TimeSeries,
@@ -142,33 +145,31 @@ fn couple_ci_to_weather(
         }
         GridRegion::Caiso => {
             // Daily coupling to the solar anomaly vs seasonal expectation.
+            // Each step counts toward the calendar day its start falls in,
+            // also at steps that do not divide a day.
             const ALPHA: f64 = 0.30;
-            let steps_per_day = (mgopt_units::SECONDS_PER_DAY / ci.step().secs()) as usize;
-            let days = n / steps_per_day;
-            let daily: Vec<f64> = (0..days)
-                .map(|d| {
-                    pv_unit_kw.values()[d * steps_per_day..(d + 1) * steps_per_day]
-                        .iter()
-                        .sum::<f64>()
-                })
-                .collect();
+            let step_secs = ci.step().secs();
+            let day_of = |k: usize| (k as i64 * step_secs / mgopt_units::SECONDS_PER_DAY) as usize;
+            let days = n.checked_sub(1).map_or(0, |last| day_of(last) + 1);
+            let mut daily = vec![0.0; days];
+            for (k, &p) in pv_unit_kw.values().iter().enumerate() {
+                daily[day_of(k)] += p;
+            }
             // 31-day centered rolling mean (periodic) as the seasonal norm.
-            let seasonal: Vec<f64> = (0..days)
+            let factors: Vec<f64> = (0..days)
                 .map(|d| {
                     let mut s = 0.0;
                     for k in 0..31 {
                         let idx = (d + days + k - 15) % days;
                         s += daily[idx];
                     }
-                    (s / 31.0).max(1e-9)
+                    let seasonal = (s / 31.0).max(1e-9);
+                    let rel = (daily[d] / seasonal).min(2.0);
+                    1.0 + ALPHA * (1.0 - rel)
                 })
                 .collect();
-            for d in 0..days {
-                let rel = (daily[d] / seasonal[d]).min(2.0);
-                let factor = 1.0 + ALPHA * (1.0 - rel);
-                for v in values[d * steps_per_day..(d + 1) * steps_per_day].iter_mut() {
-                    *v *= factor;
-                }
+            for (k, v) in values.iter_mut().enumerate() {
+                *v *= factors[day_of(k)];
             }
         }
     }

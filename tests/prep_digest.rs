@@ -12,7 +12,10 @@
 //! The 300-minute entries drift the time of day by five hours per step
 //! (a day is not a whole number of steps), and the 5-minute ones have 288
 //! steps per day; both were recorded before the weather generators read
-//! per-day and per-slot tables. A second test pins the fleet paths:
+//! per-day and per-slot tables. The Berkeley 300-minute entry was
+//! re-recorded on purpose when CAISO's carbon intensity started coupling
+//! to solar yield by calendar day instead of by 20-hour windows; every
+//! other entry kept its bits through that change. A second test pins the fleet paths:
 //! every member of `FleetScenario::prepare` and `prepare_shared` must
 //! equal its own `ScenarioConfig::prepare()`, whether or not members share
 //! a seed (and so one pass of random draws) or a load trace.
@@ -36,7 +39,7 @@ const DIGESTS: [(SitePreset, u32, u64, u64); 16] = [
     (SitePreset::Berkeley, 15, 0, 0xac6c_02e7_9224_d779),
     (SitePreset::Berkeley, 15, 42, 0x70d8_04c2_c328_9150),
     (SitePreset::Berkeley, 15, 777, 0x9189_5196_0da2_94f2),
-    (SitePreset::Berkeley, 300, 42, 0xfb8f_2a3b_0712_60a5),
+    (SitePreset::Berkeley, 300, 42, 0xb03a_ee9b_b22e_3cf6),
     (SitePreset::Berkeley, 5, 42, 0xcd26_e8ca_d9e0_e20e),
 ];
 
@@ -223,4 +226,41 @@ fn fleet_members_equal_their_own_preparation() {
         paper,
     );
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Berkeley's carbon intensity is coupled to its solar yield by calendar
+/// day: divided by the uncoupled CAISO series, it is one factor per day
+/// (the day each step starts in) wherever the 20-g floor does not bind,
+/// also at steps that do not divide a day.
+#[test]
+fn caiso_coupling_takes_one_factor_per_calendar_day() {
+    use microgrid_opt::gridcarbon::{CarbonIntensityModel, GridRegion};
+    for step_minutes in [60usize, 300, 600, 900, 1200] {
+        let step = SimDuration::from_minutes(step_minutes as f64);
+        let coupled = Site::berkeley().prepare(step, 42).ci_g_per_kwh;
+        let uncoupled = CarbonIntensityModel::for_region(GridRegion::Caiso).generate(step, 42);
+        let mut day_factor: Vec<Option<f64>> = vec![None; 365];
+        for (k, (&c, &u)) in coupled.values().iter().zip(uncoupled.values()).enumerate() {
+            if c <= 20.0 {
+                continue;
+            }
+            let day = k * step_minutes / 1_440;
+            let factor = c / u;
+            let first = *day_factor[day].get_or_insert(factor);
+            assert!(
+                (factor - first).abs() <= 1e-12 * first,
+                "{step_minutes}-minute step {k} on day {day}: factor {factor} against {first}"
+            );
+        }
+        let factors: Vec<f64> = day_factor.into_iter().flatten().collect();
+        assert!(
+            factors.len() > 300,
+            "{step_minutes} min: {} days",
+            factors.len()
+        );
+        assert!(
+            factors.windows(2).filter(|w| w[0] != w[1]).count() > 300,
+            "{step_minutes} min: the factor should move from day to day"
+        );
+    }
 }
