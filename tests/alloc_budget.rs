@@ -108,7 +108,10 @@ fn count_study<R: BufRead, W: Write>(
     writer.write_all(request.as_bytes()).unwrap();
     loop {
         line.clear();
-        assert!(reader.read_line(line).unwrap() > 0, "daemon closed the pipe");
+        assert!(
+            reader.read_line(line).unwrap() > 0,
+            "daemon closed the pipe"
+        );
         assert!(
             !line.contains(r#""resp":{"Error""#) && !line.contains(r#""resp":{"Cancelled""#),
             "study failed: {line}"
