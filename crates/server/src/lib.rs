@@ -548,11 +548,9 @@ impl Server {
             ..Nsga2Config::default()
         });
 
-        // The observer builds each plan point once per study. Streaming, it
-        // turns every generation's front into plan points, encodes the
-        // `Front` frame from them and keeps them as the latest front.
-        // Otherwise it keeps the search's latest front as handed over,
-        // and the plan points are built once, after the search.
+        // Each plan point is built once per study (see "The study
+        // observer" in the crate docs): every generation when streaming,
+        // else once from the search's last front, after the search.
         let stream = study.stream;
         let mut generations = 0u32;
         let mut last_front: Vec<PlanPoint> = Vec::new();
